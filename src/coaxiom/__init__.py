@@ -17,7 +17,7 @@ from .engine import (Rule, System, Interpretation, EngineError,
                      BudgetExceeded, NotPreFixed, DEFAULT_BUDGET,
                      INDUCTIVE, COINDUCTIVE, BOUND, GENERATED,
                      rule_key, step, extend, restrict, ind, coind, bound,
-                     kernel, generated, sort_judgments)
+                     kernel, generated, analyse, sort_judgments)
 from .dsl import (ParseError, SourceStatement, SourceSystem, parse_system,
                   parse_source, parse_judgment, parse_judgments,
                   render_system, render_rule)
@@ -38,7 +38,7 @@ __all__ = [
     "Rule", "System", "Interpretation", "EngineError", "BudgetExceeded",
     "NotPreFixed", "DEFAULT_BUDGET", "INDUCTIVE", "COINDUCTIVE", "BOUND",
     "GENERATED", "rule_key", "step", "extend", "restrict", "ind", "coind",
-    "bound", "kernel", "generated", "sort_judgments",
+    "bound", "kernel", "generated", "analyse", "sort_judgments",
     "ParseError", "SourceStatement", "SourceSystem", "parse_system",
     "parse_source", "parse_judgment", "parse_judgments", "render_system",
     "render_rule",

@@ -9,14 +9,16 @@ regular rule from premises in the set.
 descending phase: never in the bound at all, dropped at a precise
 round, or surviving.  Survival at the descending fixed point is
 conclusive membership, and the witness says when that is the case.
+It is a lookup in the entry and drop layers of one two-phase pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
-from .engine import DEFAULT_BUDGET, System, bound, step
+from .engine import (DEFAULT_BUDGET, Interpretation, System, analyse, bound,
+                     step)
 from .terms import Term, term_key
 
 __all__ = [
@@ -105,18 +107,22 @@ LevelWitness = Union[NotInBound, DropsAtLevel, SurvivesTo]
 
 
 def level_witness(sys: System, j: Term, max_n: int,
-                  budget: int = DEFAULT_BUDGET) -> LevelWitness:
-    """Track one judgment for up to ``max_n`` descending rounds."""
+                  budget: int = DEFAULT_BUDGET,
+                  interp: Optional[Interpretation] = None) -> LevelWitness:
+    """Track one judgment for up to ``max_n`` descending rounds.
+
+    The descent is stable once a round drops nothing, that is from
+    round ``interp.layers + 1`` on.  ``interp``, a :func:`generated` or
+    :func:`analyse` result for ``sys``, saves recomputing both phases;
+    by default ``analyse(sys, budget)`` is used, so ``budget`` bounds
+    phase 1 only.
+    """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    s = bound(sys, budget).judgments
-    if j not in s:
+    a = interp if interp is not None else analyse(sys, budget)
+    if j not in a.phase1.judgments:
         return NotInBound()
-    for n in range(1, max_n + 1):
-        t = step(sys, s)
-        if j not in t:
-            return DropsAtLevel(n)
-        if t == s:
-            return SurvivesTo(max_n, at_fixpoint=True)
-        s = t
-    return SurvivesTo(max_n)
+    level = a.levels.get(j)
+    if level is not None and level <= max_n:
+        return DropsAtLevel(level)
+    return SurvivesTo(max_n, at_fixpoint=a.layers < max_n)

@@ -31,7 +31,7 @@ from .checks import (DropsAtLevel, NotInBound, SurvivesTo,
 from .dsl import ParseError, parse_judgment, parse_judgments, parse_system, \
     render_system
 from .engine import (DEFAULT_BUDGET, BudgetExceeded, Interpretation, System,
-                     coind, generated, ind, sort_judgments)
+                     analyse, coind, generated, ind, sort_judgments)
 from .gen import (ClosureBudgetExceeded, DEFAULT_CAP, DEFAULT_CARRIES,
                   DEFAULT_CLOSURE_BUDGET, InstantiationTooLarge,
                   LIST_PREDICATES, MalformedEquations, gen_add, gen_dist,
@@ -199,7 +199,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     j = parse_judgment(args.judgment)
     interp = generated(sys_, budget=args.max_iters)
     if j in interp:
-        proof = prove_regular(sys_, j, budget=args.max_iters)
+        proof = prove_regular(sys_, j, interp=interp)
         if args.format == "json":
             print(json.dumps({
                 "judgment": render_term(j),
@@ -211,7 +211,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             _render_regular(proof, sys_, lines)
             print("\n".join(lines))
         return EXIT_OK
-    witness = level_witness(sys_, j, args.max_iters, budget=args.max_iters)
+    witness = level_witness(sys_, j, args.max_iters, interp=interp)
     if args.format == "json":
         print(json.dumps({
             "judgment": render_term(j),
@@ -227,17 +227,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_prove(args: argparse.Namespace) -> int:
     sys_ = _load_system(args.file)
     j = parse_judgment(args.judgment)
+    # A regular proof needs the bounded fixed point itself, so its
+    # descent is held to the budget; the other proofs only read levels.
+    phases = generated if args.regular else analyse
+    interp = phases(sys_, budget=args.max_iters)
     if args.regular:
         kind = "regular"
-        proof = prove_regular(sys_, j, budget=args.max_iters)
+        proof = prove_regular(sys_, j, interp=interp)
     elif args.level is not None:
         kind = f"approx({args.level})"
-        proof = prove_approx(sys_, j, args.level, budget=args.max_iters)
+        proof = prove_approx(sys_, j, args.level, interp=interp)
     else:
         kind = "wf"
-        proof = prove_wf(sys_, j, budget=args.max_iters)
+        proof = prove_wf(sys_, j, interp=interp)
     if proof is None:
-        witness = level_witness(sys_, j, args.max_iters, budget=args.max_iters)
+        witness = level_witness(sys_, j, args.max_iters, interp=interp)
         if args.format == "json":
             print(json.dumps({
                 "judgment": render_term(j),

@@ -12,16 +12,30 @@ computed in two phases:
   regular rules and contained in the bound, obtained by descending
   iteration from the bound.
 
-Both phases are naive whole-set fixed point iterations, on purpose: the
-recorded traces (one set per iteration) are part of the observable
-contract and match the hand-listable runs in small examples.
+Each phase is one counter-driven pass in synchronous layers, linear in
+the total size of the rules:
+
+* ascending (``ind``, ``bound``): forward chaining over per-rule counts
+  of missing premises, as in Dowling and Gallier's linear-time Horn
+  satisfiability.  A judgment's *entry layer* is the number of rule
+  applications from the empty set after which it first holds.
+* descending (``coind``, ``kernel``): layered deletion over
+  per-judgment counts of live regular rules, as in Liu and Smolka's
+  linear-time fixed point algorithms.  A judgment's *drop layer* is the
+  number of descending rounds after which it no longer holds.
+
+An :class:`Interpretation` keeps those layers.  Its ``trace``, the set
+after each productive round of the naive whole-set iteration, is
+rebuilt from them only when read; level witnesses and proofs read the
+layers directly.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from functools import cached_property
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .terms import Term, term_key
 
@@ -46,6 +60,7 @@ __all__ = [
     "bound",
     "kernel",
     "generated",
+    "analyse",
     "sort_judgments",
 ]
 
@@ -140,8 +155,8 @@ class System:
         self._co_by_conclusion: dict[Term, tuple[int, ...]] = {
             c: tuple(ix) for c, ix in co_index.items()
         }
-        # Premise sets are consulted on every iteration of every fixed
-        # point; precompute them once.
+        # Premise sets are consulted by every step() and every descending
+        # pass; precompute them once.
         self._premise_sets = tuple(frozenset(r.premises) for r in self.regular_rules)
         self._co_premise_sets = tuple(frozenset(r.premises) for r in self.co_rules)
 
@@ -166,16 +181,24 @@ class System:
 class Interpretation:
     """A computed judgment set together with how it was reached.
 
-    ``trace`` lists the judgment set after each productive iteration —
+    ``levels`` records when each judgment changed: for the ascending
+    phases (``ind``, ``bound``) the entry layer of every member, for the
+    descending ones (``coind``, ``kernel``, ``generated``) the drop
+    layer of every judgment of the starting set that did not survive.
+    ``layers`` counts the productive rounds.
+
+    ``trace`` lists the judgment set after each productive round —
     ascending for the inductive phases, descending for the coinductive
-    ones — and always ends with ``judgments``.  For ``generated``
-    results, ``phase1`` carries the full bound-phase interpretation so
-    both traces stay retrievable.
+    ones — and always ends with ``judgments``; without a productive
+    round it is that one set.  For ``generated`` results, ``phase1``
+    carries the full bound-phase interpretation so both traces stay
+    retrievable.
     """
 
     judgments: frozenset[Term]
     phase: str
-    trace: tuple[frozenset[Term], ...] = ()
+    levels: Mapping[Term, int] = field(default_factory=dict, hash=False, repr=False)
+    layers: int = 0
     phase1: Optional["Interpretation"] = None
 
     def __contains__(self, j: Term) -> bool:
@@ -184,13 +207,31 @@ class Interpretation:
     def sorted_judgments(self) -> list[Term]:
         return sort_judgments(self.judgments)
 
+    @cached_property
+    def trace(self) -> tuple[frozenset[Term], ...]:
+        if not self.layers:
+            return (self.judgments,)
+        by_layer: list[list[Term]] = [[] for _ in range(self.layers)]
+        for j, k in self.levels.items():
+            by_layer[k - 1].append(j)
+        ascending = self.phase in (INDUCTIVE, BOUND)
+        current = set() if ascending else set(self.judgments).union(self.levels)
+        out = []
+        for js in by_layer:
+            if ascending:
+                current.update(js)
+            else:
+                current.difference_update(js)
+            out.append(frozenset(current))
+        return tuple(out)
+
 
 def sort_judgments(js: Iterable[Term]) -> list[Term]:
     return sorted(js, key=term_key)
 
 
 # ---------------------------------------------------------------------------
-# the eight operations
+# the operations
 
 
 def step(sys: System, s: frozenset[Term] | set[Term], use_co: bool = False) -> frozenset[Term]:
@@ -222,48 +263,99 @@ def restrict(sys: System, s: Iterable[Term]) -> System:
     return System(r for r in sys.regular_rules if r.conclusion in keep)
 
 
-def _ascend(sys: System, budget: int, use_co: bool) -> tuple[frozenset[Term], ...]:
-    """Iterate step from the empty set upward; trace has one entry per
-    productive application plus, for an immediately-fixed start, the
-    fixed point itself."""
-    s: frozenset[Term] = frozenset()
-    trace: list[frozenset[Term]] = []
-    for _ in range(budget):
-        t = step(sys, s, use_co)
-        if t == s:
-            if not trace:
-                trace.append(s)
-            return tuple(trace)
-        trace.append(t)
-        s = t
-    raise BudgetExceeded(budget)
+def _check_budget(layer: int, budget: Optional[int]) -> None:
+    """Round ``layer + 1`` may only run within the budget; like the
+    whole-set iteration, a fixed point needs one unproductive round
+    after its last productive one."""
+    if budget is not None and layer >= budget:
+        raise BudgetExceeded(budget)
 
 
-def _descend(sys: System, start: frozenset[Term], clamp: frozenset[Term],
-             budget: int) -> tuple[frozenset[Term], ...]:
-    """Iterate s -> step(s) & clamp downward from ``start``.
+def _ascend(rules: Sequence[Rule], budget: int) -> tuple[dict[Term, int], int]:
+    """Entry layer of every judgment derivable from ``rules``, and the
+    number of productive layers.
 
-    The trace starts at the first application's result (the starting set
-    itself is not listed), so an already-stable start gives a one-entry
-    trace.
+    Each rule counts its premises not derived yet; it fires once the
+    count reaches zero, and its conclusion (if new) enters in the layer
+    after the one in which the last premise entered.
     """
-    s = start
-    trace: list[frozenset[Term]] = []
-    for _ in range(budget):
-        t = step(sys, s) & clamp
-        if t == s:
-            if not trace:
-                trace.append(s)
-            return tuple(trace)
-        trace.append(t)
-        s = t
-    raise BudgetExceeded(budget)
+    missing = [len(r.premises) for r in rules]
+    waiting: dict[Term, list[int]] = {}
+    for i, r in enumerate(rules):
+        for p in r.premises:
+            waiting.setdefault(p, []).append(i)
+    entry: dict[Term, int] = {}
+    frontier = {r.conclusion for r in rules if not r.premises}
+    layer = 0
+    while True:
+        _check_budget(layer, budget)
+        if not frontier:
+            return entry, layer
+        layer += 1
+        for j in frontier:
+            entry[j] = layer
+        fired: set[Term] = set()
+        for j in frontier:
+            for i in waiting.get(j, ()):
+                missing[i] -= 1
+                if not missing[i] and rules[i].conclusion not in entry:
+                    fired.add(rules[i].conclusion)
+        frontier = fired
+
+
+def _descend(sys: System, start: frozenset[Term],
+             budget: Optional[int]) -> tuple[dict[Term, int], int]:
+    """Drop layer of every judgment the descent from ``start`` removes,
+    and the number of productive rounds.
+
+    Each judgment counts its live regular rules, those whose premises
+    all still hold.  A rule dies in the round its first premise drops;
+    a judgment drops in the round after its last live rule died.
+    Raises :class:`NotPreFixed` if a live rule concludes outside
+    ``start``.
+    """
+    rules = sys.regular_rules
+    live = dict.fromkeys(start, 0)
+    watching: dict[Term, list[int]] = {}
+    escaped: list[Term] = []
+    for i, (r, ps) in enumerate(zip(rules, sys._premise_sets)):
+        if ps <= start:
+            if r.conclusion not in live:
+                escaped.append(r.conclusion)
+                continue
+            live[r.conclusion] += 1
+            for p in r.premises:
+                watching.setdefault(p, []).append(i)
+    if escaped:
+        raise NotPreFixed(min(escaped, key=term_key))
+    dead = bytearray(len(rules))
+    drop: dict[Term, int] = {}
+    frontier = [j for j, n in live.items() if not n]
+    layer = 0
+    while True:
+        _check_budget(layer, budget)
+        if not frontier:
+            return drop, layer
+        layer += 1
+        for j in frontier:
+            drop[j] = layer
+        unsupported: list[Term] = []
+        for j in frontier:
+            for i in watching.get(j, ()):
+                if dead[i]:
+                    continue
+                dead[i] = 1
+                c = rules[i].conclusion
+                live[c] -= 1
+                if not live[c]:
+                    unsupported.append(c)
+        frontier = unsupported
 
 
 def ind(sys: System, budget: int = DEFAULT_BUDGET) -> Interpretation:
     """Inductive interpretation of the regular rules (least fixed point)."""
-    trace = _ascend(sys, budget, use_co=False)
-    return Interpretation(trace[-1], INDUCTIVE, trace)
+    entry, layers = _ascend(sys.regular_rules, budget)
+    return Interpretation(frozenset(entry), INDUCTIVE, entry, layers)
 
 
 def coind(sys: System, budget: int = DEFAULT_BUDGET) -> Interpretation:
@@ -273,34 +365,47 @@ def coind(sys: System, budget: int = DEFAULT_BUDGET) -> Interpretation:
     contains every candidate judgment.
     """
     start = frozenset(r.conclusion for r in sys.regular_rules)
-    trace = _descend(sys, start, start, budget)
-    return Interpretation(trace[-1], COINDUCTIVE, trace)
+    drop, layers = _descend(sys, start, budget)
+    return Interpretation(start.difference(drop), COINDUCTIVE, drop, layers)
 
 
 def bound(sys: System, budget: int = DEFAULT_BUDGET) -> Interpretation:
     """Phase 1: inductive interpretation of the extended system."""
-    trace = _ascend(extend(sys), budget, use_co=False)
-    return Interpretation(trace[-1], BOUND, trace)
+    entry, layers = _ascend(sys.regular_rules + sys.co_rules, budget)
+    return Interpretation(frozenset(entry), BOUND, entry, layers)
 
 
 def kernel(sys: System, beta: Iterable[Term],
-           budget: int = DEFAULT_BUDGET) -> Interpretation:
+           budget: Optional[int] = DEFAULT_BUDGET) -> Interpretation:
     """Phase 2: greatest consistent subset of a closed set ``beta``.
 
     Raises :class:`NotPreFixed` if ``beta`` is not closed under the
     regular rules (the defining descent is only meaningful below a
-    pre-fixed point).
+    pre-fixed point).  ``budget=None`` lets the descent run to its end,
+    which it reaches within ``len(beta)`` rounds.
     """
     b = beta if isinstance(beta, frozenset) else frozenset(beta)
-    escaped = step(sys, b) - b
-    if escaped:
-        raise NotPreFixed(min(escaped, key=term_key))
-    trace = _descend(sys, b, b, budget)
-    return Interpretation(trace[-1], GENERATED, trace)
+    drop, layers = _descend(sys, b, budget)
+    return Interpretation(b.difference(drop), GENERATED, drop, layers)
+
+
+def _phases(sys: System, budget: int, kernel_budget: Optional[int]) -> Interpretation:
+    b = bound(sys, budget)
+    k = kernel(sys, b.judgments, kernel_budget)
+    return Interpretation(k.judgments, GENERATED, k.levels, k.layers, phase1=b)
 
 
 def generated(sys: System, budget: int = DEFAULT_BUDGET) -> Interpretation:
     """Bounded fixed point: kernel of the system's own bound."""
-    b = bound(sys, budget)
-    k = kernel(sys, b.judgments, budget)
-    return Interpretation(k.judgments, GENERATED, k.trace, phase1=b)
+    return _phases(sys, budget, budget)
+
+
+def analyse(sys: System, budget: int = DEFAULT_BUDGET) -> Interpretation:
+    """Both phases as :func:`generated` computes them, but with only
+    phase 1 held to ``budget``: phase 2 always runs to its end.
+
+    Level witnesses and approximated proofs read the entry and drop
+    layers off this one result; a descent longer than the budget is
+    then an answer ("drops at level n" for large n), not a failure.
+    """
+    return _phases(sys, budget, None)

@@ -20,10 +20,10 @@ system, reporting every offending node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Mapping, Optional, Union
 
-from .engine import (DEFAULT_BUDGET, Interpretation, Rule, System, bound,
-                     generated, rule_key, step)
+from .engine import (DEFAULT_BUDGET, Interpretation, Rule, System, analyse,
+                     bound, generated, rule_key)
 from .terms import Term, render_term, term_key
 
 __all__ = [
@@ -67,19 +67,6 @@ class WfProof:
     def depth(self) -> int:
         return 1 + max((c.depth() for c in self.children), default=0)
 
-    def co_depths(self) -> list[int]:
-        """Depths (root = 0) of all co-rule applications in the tree."""
-        out: list[int] = []
-
-        def walk(node: WfProof, d: int) -> None:
-            if node.rule.co:
-                out.append(d)
-            for c in node.children:
-                walk(c, d + 1)
-
-        walk(self, 0)
-        return out
-
 
 @dataclass(frozen=True, eq=True)
 class RegularProof:
@@ -112,15 +99,6 @@ class ValidationReport:
 # construction
 
 
-def _entered_at(trace: tuple[frozenset[Term], ...]) -> dict[Term, int]:
-    seen: dict[Term, int] = {}
-    for i, s in enumerate(trace):
-        for j in s:
-            if j not in seen:
-                seen[j] = i
-    return seen
-
-
 def _candidates(sys: System, j: Term) -> list[tuple[RuleRef, Rule]]:
     """All rules concluding j, canonically ordered, regular before co."""
     cands = [(RuleRef(i, False), sys.regular_rules[i])
@@ -131,7 +109,7 @@ def _candidates(sys: System, j: Term) -> list[tuple[RuleRef, Rule]]:
     return cands
 
 
-def _build_wf(sys: System, entered: dict[Term, int], j: Term,
+def _build_wf(sys: System, entered: Mapping[Term, int], j: Term,
               memo: dict[Term, WfProof]) -> WfProof:
     done = memo.get(j)
     if done is not None:
@@ -143,76 +121,51 @@ def _build_wf(sys: System, entered: dict[Term, int], j: Term,
             proof = WfProof(j, ref, children)
             memo[j] = proof
             return proof
-    raise AssertionError(f"no admissible rule for {render_term(j)} at iteration {k}")
+    raise AssertionError(f"no admissible rule for {render_term(j)} at layer {k}")
 
 
-def prove_wf(sys: System, j: Term, budget: int = DEFAULT_BUDGET) -> Optional[WfProof]:
+def prove_wf(sys: System, j: Term, budget: int = DEFAULT_BUDGET,
+             interp: Optional[Interpretation] = None) -> Optional[WfProof]:
     """A well-founded proof over the extended system, or None.
 
     Succeeds exactly when ``j`` is in the bound.  The tree is read off
-    the ascending phase-1 trace: a judgment first derived at iteration
-    ``k`` is proved by the canonically least rule all of whose premises
-    appeared strictly earlier.
+    the entry layers of phase 1: a judgment that entered in layer ``k``
+    is proved by the canonically least rule all of whose premises
+    entered strictly earlier.  ``interp``, a :func:`generated` or
+    :func:`analyse` result for ``sys``, saves recomputing the bound.
     """
-    b = bound(sys, budget)
+    b = interp.phase1 if interp is not None else bound(sys, budget)
     if j not in b.judgments:
         return None
-    entered = _entered_at(b.trace)
-    return _build_wf(sys, entered, j, {})
+    return _build_wf(sys, b.levels, j, {})
 
 
-def _descending_chain(sys: System, start: frozenset[Term], upto: int
-                      ) -> tuple[list[frozenset[Term]], int]:
-    """Iterates of step() from a closed set, up to ``upto`` or stability.
-
-    Returns (chain, stable_at) where chain[k] is the k-th iterate for
-    k <= min(upto, stable_at), and chain[stable_at] is the fixed point
-    if stability was reached (stable_at == len(chain)-1), else upto.
-    """
-    chain = [start]
-    for k in range(upto):
-        nxt = step(sys, chain[-1])
-        if nxt == chain[-1]:
-            return chain, k
-        chain.append(nxt)
-    return chain, upto
-
-
-def _chain_at(chain: list[frozenset[Term]], k: int) -> frozenset[Term]:
-    return chain[min(k, len(chain) - 1)]
-
-
-def prove_approx(sys: System, j: Term, n: int,
-                 budget: int = DEFAULT_BUDGET) -> Optional[WfProof]:
+def prove_approx(sys: System, j: Term, n: int, budget: int = DEFAULT_BUDGET,
+                 interp: Optional[Interpretation] = None) -> Optional[WfProof]:
     """A level-``n`` approximated proof, or None.
 
     Level 0 places no restriction and delegates to :func:`prove_wf`.
     For ``n > 0`` the root must be concluded by a regular rule from
     premises that themselves carry level-``n-1`` proofs, so co rules
     can only appear at depth ``n`` or deeper.  Succeeds exactly when
-    ``j`` survives ``n`` rounds of the descending phase.
+    ``j`` survives ``n`` rounds of the descending phase, which the drop
+    layers of ``interp`` (by default ``analyse(sys, budget)``) tell.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
-    b = bound(sys, budget)
     if n == 0:
-        if j not in b.judgments:
-            return None
-        return _build_wf(sys, _entered_at(b.trace), j, {})
-    chain, _ = _descending_chain(sys, b.judgments, n)
-    if j not in _chain_at(chain, n):
+        return prove_wf(sys, j, budget, interp)
+    a = interp if interp is not None else analyse(sys, budget)
+    if j not in a.phase1.judgments or a.levels.get(j, n + 1) <= n:
         return None
-    return _canonical_build(sys, chain, _entered_at(b.trace), j, n, {})
+    return _canonical_build(sys, a, j, n)
 
 
-def _canonical_build(sys: System, chain: list[frozenset[Term]],
-                     entered: dict[Term, int], j: Term, n: int,
-                     wf_memo: dict[Term, WfProof]) -> WfProof:
-    ordered_ix: dict[Term, list[int]] = {
-        c: sorted(ix, key=lambda i: rule_key(sys.regular_rules[i]))
-        for c, ix in sys.by_conclusion.items()
-    }
+def _canonical_build(sys: System, a: Interpretation, j: Term, n: int) -> WfProof:
+    entered, dropped = a.phase1.levels, a.levels
+    wf_memo: dict[Term, WfProof] = {}
     memo: dict[tuple[Term, int], WfProof] = {}
+    ordered: dict[Term, list[int]] = {}
 
     def build(g: Term, k: int) -> WfProof:
         if k == 0:
@@ -221,10 +174,14 @@ def _canonical_build(sys: System, chain: list[frozenset[Term]],
         done = memo.get(key)
         if done is not None:
             return done
-        prev = _chain_at(chain, k - 1)
-        for i in ordered_ix.get(g, ()):
-            if sys._premise_sets[i] <= prev:
-                rule = sys.regular_rules[i]
+        if g not in ordered:
+            ordered[g] = sorted(sys.by_conclusion.get(g, ()),
+                                key=lambda i: rule_key(sys.regular_rules[i]))
+        # Premises must survive k - 1 rounds: in the bound and not
+        # dropped before round k.
+        for i in ordered[g]:
+            rule = sys.regular_rules[i]
+            if all(p in entered and dropped.get(p, k) >= k for p in rule.premises):
                 children = tuple(build(p, k - 1) for p in rule.premises)
                 proof = WfProof(g, RuleRef(i, False), children)
                 memo[key] = proof
@@ -234,15 +191,17 @@ def _canonical_build(sys: System, chain: list[frozenset[Term]],
     return build(j, n)
 
 
-def prove_regular(sys: System, j: Term,
-                  budget: int = DEFAULT_BUDGET) -> Optional[RegularProof]:
+def prove_regular(sys: System, j: Term, budget: int = DEFAULT_BUDGET,
+                  interp: Optional[Interpretation] = None) -> Optional[RegularProof]:
     """A regular (possibly cyclic) proof, or None.
 
     Succeeds exactly when ``j`` is in the bounded fixed point; every
     judgment reachable from the root is mapped to the canonically least
     regular rule whose premises stay inside the bounded fixed point.
+    ``interp``, a :func:`generated` result for ``sys``, saves
+    recomputing it.
     """
-    g = generated(sys, budget)
+    g = interp if interp is not None else generated(sys, budget)
     if j not in g.judgments:
         return None
     inside = g.judgments

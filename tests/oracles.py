@@ -4,6 +4,8 @@ Everything in this module is deliberately naive and shares no code with
 the package: fixed points are found by enumerating subsets of the
 universe rather than by iteration, distances come from a textbook
 Dijkstra, first sets from the classic worklist algorithm, and so on.
+Traces, which are defined by iteration, come from whole-set rule
+application repeated until nothing changes.
 When an oracle and the engine disagree, the oracle wins and the engine
 has a bug.
 
@@ -143,6 +145,44 @@ def brute_survives(rules: Sequence[RuleTriple], j: Judgment,
     for _ in range(n):
         s = frozenset(c for c, ps, _ in regular if ps <= s) & s
     return j in s
+
+
+# ---------------------------------------------------------------------------
+# traces by whole-set iteration
+
+def naive_step(rules: Sequence[RuleTriple], s: FrozenSet[Judgment],
+               use_co: bool = False) -> frozenset:
+    """Conclusions of every rule whose premises all lie in s."""
+    return frozenset(c for c, ps, co in rules if (use_co or not co) and ps <= s)
+
+
+def naive_ascending_trace(rules: Sequence[RuleTriple],
+                          use_co: bool = False) -> tuple:
+    """The sets step^1(empty), step^2(empty), ... up to the least fixed
+    point; just the empty set when nothing fires at all."""
+    s: frozenset = frozenset()
+    trace = []
+    while True:
+        t = naive_step(rules, s, use_co)
+        if t == s:
+            return tuple(trace) or (s,)
+        trace.append(t)
+        s = t
+
+
+def naive_descending_trace(rules: Sequence[RuleTriple],
+                           start: FrozenSet[Judgment]) -> tuple:
+    """The sets after each round of s -> step(s) & start from ``start``
+    (regular rules only), not listing ``start`` itself unless no round
+    changes it."""
+    s = frozenset(start)
+    trace = []
+    while True:
+        t = naive_step(rules, s) & start
+        if t == s:
+            return tuple(trace) or (s,)
+        trace.append(t)
+        s = t
 
 
 # ---------------------------------------------------------------------------

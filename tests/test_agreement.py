@@ -12,11 +12,12 @@ import random
 
 from coaxiom import (APPROX, DropsAtLevel, NotInBound, REGULAR_GENERATED,
                      SurvivesTo, WF_EXTENDED, bound, bounded_coinduction,
-                     coind, generated, ind, level_witness, prove_approx,
-                     prove_regular, prove_wf, validate)
+                     coind, generated, ind, kernel, level_witness,
+                     prove_approx, prove_regular, prove_wf, validate)
 from corpus import as_system, corpus
 from oracles import (brute_bound, brute_generated, brute_gfp, brute_lfp,
-                     brute_survives, rule_universe)
+                     brute_survives, naive_ascending_trace,
+                     naive_descending_trace, rule_universe)
 
 CORPUS = corpus()
 
@@ -50,6 +51,34 @@ def test_generated_matches_brute_generated_on_every_corpus_system():
     for seed, triples in CORPUS:
         got = generated(as_system(triples)).judgments
         assert got == brute_generated(triples), f"seed {seed}"
+
+
+# ---------------------------------------------------------------------------
+# traces: the layered passes list the sets whole-set iteration goes through
+
+def test_traces_match_naive_iteration_on_every_corpus_system():
+    single = {"empty": 0, "start": 0}
+    for seed, triples in CORPUS:
+        sys_ = as_system(triples)
+        up = naive_ascending_trace(triples)
+        beta = naive_ascending_trace(triples, use_co=True)
+        down = naive_descending_trace(triples, beta[-1])
+        every = frozenset(c for c, _, co in triples if not co)
+        expected = {
+            "ind": (ind(sys_), up),
+            "bound": (bound(sys_), beta),
+            "kernel": (kernel(sys_, beta[-1]), down),
+            "generated": (generated(sys_), down),
+            "generated.phase1": (generated(sys_).phase1, beta),
+            "coind": (coind(sys_), naive_descending_trace(triples, every)),
+        }
+        for name, (interp, trace) in expected.items():
+            assert interp.trace == trace, f"seed {seed}: {name}"
+            assert interp.trace[-1] == interp.judgments, f"seed {seed}: {name}"
+        single["empty"] += up == (frozenset(),)
+        single["start"] += len(down) == 1 and down[0] == beta[-1] != frozenset()
+    # both single-entry conventions occur in the corpus
+    assert single["empty"] and single["start"], single
 
 
 # ---------------------------------------------------------------------------

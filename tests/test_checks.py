@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from coaxiom import (DropsAtLevel, NotInBound, Rule, SurvivesTo, System,
-                     bounded_coinduction, generated, is_closed, is_consistent,
-                     level_witness, sym)
+import pytest
+
+from coaxiom import (BudgetExceeded, DropsAtLevel, NotInBound, Rule,
+                     SurvivesTo, System, bounded_coinduction, generated,
+                     is_closed, is_consistent, level_witness, sym)
 
 P, Q, R = sym("p"), sym("q"), sym("r")
 
@@ -87,3 +89,33 @@ def test_witness_survivor_reports_fixpoint():
 def test_witness_without_enough_rounds_is_inconclusive():
     w = level_witness(CHAIN, P, 2)
     assert w == SurvivesTo(2, at_fixpoint=False)
+
+
+def test_witness_budget_bounds_phase_one_only():
+    # c_i <- c_{i+1} for i < 50, every c_i a coaxiom: phase 1 takes one
+    # layer, phase 2 takes 51 (c50 has no regular rule).
+    c = [sym(f"c{i}") for i in range(51)]
+    sys_ = System([Rule(c[i], (c[i + 1],)) for i in range(50)]
+                  + [Rule(ci, co=True) for ci in c])
+    assert level_witness(sys_, c[0], 2, budget=3) == SurvivesTo(2)
+    assert level_witness(sys_, c[0], 60, budget=3) == DropsAtLevel(51)
+    with pytest.raises(BudgetExceeded):
+        generated(sys_, budget=3)
+    with pytest.raises(BudgetExceeded):
+        level_witness(sys_, c[0], 2, budget=1)  # phase 1 needs 2 rounds
+
+
+def test_witness_reaches_the_fixpoint_one_round_after_the_last_drop():
+    # d0 and d1 hold each other up; c5 (a bare coaxiom) drops in round
+    # 1, c0 in round 6 and d2 <- c0 in round 7, the last that drops
+    # anything.
+    c = [sym(f"c{i}") for i in range(6)]
+    d0, d1, d2 = sym("d0"), sym("d1"), sym("d2")
+    sys_ = System([Rule(d0, (d1,)), Rule(d1, (d0,)), Rule(d0, co=True),
+                   Rule(d2, (c[0],)), Rule(c[5], co=True)]
+                  + [Rule(c[i], (c[i + 1],)) for i in range(5)])
+    assert len(generated(sys_).trace) == 7
+    assert level_witness(sys_, d2, 10) == DropsAtLevel(7)
+    assert level_witness(sys_, d0, 7) == SurvivesTo(7, at_fixpoint=False)
+    assert level_witness(sys_, d0, 8) == SurvivesTo(8, at_fixpoint=True)
+    assert level_witness(sys_, d0, 0) == SurvivesTo(0, at_fixpoint=False)

@@ -129,6 +129,31 @@ def test_prove_regular_dot_has_a_labelled_back_edge(cycle, capsys):
     assert '[label="visit(a,{a,b})"]' in out
 
 
+@pytest.mark.parametrize("argv, expect", [
+    (["generated"], 0),
+    (["check", "visit(a,{a,b})"], 0),
+    (["check", "visit(a,{a})"], 1),
+    (["check", "visit(a,{a,b,c})", "--format", "json"], 1),
+    (["prove", "visit(c,{c})"], 0),
+    (["prove", "visit(a,{a,b,c})"], 1),
+    (["prove", "visit(a,{a,b})", "--level", "3"], 0),
+    (["prove", "visit(a,{a})", "--level", "2"], 1),
+    (["prove", "visit(a,{a,b})", "--regular"], 0),
+    (["prove", "visit(a,{a})", "--regular"], 1),
+])
+def test_no_command_runs_a_phase_twice(cycle, capsys, monkeypatch, argv, expect):
+    # _ascend and _descend are the engine's one pass per phase.
+    import coaxiom.engine as engine
+
+    calls = []
+    for name in ("_ascend", "_descend"):
+        monkeypatch.setattr(engine, name, lambda *a, _fn=getattr(engine, name), _n=name:
+                            calls.append(_n) or _fn(*a))
+    code, _, _ = run(capsys, argv[0], str(cycle), *argv[1:])
+    assert code == expect
+    assert sorted(calls) == ["_ascend", "_descend"]
+
+
 def test_prove_level_and_regular_conflict(cycle):
     with pytest.raises(SystemExit) as exc:
         main(["prove", str(cycle), "visit(c,{c})", "--level", "1",

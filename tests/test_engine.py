@@ -7,11 +7,14 @@ is checked separately in test_agreement.py.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
-from coaxiom import (BOUND, BudgetExceeded, COINDUCTIVE, GENERATED,
-                     INDUCTIVE, NotPreFixed, Rule, System, bound, coind,
-                     extend, generated, ind, kernel, restrict, step, sym)
+from coaxiom import (BOUND, BudgetExceeded, COINDUCTIVE, DropsAtLevel,
+                     GENERATED, INDUCTIVE, NotPreFixed, Rule, System, bound,
+                     coind, extend, generated, ind, kernel, level_witness,
+                     restrict, step, sym)
 
 P, Q, R, S = sym("p"), sym("q"), sym("r"), sym("s")
 
@@ -165,3 +168,69 @@ def test_runs_are_deterministic():
     assert a.judgments == b.judgments
     assert a.trace == b.trace
     assert a.phase1.trace == b.phase1.trace
+
+
+# A phase with L productive layers needs L + 1 rounds, the last one
+# finding nothing new: it passes with budget L + 1 and fails with L.
+L = 6
+
+
+def chain(name: str, n: int) -> list[Rule]:
+    """name0 <- name1 <- ... <- name{n}: n rules, each on the next one."""
+    return [Rule(sym(f"{name}{i}"), (sym(f"{name}{i + 1}"),)) for i in range(n)]
+
+
+def assert_budget_boundary(fn, sys_: System, layers: int) -> None:
+    assert fn(sys_, budget=layers + 1).layers == layers
+    with pytest.raises(BudgetExceeded):
+        fn(sys_, budget=layers)
+
+
+def test_budget_boundary_of_ind():
+    # j{L-1} is an axiom and each rule adds the next link: L layers.
+    sys_ = mk(Rule(sym(f"j{L - 1}")), *chain("j", L - 1))
+    assert len(ind(sys_).trace) == L
+    assert_budget_boundary(ind, sys_, L)
+
+
+def test_budget_boundary_of_bound():
+    sys_ = mk(Rule(sym(f"j{L - 1}"), co=True), *chain("j", L - 1))
+    assert_budget_boundary(bound, sys_, L)
+
+
+def test_budget_boundary_of_coind():
+    # j{L} concludes no rule, so j{L-1} drops in round 1 and j0 in round L.
+    sys_ = mk(*chain("j", L))
+    assert coind(sys_).judgments == frozenset()
+    assert_budget_boundary(coind, sys_, L)
+
+
+def test_budget_boundary_of_the_descending_phase_of_generated():
+    # Phase 1 takes one layer (every link is a coaxiom); phase 2 prunes
+    # the chain from its unsupported end in L rounds.
+    sys_ = mk(*chain("j", L - 1), *(Rule(sym(f"j{i}"), co=True) for i in range(L)))
+    g = generated(sys_, budget=L + 1)
+    assert (g.phase1.layers, g.layers) == (1, L)
+    assert_budget_boundary(generated, sys_, L)
+
+
+def test_zero_budget_fails_even_on_the_empty_system():
+    with pytest.raises(BudgetExceeded):
+        ind(System([]), budget=0)
+
+
+# ---------------------------------------------------------------------------
+# scaling: every phase is linear in the rules, not rules x layers
+
+def test_long_cycle_and_long_chain_stay_fast():
+    n = 20_000
+    cycle = [Rule(sym(f"a{i}"), (sym(f"a{(i + 1) % n}"),)) for i in range(n)]
+    sys_ = mk(*cycle, Rule(sym("a0"), co=True),
+              *chain("c", n), Rule(sym(f"c{n}"), co=True))
+    t0 = time.perf_counter()
+    g = generated(sys_)
+    w = level_witness(sys_, sym("c0"), 30_000)
+    elapsed = time.perf_counter() - t0
+    assert g.judgments == {sym(f"a{i}") for i in range(n)}
+    assert w == DropsAtLevel(n + 1)
+    assert elapsed < 5.0, f"{elapsed:.2f} s"
