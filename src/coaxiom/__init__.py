@@ -16,8 +16,8 @@ from .terms import (Term, Sym, Num, Inf, FinSet, INF, sym, num, finset,
 from .engine import (Rule, System, Interpretation, EngineError,
                      BudgetExceeded, NotPreFixed, DEFAULT_BUDGET,
                      INDUCTIVE, COINDUCTIVE, BOUND, GENERATED,
-                     rule_key, step, extend, restrict, ind, coind, bound,
-                     kernel, generated, analyse, sort_judgments)
+                     rule_key, step, ind, coind, bound, kernel,
+                     generated, analyse, sort_judgments)
 from .dsl import (ParseError, SourceStatement, SourceSystem, parse_system,
                   parse_source, parse_judgment, parse_judgments,
                   render_system, render_rule)
@@ -37,8 +37,8 @@ __all__ = [
     "term_key", "render_term",
     "Rule", "System", "Interpretation", "EngineError", "BudgetExceeded",
     "NotPreFixed", "DEFAULT_BUDGET", "INDUCTIVE", "COINDUCTIVE", "BOUND",
-    "GENERATED", "rule_key", "step", "extend", "restrict", "ind", "coind",
-    "bound", "kernel", "generated", "analyse", "sort_judgments",
+    "GENERATED", "rule_key", "step", "ind", "coind", "bound", "kernel",
+    "generated", "analyse", "sort_judgments",
     "ParseError", "SourceStatement", "SourceSystem", "parse_system",
     "parse_source", "parse_judgment", "parse_judgments", "render_system",
     "render_rule",

@@ -13,7 +13,7 @@ of line::
     term  := IDENT ["(" term ("," term)* ")"] | INT | "inf"
            | "{" [term ("," term)*] "}"
     IDENT := [a-z][A-Za-z0-9_]*
-    INT   := "-"? [0-9]+
+    INT   := "-"? [0-9]+                 (ASCII digits only)
 
 ``inf`` always denotes the infinity term, so no symbol can carry that
 name.  ``co`` is only special at the start of a statement, and only
@@ -22,12 +22,17 @@ is an axiom concluding the nullary symbol ``co``.
 
 Parsing stops at the first error and reports its position together with
 the token classes that would have been acceptable.
+
+The tokenizer and token cursor defined here (:func:`tokenize`,
+:class:`Cursor`) also serve the generator input languages in
+``coaxiom.gen.inputs``; each language is one :class:`Lexicon` table.
 """
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .engine import Rule, System, rule_key
 from .terms import INF, FinSet, Num, Sym, Term, render_term
@@ -77,65 +82,104 @@ class SourceSystem:
 
 
 # ---------------------------------------------------------------------------
-# lexer
+# the tokenizer shared with the generator input languages (gen.inputs)
 
-_IDENT_START = set(string.ascii_lowercase)
-_IDENT_CONT = set(string.ascii_letters + string.digits + "_")
-_PUNCT = {"(": "(", ")": ")", "{": "{", "}": "}", ",": ",", ".": "."}
-
-
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # IDENT INT ( ) { } , . <- EOF
-    text: str
-    line: int
-    column: int
+# A token is a plain tuple (kind, text, line, column); kind is a
+# special's own text, INT, the lexicon's word kind, or EOF.
+Token = tuple[str, str, int, int]
 
 
-def _lex(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+class Lexicon:
+    """One token language: a constant table compiled into one regex.
+
+    ``specials`` are matched first, longest first, then ``INT`` and then
+    ``word``, whose tokens get the kind ``word_kind``.  A character that
+    starts no token reports ``stray`` as the expected set, and
+    :meth:`Cursor.fail` quotes a token by its text if ``quote_text``,
+    else by its kind.  Whitespace and ``%`` comments separate tokens in
+    every language.
+    """
+
+    __slots__ = ("pattern", "stray", "quote_text")
+
+    def __init__(self, specials: tuple[str, ...], word: str, word_kind: str,
+                 stray: tuple[str, ...], quote_text: bool):
+        alts = [r"(?P<NL>\n)"]
+        if specials:
+            alts.append("(?P<SPECIAL>" + "|".join(map(re.escape, specials)) + ")")
+        alts += [r"(?P<INT>-?[0-9]+)", f"(?P<{word_kind}>{word})"]
+        self.pattern = re.compile(r"(?:[ \t\r]+|%[^\n]*)*(?:" + "|".join(alts) + ")?")
+        self.stray = stray
+        self.quote_text = quote_text
+
+
+COAX = Lexicon(("<-", "(", ")", "{", "}", ",", "."), r"[a-z][A-Za-z0-9_]*",
+               "IDENT", ("statement", "term"), quote_text=False)
+
+
+def tokenize(text: str, lexicon: Lexicon) -> list[Token]:
+    """The tokens of ``text``, ending with an ``EOF`` token.
+
+    The first character that starts no token raises :class:`ParseError`,
+    before any parser sees the tokens.  Columns count characters; a
+    trailing comment does not count, so ``EOF`` sits where it starts.
+    """
+    match = lexicon.pattern.match
+    toks: list[Token] = []
+    line, line_start, pos = 1, 0, 0
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        if kind is None:
+            break
+        start, pos = m.span(kind)
+        if kind == "NL":
             line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in _PUNCT:
-            toks.append(_Tok(_PUNCT[c], c, line, col))
-            i += 1
-            col += 1
-        elif c == "<" and i + 1 < n and text[i + 1] == "-":
-            toks.append(_Tok("<-", "<-", line, col))
-            i += 2
-            col += 2
-        elif c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            startcol = col
-            i += 1
-            col += 1
-            while i < n and text[i].isdigit():
-                i += 1
-                col += 1
-            toks.append(_Tok("INT", text[start:i], line, startcol))
-        elif c in _IDENT_START:
-            start = i
-            startcol = col
-            while i < n and text[i] in _IDENT_CONT:
-                i += 1
-                col += 1
-            toks.append(_Tok("IDENT", text[start:i], line, startcol))
-        else:
-            raise ParseError(line, col, ("statement", "term"), repr(c))
-    toks.append(_Tok("EOF", "", line, col))
+            line_start = pos
+            continue
+        word = text[start:pos]
+        toks.append((word if kind == "SPECIAL" else kind, word, line, start - line_start + 1))
+    end = m.end()
+    if end < len(text):
+        raise ParseError(line, end - line_start + 1, lexicon.stray, repr(text[end]))
+    comment = text.find("%", pos)
+    toks.append(("EOF", "", line, (end if comment < 0 else comment) - line_start + 1))
     return toks
+
+
+class Cursor:
+    """A position in the tokens of one text, for recursive descent."""
+
+    __slots__ = ("toks", "pos", "quote_text")
+
+    def __init__(self, text: str, lexicon: Lexicon):
+        self.toks = tokenize(text, lexicon)
+        self.pos = 0
+        self.quote_text = lexicon.quote_text
+
+    def peek(self, k: int = 0) -> Token:
+        """The token ``k`` ahead; callers never look past ``EOF``."""
+        return self.toks[self.pos + k]
+
+    def at(self, kind: str) -> bool:
+        return self.toks[self.pos][0] == kind
+
+    def take(self) -> Token:
+        t = self.toks[self.pos]
+        self.pos += 1
+        return t
+
+    def expect(self, kind: str, *expected: str) -> Token:
+        """Take a ``kind`` token, or fail expecting ``expected`` (default: the kind)."""
+        if self.toks[self.pos][0] != kind:
+            self.fail(*(expected or (kind,)))
+        return self.take()
+
+    def fail(self, *expected: str) -> NoReturn:
+        """Raise :class:`ParseError` at the current token."""
+        kind, text, line, column = self.toks[self.pos]
+        found = "end of input" if kind == "EOF" else text if self.quote_text else kind
+        raise ParseError(line, column, expected, found)
 
 
 # ---------------------------------------------------------------------------
@@ -144,87 +188,60 @@ def _lex(text: str) -> list[_Tok]:
 _TERM_START = ("IDENT", "INT", "{")
 
 
-class _Parser:
+class _Parser(Cursor):
     def __init__(self, text: str):
-        self.toks = _lex(text)
-        self.pos = 0
-
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
-
-    def take(self) -> _Tok:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, kind: str) -> _Tok:
-        t = self.peek()
-        if t.kind != kind:
-            self.fail((kind,))
-        return self.take()
-
-    def fail(self, expected: tuple[str, ...]):
-        t = self.peek()
-        found = t.kind if t.kind != "EOF" else "end of input"
-        raise ParseError(t.line, t.column, expected, found)
-
-    def at_term(self) -> bool:
-        return self.peek().kind in _TERM_START
+        super().__init__(text, COAX)
 
     def term(self) -> Term:
-        t = self.peek()
-        if t.kind == "INT":
+        kind, text, _, _ = self.peek()
+        if kind == "INT":
             self.take()
-            return Num(int(t.text))
-        if t.kind == "IDENT":
+            return Num(int(text))
+        if kind == "IDENT":
             self.take()
-            if t.text == "inf":
+            if text == "inf":
                 return INF
-            if self.peek().kind == "(":
+            if self.at("("):
                 self.take()
                 args = [self.term()]
-                while self.peek().kind == ",":
+                while self.at(","):
                     self.take()
                     args.append(self.term())
                 self.expect(")")
-                return Sym(t.text, tuple(args))
-            return Sym(t.text)
-        if t.kind == "{":
+                return Sym(text, tuple(args))
+            return Sym(text)
+        if kind == "{":
             self.take()
             elems: list[Term] = []
-            if self.peek().kind != "}":
+            if not self.at("}"):
                 elems.append(self.term())
-                while self.peek().kind == ",":
+                while self.at(","):
                     self.take()
                     elems.append(self.term())
             self.expect("}")
             return FinSet(tuple(elems))
-        self.fail(("term",))
-        raise AssertionError("unreachable")
+        self.fail("term")
 
     def statement(self) -> SourceStatement:
-        start = self.peek()
-        co = False
-        if start.kind == "IDENT" and start.text == "co":
-            # Lookahead: "co" is the co marker only when a term follows.
-            nxt = self.toks[self.pos + 1]
-            if nxt.kind in _TERM_START:
-                self.take()
-                co = True
+        _, text, line, column = self.peek()
+        # "co" is the co marker only when a term follows.
+        co = text == "co" and self.peek(1)[0] in _TERM_START
+        if co:
+            self.take()
         conclusion = self.term()
         premises: list[Term] = []
-        if self.peek().kind == "<-":
+        if self.at("<-"):
             self.take()
             premises.append(self.term())
-            while self.peek().kind == ",":
+            while self.at(","):
                 self.take()
                 premises.append(self.term())
         self.expect(".")
-        return SourceStatement(Rule(conclusion, tuple(premises), co), start.line, start.column)
+        return SourceStatement(Rule(conclusion, tuple(premises), co), line, column)
 
     def source_system(self) -> SourceSystem:
         stmts: list[SourceStatement] = []
-        while self.peek().kind != "EOF":
+        while not self.at("EOF"):
             stmts.append(self.statement())
         return SourceSystem(tuple(stmts))
 
@@ -235,7 +252,7 @@ class _Parser:
 
     def term_lines(self) -> tuple[Term, ...]:
         out: list[Term] = []
-        while self.peek().kind != "EOF":
+        while not self.at("EOF"):
             out.append(self.term())
             self.expect(".")
         return tuple(out)

@@ -32,7 +32,6 @@ layers directly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -53,8 +52,6 @@ __all__ = [
     "GENERATED",
     "rule_key",
     "step",
-    "extend",
-    "restrict",
     "ind",
     "coind",
     "bound",
@@ -130,7 +127,7 @@ class System:
     """
 
     __slots__ = ("regular_rules", "co_rules", "by_conclusion", "_co_by_conclusion",
-                 "_premise_sets", "_co_premise_sets")
+                 "_premise_sets")
 
     def __init__(self, rules: Iterable[Rule] = ()):
         regular: list[Rule] = []
@@ -158,7 +155,6 @@ class System:
         # Premise sets are consulted by every step() and every descending
         # pass; precompute them once.
         self._premise_sets = tuple(frozenset(r.premises) for r in self.regular_rules)
-        self._co_premise_sets = tuple(frozenset(r.premises) for r in self.co_rules)
 
     def co_rules_for(self, conclusion: Term) -> tuple[int, ...]:
         return self._co_by_conclusion.get(conclusion, ())
@@ -234,33 +230,14 @@ def sort_judgments(js: Iterable[Term]) -> list[Term]:
 # the operations
 
 
-def step(sys: System, s: frozenset[Term] | set[Term], use_co: bool = False) -> frozenset[Term]:
-    """One rule application: conclusions of rules whose premises all hold in s.
-
-    Regular rules only, unless ``use_co`` also enables the co rules.
-    """
+def step(sys: System, s: frozenset[Term] | set[Term]) -> frozenset[Term]:
+    """One application of the regular rules: conclusions of rules whose
+    premises all hold in s."""
     if not isinstance(s, (set, frozenset)):
         s = frozenset(s)
-    out = {r.conclusion
-           for r, ps in zip(sys.regular_rules, sys._premise_sets)
-           if ps <= s}
-    if use_co:
-        out.update(r.conclusion
-                   for r, ps in zip(sys.co_rules, sys._co_premise_sets)
-                   if ps <= s)
-    return frozenset(out)
-
-
-def extend(sys: System) -> System:
-    """The system with every co rule re-tagged as a regular rule."""
-    retagged = (Rule(r.conclusion, r.premises) for r in sys.co_rules)
-    return System(itertools.chain(sys.regular_rules, retagged))
-
-
-def restrict(sys: System, s: Iterable[Term]) -> System:
-    """Keep only regular rules whose conclusion lies in ``s``; drop co rules."""
-    keep = s if isinstance(s, (set, frozenset)) else frozenset(s)
-    return System(r for r in sys.regular_rules if r.conclusion in keep)
+    return frozenset(r.conclusion
+                     for r, ps in zip(sys.regular_rules, sys._premise_sets)
+                     if ps <= s)
 
 
 def _check_budget(layer: int, budget: Optional[int]) -> None:

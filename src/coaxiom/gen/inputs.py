@@ -15,6 +15,10 @@ Four little languages, all sharing ``%`` end-of-line comments:
 Identifiers that end up inside judgments (graph nodes, equation
 variables, terminals) must be legal term symbols: a lowercase letter
 followed by letters, digits or underscores.
+
+All four are tokenized by ``coaxiom.dsl.tokenize`` and walked with its
+``Cursor``, like ``.coax`` files: a word is ``[A-Za-z][A-Za-z0-9_]*``,
+an integer ``-?[0-9]+`` in ASCII digits.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..dsl import ParseError
+from ..dsl import Cursor, Lexicon, ParseError, Token
 from ..terms import Num, Sym, Term
 from .common import MalformedEquations
 
@@ -54,61 +58,22 @@ _NONTERM_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 _RESERVED = {"eps", "nt", "str", "tree", "nil", "inf"}
 
 
-# ---------------------------------------------------------------------------
-# a shared scanner for the small input languages
-
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # WORD, INT, a literal special, or EOF
-    text: str
-    line: int
-    column: int
+def _lexicon(*specials: str) -> Lexicon:
+    return Lexicon(specials, r"[A-Za-z][A-Za-z0-9_]*", "WORD", ("token",), quote_text=True)
 
 
-def _scan(text: str, specials: tuple[str, ...]) -> list[_Tok]:
-    ordered = sorted(specials, key=len, reverse=True)
-    toks: list[_Tok] = []
-    line, col, i, n = 1, 1, 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line, col = line + 1, 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        hit = next((s for s in ordered if text.startswith(s, i)), None)
-        if hit is not None:
-            toks.append(_Tok(hit, hit, line, col))
-            i += len(hit)
-            col += len(hit)
-            continue
-        m = re.match(r"-?[0-9]+", text[i:])
-        if m:
-            toks.append(_Tok("INT", m.group(), line, col))
-            i += m.end()
-            col += m.end()
-            continue
-        m = re.match(r"[A-Za-z][A-Za-z0-9_]*", text[i:])
-        if m:
-            toks.append(_Tok("WORD", m.group(), line, col))
-            i += m.end()
-            col += m.end()
-            continue
-        raise ParseError(line, col, ("token",), repr(c))
-    toks.append(_Tok("EOF", "", line, col))
-    return toks
+_GRAPH = _lexicon()
+_GRAMMAR = _lexicon("->", "|", ";")
+_EQUATIONS = _lexicon("=", ":", ";", "(", ")", ",")
+_LAMBDA = _lexicon("\\", ".", "(", ")")
 
 
-def _bad(tok: _Tok, *expected: str) -> ParseError:
-    found = tok.text if tok.kind != "EOF" else "end of input"
-    return ParseError(tok.line, tok.column, expected, found)
+def _word(cur: Cursor, pattern: re.Pattern, expected: str) -> Token:
+    """Take a word that ``pattern`` matches, or fail expecting ``expected``."""
+    kind, word, _, _ = cur.peek()
+    if kind != "WORD" or not pattern.match(word):
+        cur.fail(expected)
+    return cur.take()
 
 
 # ---------------------------------------------------------------------------
@@ -139,46 +104,33 @@ def parse_graph(text: str) -> Graph:
     nodes: list[str] = []
     edges: list[Edge] = []
     seen_edges: set[tuple[str, str]] = set()
-    toks = _scan(text, ())
-    i = 0
-
-    def at(k: int) -> _Tok:
-        return toks[min(k, len(toks) - 1)]
-
-    while at(i).kind != "EOF":
-        head = at(i)
-        if head.kind != "WORD" or head.text not in ("node", "edge"):
-            raise _bad(head, "node", "edge")
-        if head.text == "node":
-            name = at(i + 1)
-            if name.kind != "WORD" or not _SYMBOL_RE.match(name.text):
-                raise _bad(name, "node identifier")
-            if name.text in nodes:
-                raise ParseError(name.line, name.column,
-                                 ("fresh node identifier",), name.text)
-            nodes.append(name.text)
-            i += 2
-        else:
-            src, dst = at(i + 1), at(i + 2)
-            for t in (src, dst):
-                if t.kind != "WORD" or not _SYMBOL_RE.match(t.text):
-                    raise _bad(t, "node identifier")
-            for t in (src, dst):
-                if t.text not in nodes:
-                    raise ParseError(t.line, t.column, ("declared node",), t.text)
-            weight = None
-            i += 3
-            if at(i).kind == "INT":
-                weight = int(at(i).text)
-                if weight < 0:
-                    raise ParseError(at(i).line, at(i).column,
-                                     ("natural weight",), at(i).text)
-                i += 1
-            if (src.text, dst.text) in seen_edges:
-                raise ParseError(src.line, src.column, ("fresh edge",),
-                                 f"{src.text} {dst.text}")
-            seen_edges.add((src.text, dst.text))
-            edges.append(Edge(src.text, dst.text, weight))
+    cur = Cursor(text, _GRAPH)
+    while not cur.at("EOF"):
+        keyword = cur.peek()[1]
+        if keyword not in ("node", "edge"):
+            cur.fail("node", "edge")
+        cur.take()
+        if keyword == "node":
+            _, name, line, column = _word(cur, _SYMBOL_RE, "node identifier")
+            if name in nodes:
+                raise ParseError(line, column, ("fresh node identifier",), name)
+            nodes.append(name)
+            continue
+        ends = [_word(cur, _SYMBOL_RE, "node identifier") for _ in range(2)]
+        for _, name, line, column in ends:
+            if name not in nodes:
+                raise ParseError(line, column, ("declared node",), name)
+        weight = None
+        if cur.at("INT"):
+            _, digits, line, column = cur.take()
+            weight = int(digits)
+            if weight < 0:
+                raise ParseError(line, column, ("natural weight",), digits)
+        (_, src, line, column), (_, dst, _, _) = ends
+        if (src, dst) in seen_edges:
+            raise ParseError(line, column, ("fresh edge",), f"{src} {dst}")
+        seen_edges.add((src, dst))
+        edges.append(Edge(src, dst, weight))
     return Graph(tuple(nodes), tuple(edges))
 
 
@@ -201,53 +153,44 @@ class Grammar:
 
 
 def parse_grammar(text: str) -> Grammar:
-    toks = _scan(text, ("->", "|", ";"))
-    i = 0
+    cur = Cursor(text, _GRAMMAR)
     prods: dict[str, list[tuple[str, ...]]] = {}
     order: list[str] = []
-    body_syms: list[_Tok] = []
+    body_syms: list[tuple[str, int, int]] = []  # (symbol, line, column)
 
-    while toks[i].kind != "EOF":
-        head = toks[i]
-        if head.kind != "WORD" or not _NONTERM_RE.match(head.text):
-            raise _bad(head, "nonterminal")
-        i += 1
-        if toks[i].kind != "->":
-            raise _bad(toks[i], "->")
-        i += 1
+    while not cur.at("EOF"):
+        head = _word(cur, _NONTERM_RE, "nonterminal")[1]
+        cur.expect("->")
         body: list[str] = []
         while True:
-            t = toks[i]
-            if t.kind == "WORD":
-                body.append(t.text)
-                body_syms.append(t)
-                i += 1
-            elif t.kind in ("|", ";"):
-                prods.setdefault(head.text, []).append(tuple(body))
-                if head.text not in order:
-                    order.append(head.text)
+            kind, sym, line, column = cur.peek()
+            if kind == "WORD":
+                body.append(sym)
+                body_syms.append((sym, line, column))
+            elif kind in ("|", ";"):
+                prods.setdefault(head, []).append(tuple(body))
+                if head not in order:
+                    order.append(head)
                 body = []
-                i += 1
-                if t.kind == ";":
-                    break
             else:
-                raise _bad(t, "symbol", "|", ";")
+                cur.fail("symbol", "|", ";")
+            cur.take()
+            if kind == ";":
+                break
 
     nonterminals = tuple(order)
     terminals: list[str] = []
-    for t in body_syms:
-        if _NONTERM_RE.match(t.text):
-            if t.text not in prods:
-                raise ParseError(t.line, t.column,
-                                 ("nonterminal with productions",), t.text)
+    for sym, line, column in body_syms:
+        if _NONTERM_RE.match(sym):
+            if sym not in prods:
+                raise ParseError(line, column, ("nonterminal with productions",), sym)
         else:
-            if not _SYMBOL_RE.match(t.text):
-                raise _bad(t, "terminal")
-            if t.text in _RESERVED:
-                raise ParseError(t.line, t.column,
-                                 ("unreserved terminal name",), t.text)
-            if t.text not in terminals:
-                terminals.append(t.text)
+            if not _SYMBOL_RE.match(sym):
+                raise ParseError(line, column, ("terminal",), sym)
+            if sym in _RESERVED:
+                raise ParseError(line, column, ("unreserved terminal name",), sym)
+            if sym not in terminals:
+                terminals.append(sym)
     lowered = [nt.lower() for nt in nonterminals]
     if len(set(lowered)) != len(lowered):
         raise ParseError(1, 1, ("case-distinct nonterminals",),
@@ -335,63 +278,51 @@ def _check_equations(bindings: list[tuple[str, Binding]]) -> None:
 
 
 def parse_equations(text: str) -> EquationSystem:
-    toks = _scan(text, ("=", ":", ";", "(", ")", ","))
-    i = 0
-    raw: list[tuple[str, list, _Tok]] = []  # (var, chain items, where)
+    cur = Cursor(text, _EQUATIONS)
+    raw: list[tuple[str, list, int, int]] = []  # (var, chain items, line, column)
 
-    def expect(kind: str) -> _Tok:
-        nonlocal i
-        t = toks[i]
-        if t.kind != kind:
-            raise _bad(t, kind)
-        i += 1
-        return t
+    def variable() -> Token:
+        if cur.peek()[1] in _RESERVED:
+            cur.fail("variable")
+        return _word(cur, _SYMBOL_RE, "variable")
 
     def atom():
         """One chain item: INT, variable, ``nil`` or ``tree(INT, var)``."""
-        nonlocal i
-        t = toks[i]
-        if t.kind == "INT":
-            i += 1
-            return Num(int(t.text))
-        if t.kind == "WORD":
-            if t.text == "nil":
-                i += 1
-                return "nil"
-            if t.text == "tree":
-                i += 1
-                expect("(")
-                lab = expect("INT")
-                expect(",")
-                kid = expect("WORD")
-                if not _SYMBOL_RE.match(kid.text):
-                    raise _bad(kid, "variable")
-                expect(")")
-                return Sym("tree", (Num(int(lab.text)), Sym(kid.text)))
-            if not _SYMBOL_RE.match(t.text) or t.text in _RESERVED:
-                raise _bad(t, "variable")
-            i += 1
-            return Sym(t.text)
-        raise _bad(t, "integer", "variable", "nil", "tree(")
+        kind, text, _, _ = cur.peek()
+        if kind == "INT":
+            cur.take()
+            return Num(int(text))
+        if text == "nil":
+            cur.take()
+            return "nil"
+        if text == "tree":
+            cur.take()
+            cur.expect("(")
+            label = cur.expect("INT")[1]
+            cur.expect(",")
+            _, kids, line, column = cur.expect("WORD")
+            if not _SYMBOL_RE.match(kids):
+                raise ParseError(line, column, ("variable",), kids)
+            cur.expect(")")
+            return Sym("tree", (Num(int(label)), Sym(kids)))
+        if kind == "WORD":
+            return Sym(variable()[1])
+        cur.fail("integer", "variable", "nil", "tree(")
 
-    while toks[i].kind != "EOF":
-        var = toks[i]
-        if var.kind != "WORD" or not _SYMBOL_RE.match(var.text) \
-                or var.text in _RESERVED:
-            raise _bad(var, "variable")
-        i += 1
-        expect("=")
+    while not cur.at("EOF"):
+        _, var, line, column = variable()
+        cur.expect("=")
         chain = [atom()]
-        while toks[i].kind == ":":
-            i += 1
+        while cur.at(":"):
+            cur.take()
             chain.append(atom())
-        expect(";")
-        raw.append((var.text, chain, var))
+        cur.expect(";")
+        raw.append((var, chain, line, column))
 
-    names = [v for v, _, _ in raw]
-    for v, _, where in raw:
+    names = [v for v, _, _, _ in raw]
+    for v, _, line, column in raw:
         if names.count(v) > 1:
-            raise ParseError(where.line, where.column, ("fresh variable",), v)
+            raise ParseError(line, column, ("fresh variable",), v)
 
     used = set(names)
 
@@ -403,7 +334,7 @@ def parse_equations(text: str) -> EquationSystem:
         return f"{base}_{k}"
 
     bindings: list[tuple[str, Binding]] = []
-    for var, chain, where in raw:
+    for var, chain, line, column in raw:
         if len(chain) == 1:
             item = chain[0]
             if item == "nil":
@@ -414,22 +345,22 @@ def parse_equations(text: str) -> EquationSystem:
                 assert isinstance(label, Num) and isinstance(kids, Sym)
                 bindings.append((var, TreeBind(label.value, kids.name)))
             else:
-                raise ParseError(where.line, where.column,
+                raise ParseError(line, column,
                                  ("cons chain", "nil", "tree(...)"),
                                  "a bare value")
         else:
             *heads, tail = chain
             if not isinstance(tail, Sym) or tail.name == "tree" or tail == "nil":
-                raise ParseError(where.line, where.column,
+                raise ParseError(line, column,
                                  ("tail variable",), "a non-variable tail")
             if any(h == "nil" for h in heads):
-                raise ParseError(where.line, where.column,
+                raise ParseError(line, column,
                                  ("element",), "nil used as an element")
-            cur = var
+            link = var
             for k, h in enumerate(heads):
                 nxt = tail.name if k == len(heads) - 1 else fresh(var)
-                bindings.append((cur, ConsBind(h, nxt)))
-                cur = nxt
+                bindings.append((link, ConsBind(h, nxt)))
+                link = nxt
 
     _check_equations(bindings)
     return EquationSystem(tuple(bindings))
@@ -459,55 +390,42 @@ LambdaTerm = Union[Var, Lam, App]
 
 
 def parse_lambda(text: str) -> LambdaTerm:
-    toks = _scan(text, ("\\", ".", "(", ")"))
-    i = 0
-
-    def peek() -> _Tok:
-        return toks[i]
+    cur = Cursor(text, _LAMBDA)
+    variables: dict[str, Var] = {}  # one shared node per variable name
 
     def expr() -> LambdaTerm:
-        nonlocal i
-        if peek().kind == "\\":
-            i += 1
-            v = peek()
-            if v.kind != "WORD":
-                raise _bad(v, "variable")
-            i += 1
-            if peek().kind != ".":
-                raise _bad(peek(), ".")
-            i += 1
-            return Lam(v.text, expr())
+        if cur.at("\\"):
+            cur.take()
+            var = cur.expect("WORD", "variable")[1]
+            cur.expect(".")
+            return Lam(var, expr())
         return apps()
 
     def apps() -> LambdaTerm:
-        nonlocal i
         e = atom()
-        while peek().kind in ("WORD", "(", "\\"):
-            if peek().kind == "\\":
+        while cur.peek()[0] in ("WORD", "(", "\\"):
+            if cur.at("\\"):
                 # trailing abstraction extends as far right as possible
-                e = App(e, expr())
-                return e
+                return App(e, expr())
             e = App(e, atom())
         return e
 
     def atom() -> LambdaTerm:
-        nonlocal i
-        t = peek()
-        if t.kind == "WORD":
-            i += 1
-            return Var(t.text)
-        if t.kind == "(":
-            i += 1
+        kind = cur.peek()[0]
+        if kind == "WORD":
+            name = cur.take()[1]
+            if name not in variables:
+                variables[name] = Var(name)
+            return variables[name]
+        if kind == "(":
+            cur.take()
             e = expr()
-            if peek().kind != ")":
-                raise _bad(peek(), ")")
-            i += 1
+            cur.expect(")")
             return e
-        raise _bad(t, "variable", "(", "\\")
+        cur.fail("variable", "(", "\\")
 
     e = expr()
-    if peek().kind != "EOF":
-        raise _bad(peek(), "end of input")
+    cur.expect("EOF", "end of input")
     return e
 
 

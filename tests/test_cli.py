@@ -241,6 +241,20 @@ def test_parse_error_is_a_usage_error(tmp_path, capsys):
     assert code == 2 and "parse error" in err
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript two, Arabic-Indic three
+def test_non_ascii_digit_is_a_parse_error(tmp_path, capsys, digit):
+    bad = tmp_path / "bad.coax"
+    bad.write_text(f"p.\nq(1) <- p({digit}).\n", encoding="utf-8")
+    code, out, err = run(capsys, "generated", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: 2:11: expected statement or term")
+    good = tmp_path / "good.coax"
+    good.write_text("p.\n")
+    code, out, err = run(capsys, "check", str(good), f"p({digit})")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: 1:3: ")
+
+
 def test_cap_exhaustion_exits_three(tmp_path, capsys):
     graph = tmp_path / "g.graph"
     graph.write_text(CYCLE_GRAPH)

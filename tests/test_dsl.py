@@ -128,6 +128,66 @@ def test_error_on_capitalised_identifier():
         parse_judgment("Foo")
 
 
+# (text, line, column, expected, found) for whole rule files.  Columns
+# count characters; a trailing comment does not count, so end of input
+# sits where it starts.
+SYSTEM_ERRORS = [
+    ("p. q <- #.", 1, 9, ("statement", "term"), "'#'"),        # stray character
+    ("p <- Foo.", 1, 6, ("statement", "term"), "'F'"),         # uppercase identifier
+    ("n(-x).", 1, 3, ("statement", "term"), "'-'"),            # - without digits
+    ("p < q.", 1, 3, ("statement", "term"), "'<'"),            # < without -
+    ("p <- q,", 1, 8, ("term",), "end of input"),              # premature end
+    ("p <- q", 1, 7, (".",), "end of input"),                  # missing .
+    ("f(a, b.", 1, 7, (")",), "."),                            # missing )
+    ("{a,b", 1, 5, ("}",), "end of input"),                    # missing }
+    ("p <- q r.", 1, 8, (".",), "IDENT"),
+    ("co", 1, 3, (".",), "end of input"),
+    ("p <- % dangling", 1, 6, ("term",), "end of input"),      # comment at end
+    ("p.\n  q <- r % trailing", 2, 10, (".",), "end of input"),
+    ("p\n\n  <- \n ?", 4, 2, ("statement", "term"), "'?'"),
+    ("p. %c\n\t q <-\r\n  .", 3, 3, ("term",), "."),
+    ("p <- .\n#", 2, 1, ("statement", "term"), "'#'"),        # stray before syntax
+]
+
+JUDGMENT_ERRORS = [
+    ("p q", 1, 3, ("EOF",), "IDENT"),
+    ("", 1, 1, ("term",), "end of input"),
+    ("%only comment", 1, 1, ("term",), "end of input"),
+    ("f(1,", 1, 5, ("term",), "end of input"),
+    ("Foo", 1, 1, ("statement", "term"), "'F'"),
+]
+
+
+def error_fields(parse, text):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    e = exc.value
+    return (e.line, e.column, e.expected, e.found)
+
+
+@pytest.mark.parametrize("text, line, column, expected, found", SYSTEM_ERRORS)
+def test_system_error_positions(text, line, column, expected, found):
+    assert error_fields(parse_system, text) == (line, column, expected, found)
+
+
+@pytest.mark.parametrize("text, line, column, expected, found", JUDGMENT_ERRORS)
+def test_judgment_error_positions(text, line, column, expected, found):
+    assert error_fields(parse_judgment, text) == (line, column, expected, found)
+
+
+@pytest.mark.parametrize("text, column, found", [
+    ("p(\u00b2)", 3, "'\u00b2'"),    # superscript two
+    ("p(\u0663)", 3, "'\u0663'"),    # Arabic-Indic three
+    ("p(-\u00b2)", 3, "'-'"),
+    ("p(3\u0663)", 4, "'\u0663'"),
+])
+def test_integers_are_ascii_digits(text, column, found):
+    assert error_fields(parse_judgment, text) == \
+        (1, column, ("statement", "term"), found)
+    assert error_fields(parse_system, text + ".") == \
+        (1, column, ("statement", "term"), found)
+
+
 def test_source_system_remembers_positions():
     src = parse_source("p.\n  q <- p.")
     assert [(s.line, s.column) for s in src.statements] == [(1, 1), (2, 3)]

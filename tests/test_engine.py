@@ -13,8 +13,7 @@ import pytest
 
 from coaxiom import (BOUND, BudgetExceeded, COINDUCTIVE, DropsAtLevel,
                      GENERATED, INDUCTIVE, NotPreFixed, Rule, System, bound,
-                     coind, extend, generated, ind, kernel, level_witness,
-                     restrict, step, sym)
+                     coind, generated, ind, kernel, level_witness, step, sym)
 
 P, Q, R, S = sym("p"), sym("q"), sym("r"), sym("s")
 
@@ -29,29 +28,12 @@ CYCLE = mk(Rule(P), Rule(Q, (P,)), Rule(R, (R,)), Rule(R, co=True))
 
 
 # ---------------------------------------------------------------------------
-# single steps and system surgery
+# single steps and system construction
 
 def test_step_fires_rules_whose_premises_hold():
     assert step(CYCLE, frozenset()) == {P}
     assert step(CYCLE, frozenset({P})) == {P, Q}
     assert step(CYCLE, frozenset({P, R})) == {P, Q, R}
-
-
-def test_step_with_co_rules_enabled():
-    assert step(CYCLE, frozenset(), use_co=True) == {P, R}
-
-
-def test_extend_promotes_co_rules():
-    ext = extend(CYCLE)
-    assert not ext.co_rules
-    assert len(ext.regular_rules) == 4
-    assert step(ext, frozenset()) == {P, R}
-
-
-def test_restrict_keeps_only_conclusions_inside():
-    sub = restrict(CYCLE, {P, R})
-    assert {r.conclusion for r in sub.regular_rules} == {P, R}
-    assert not sub.co_rules
 
 
 def test_system_deduplicates_rules():

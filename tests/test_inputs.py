@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from coaxiom import ParseError, num, sym
@@ -159,3 +161,72 @@ def test_lambda_rejects_garbage():
         parse_lambda("")
     with pytest.raises(ParseError):
         parse_lambda(r"\x. x) y")
+
+
+def test_lambda_tokenizing_is_linear():
+    # About 400 KB and 200k tokens: a tokenizer that copies the rest of
+    # the text for every token needs tens of seconds here.
+    text = "\\x. " + "x " * 200_000
+    t0 = time.perf_counter()
+    e = parse_lambda(text)
+    assert time.perf_counter() - t0 < 2.0
+    assert isinstance(e, Lam) and isinstance(e.body, App)
+
+
+# ---------------------------------------------------------------------------
+# error positions: (language, text, line, column, expected, found)
+
+PARSERS = {"graph": parse_graph, "grammar": parse_grammar,
+           "equations": parse_equations, "lambda": parse_lambda}
+
+INPUT_ERRORS = [
+    ("graph", "node a; node b", 1, 7, ("token",), "';'"),
+    ("graph", "node A", 1, 6, ("node identifier",), "A"),
+    ("graph", "node a node b edge a b -", 1, 24, ("token",), "'-'"),
+    ("graph", "node a < node b", 1, 8, ("token",), "'<'"),
+    ("graph", "node a edge a", 1, 14, ("node identifier",), "end of input"),
+    ("graph", "node a edge a % x", 1, 15, ("node identifier",), "end of input"),
+    ("graph", "node a node b edge a 1 b", 1, 22, ("node identifier",), "1"),
+    ("graph", "node a 3", 1, 8, ("node", "edge"), "3"),
+    ("graph", "node a edge a z", 1, 15, ("declared node",), "z"),
+    ("graph", "node a node b edge a b -1", 1, 24, ("natural weight",), "-1"),
+    ("grammar", "S -> a # ;", 1, 8, ("token",), "'#'"),
+    ("grammar", "s -> a ;", 1, 1, ("nonterminal",), "s"),
+    ("grammar", "S - a ;", 1, 3, ("token",), "'-'"),
+    ("grammar", "S <- a ;", 1, 3, ("token",), "'<'"),
+    ("grammar", "S -> a", 1, 7, ("symbol", "|", ";"), "end of input"),
+    ("grammar", "S -> a  T -> b ;", 1, 11, ("symbol", "|", ";"), "->"),
+    ("grammar", "S a ;", 1, 3, ("->",), "a"),
+    ("grammar", "S -> a % end", 1, 8, ("symbol", "|", ";"), "end of input"),
+    ("grammar", "S -> Bad_ ;", 1, 6, ("nonterminal with productions",), "Bad_"),
+    ("equations", "l = 1 # l;", 1, 7, ("token",), "'#'"),
+    ("equations", "L = nil;", 1, 1, ("variable",), "L"),
+    ("equations", "l = - : l;", 1, 5, ("token",), "'-'"),
+    ("equations", "l = 1 <- l;", 1, 7, ("token",), "'<'"),
+    ("equations", "l = 1 :", 1, 8, ("integer", "variable", "nil", "tree("),
+     "end of input"),
+    ("equations", "l = 1 : l", 1, 10, (";",), "end of input"),
+    ("equations", "t = tree(0, l ;", 1, 15, (")",), ";"),
+    ("equations", "t = tree(x, l);", 1, 10, ("INT",), "x"),
+    ("equations", "t = tree(0, L);", 1, 13, ("variable",), "L"),
+    ("equations", "l = 1 : tree;", 1, 13, ("(",), ";"),
+    ("equations", "l = 1 : % c", 1, 9, ("integer", "variable", "nil", "tree("),
+     "end of input"),
+    ("lambda", "\\x. x # y", 1, 7, ("token",), "'#'"),
+    ("lambda", "\\x. x -", 1, 7, ("token",), "'-'"),
+    ("lambda", "\\x. x < y", 1, 7, ("token",), "'<'"),
+    ("lambda", "\\x.", 1, 4, ("variable", "(", "\\"), "end of input"),
+    ("lambda", "\\x x", 1, 4, (".",), "x"),
+    ("lambda", "(\\x. x y", 1, 9, (")",), "end of input"),
+    ("lambda", "\\x. x) y", 1, 6, ("end of input",), ")"),
+    ("lambda", "\\1. x", 1, 2, ("variable",), "1"),
+    ("lambda", "\\x. % c", 1, 5, ("variable", "(", "\\"), "end of input"),
+]
+
+
+@pytest.mark.parametrize("lang, text, line, column, expected, found", INPUT_ERRORS)
+def test_error_positions(lang, text, line, column, expected, found):
+    with pytest.raises(ParseError) as exc:
+        PARSERS[lang](text)
+    e = exc.value
+    assert (e.line, e.column, e.expected, e.found) == (line, column, expected, found)
