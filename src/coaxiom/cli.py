@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Sequence, Union
 
 from .checks import (DropsAtLevel, NotInBound, SurvivesTo,
@@ -146,6 +147,69 @@ def _dot_regular(proof: RegularProof, sys_: System) -> str:
     return "\n".join(lines)
 
 
+def _entries(container, indent: str):
+    """(text before the item, item) for each item of a non-empty
+    container whose items sit at ``indent``."""
+    sep, comma = "\n" + indent, ",\n" + indent
+    if isinstance(container, dict):
+        for key, item in container.items():
+            yield sep + encode_basestring_ascii(key) + ": ", item
+            sep = comma
+    else:
+        for item in container:
+            yield sep, item
+            sep = comma
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte (keys must be str).
+
+    Every JSON output of the CLI goes through here.  The writer keeps
+    its own stack, so nesting depth is not limited by the interpreter
+    stack.  Text goes to one list of pieces, and the pieces each
+    container fills are recorded under its identity and depth: a
+    container met again at the same depth, such as a subproof that
+    :func:`proof_to_dict` shares, is copied as a slice of the list
+    instead of being written again.
+    """
+    out: list[str] = []
+    spans: dict[tuple[int, int], tuple[int, int]] = {}
+    # Open containers: (span key, first piece, entries, closing piece).
+    stack: list[tuple] = []
+    while True:
+        if isinstance(value, (dict, list, tuple)):
+            key = (id(value), len(stack))
+            span = spans.get(key)
+            brackets = "{}" if isinstance(value, dict) else "[]"
+            if span is not None:  # a repeat: copy its pieces
+                out += out[span[0]:span[1]]
+            elif not value:
+                out.append(brackets)
+            else:
+                indent = "  " * len(stack)
+                stack.append((key, len(out), _entries(value, indent + "  "),
+                              "\n" + indent + brackets[1]))
+                out.append(brackets[0])
+        elif isinstance(value, str):
+            out.append(encode_basestring_ascii(value))
+        else:
+            out.append(json.dumps(value))
+        # Find the next item to write, closing every container that
+        # has none left.
+        while stack:
+            key, start, entries, close = stack[-1]
+            entry = next(entries, None)
+            if entry is not None:
+                break
+            stack.pop()
+            out.append(close)
+            spans[key] = (start, len(out))
+        else:
+            return "".join(out)
+        prefix, value = entry
+        out.append(prefix)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -174,7 +238,7 @@ def _cmd_interpret(args: argparse.Namespace) -> int:
             else:
                 payload["trace"] = [[render_term(j) for j in sort_judgments(s)]
                                     for s in interp.trace]
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
         return EXIT_OK
     out: list[str] = []
     if args.trace:
@@ -201,11 +265,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if j in interp:
         proof = prove_regular(sys_, j, interp=interp)
         if args.format == "json":
-            print(json.dumps({
+            print(_json_text({
                 "judgment": render_term(j),
                 "derivable": True,
                 "proof": proof_to_dict(proof, sys_),
-            }, indent=2))
+            }))
         else:
             lines = [f"derivable: {render_term(j)}", "regular proof:"]
             _render_regular(proof, sys_, lines)
@@ -213,11 +277,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return EXIT_OK
     witness = level_witness(sys_, j, args.max_iters, interp=interp)
     if args.format == "json":
-        print(json.dumps({
+        print(_json_text({
             "judgment": render_term(j),
             "derivable": False,
             "witness": _witness_dict(witness),
-        }, indent=2))
+        }))
     else:
         print(f"NotDerivable: {render_term(j)}")
         print(f"witness: {_witness_str(witness)}")
@@ -243,22 +307,22 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     if proof is None:
         witness = level_witness(sys_, j, args.max_iters, interp=interp)
         if args.format == "json":
-            print(json.dumps({
+            print(_json_text({
                 "judgment": render_term(j),
                 "proof": None,
                 "kind": kind,
                 "witness": _witness_dict(witness),
-            }, indent=2))
+            }))
         else:
             print(f"NotDerivable: {render_term(j)} has no {kind} proof")
             print(f"witness: {_witness_str(witness)}")
         return EXIT_NEGATIVE
     if args.format == "json":
-        print(json.dumps({
+        print(_json_text({
             "judgment": render_term(j),
             "kind": kind,
             "proof": proof_to_dict(proof, sys_),
-        }, indent=2))
+        }))
     elif args.format == "dot":
         if isinstance(proof, RegularProof):
             print(_dot_regular(proof, sys_))
@@ -280,12 +344,12 @@ def _cmd_bcp(args: argparse.Namespace) -> int:
         candidate = frozenset(parse_judgments(fh.read()))
     verdict = bounded_coinduction(sys_, candidate, budget=args.max_iters)
     if args.format == "json":
-        print(json.dumps({
+        print(_json_text({
             "accepted": verdict.accepted,
             "candidate": [render_term(j) for j in sort_judgments(candidate)],
             "failures": [{"judgment": render_term(j), "reason": r}
                          for j, r in verdict.failures],
-        }, indent=2))
+        }))
     elif verdict.accepted:
         print(f"accepted ({len(candidate)} judgments)")
     else:

@@ -112,6 +112,9 @@ def parse_graph(text: str) -> Graph:
         cur.take()
         if keyword == "node":
             _, name, line, column = _word(cur, _SYMBOL_RE, "node identifier")
+            # Rule files read ``inf`` as the infinity term, never a node.
+            if name == "inf":
+                raise ParseError(line, column, ("unreserved node name",), name)
             if name in nodes:
                 raise ParseError(line, column, ("fresh node identifier",), name)
             nodes.append(name)
@@ -155,11 +158,11 @@ class Grammar:
 def parse_grammar(text: str) -> Grammar:
     cur = Cursor(text, _GRAMMAR)
     prods: dict[str, list[tuple[str, ...]]] = {}
-    order: list[str] = []
+    heads: dict[str, tuple[int, int]] = {}  # head -> (line, column), first use
     body_syms: list[tuple[str, int, int]] = []  # (symbol, line, column)
 
     while not cur.at("EOF"):
-        head = _word(cur, _NONTERM_RE, "nonterminal")[1]
+        _, head, head_line, head_column = _word(cur, _NONTERM_RE, "nonterminal")
         cur.expect("->")
         body: list[str] = []
         while True:
@@ -169,8 +172,7 @@ def parse_grammar(text: str) -> Grammar:
                 body_syms.append((sym, line, column))
             elif kind in ("|", ";"):
                 prods.setdefault(head, []).append(tuple(body))
-                if head not in order:
-                    order.append(head)
+                heads.setdefault(head, (head_line, head_column))
                 body = []
             else:
                 cur.fail("symbol", "|", ";")
@@ -178,7 +180,7 @@ def parse_grammar(text: str) -> Grammar:
             if kind == ";":
                 break
 
-    nonterminals = tuple(order)
+    nonterminals = tuple(heads)
     terminals: list[str] = []
     for sym, line, column in body_syms:
         if _NONTERM_RE.match(sym):
@@ -191,10 +193,11 @@ def parse_grammar(text: str) -> Grammar:
                 raise ParseError(line, column, ("unreserved terminal name",), sym)
             if sym not in terminals:
                 terminals.append(sym)
-    lowered = [nt.lower() for nt in nonterminals]
-    if len(set(lowered)) != len(lowered):
-        raise ParseError(1, 1, ("case-distinct nonterminals",),
-                         "nonterminal names collide when lowercased")
+    lowered: set[str] = set()
+    for nt, (line, column) in heads.items():
+        if nt.lower() in lowered:
+            raise ParseError(line, column, ("case-distinct nonterminals",), nt)
+        lowered.add(nt.lower())
     return Grammar(tuple(sorted(terminals)), nonterminals,
                    tuple((nt, tuple(prods[nt])) for nt in nonterminals))
 

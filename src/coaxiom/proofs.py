@@ -259,13 +259,15 @@ def _check_tree(sys: System, node: WfProof, path: tuple[int, ...],
 
 def validate(sys: System, proof: Union[WfProof, RegularProof], mode: str,
              level: Optional[int] = None,
-             budget: int = DEFAULT_BUDGET) -> ValidationReport:
+             budget: int = DEFAULT_BUDGET,
+             interp: Optional[Interpretation] = None) -> ValidationReport:
     """Re-check a proof object; the report lists every violated node.
 
     Modes: ``"wf-extended"`` (finite tree, any rules), ``"approx"``
     (additionally, co rules only at depth >= ``level``), and
     ``"regular-generated"`` (choice map well-formed and every judgment
-    inside the bound).
+    inside the bound).  For the last, ``interp``, a :func:`generated`
+    or :func:`analyse` result for ``sys``, saves recomputing the bound.
     """
     out: list[Violation] = []
     if mode == WF_EXTENDED or mode == APPROX:
@@ -282,7 +284,8 @@ def validate(sys: System, proof: Union[WfProof, RegularProof], mode: str,
     if mode == REGULAR_GENERATED:
         if not isinstance(proof, RegularProof):
             raise ValueError("regular-generated validation expects a RegularProof")
-        inside = bound(sys, budget).judgments
+        b = interp.phase1 if interp is not None else bound(sys, budget)
+        inside = b.judgments
         if proof.root not in proof.choice:
             out.append(Violation((), proof.root, "missing-choice"))
         for j in sorted(proof.choice, key=term_key):
@@ -311,32 +314,67 @@ def proof_to_dict(proof: Union[WfProof, RegularProof],
     """Schema: node = judgment string, rule id, co flag, children;
     a judgment already expanded earlier appears as a back-reference
     ``{"judgment": ..., "back": true}`` (that is how cycles stay finite).
+
+    A :class:`WfProof` node shared in memory gets one dict, shared in
+    the result wherever the node occurs, so treat the result as
+    read-only.  Neither shape recurses, so proof depth is not limited
+    by the interpreter stack.
     """
     if isinstance(proof, WfProof):
-        return {
-            "judgment": render_term(proof.judgment),
-            "rule": proof.rule.index,
-            "co": proof.rule.co,
-            "children": [proof_to_dict(c) for c in proof.children],
-        }
+        return _wf_to_dict(proof)
     if sys is None:
         raise ValueError("serialising a RegularProof needs the system")
+    # Depth-first, children in premise order: the first visit of a
+    # judgment expands it, every later one is a back-reference.
     expanded: set[Term] = set()
-
-    def node(j: Term) -> dict:
+    root: list[dict] = []
+    todo: list[tuple[list[dict], Term]] = [(root, proof.root)]
+    while todo:
+        siblings, j = todo.pop()
         if j in expanded:
-            return {"judgment": render_term(j), "back": True}
+            siblings.append({"judgment": render_term(j), "back": True})
+            continue
         expanded.add(j)
         i = proof.choice[j]
-        rule = sys.regular_rules[i]
-        return {
-            "judgment": render_term(j),
-            "rule": i,
-            "co": False,
-            "children": [node(p) for p in rule.premises],
-        }
+        children: list[dict] = []
+        siblings.append({"judgment": render_term(j), "rule": i, "co": False,
+                         "children": children})
+        todo.extend((children, p) for p in reversed(sys.regular_rules[i].premises))
+    return root[0]
 
-    return node(proof.root)
+
+def _wf_to_dict(proof: WfProof) -> dict:
+    done: dict[int, dict] = {}
+    for node in _postorder(proof, lambda node: node.children):
+        done[id(node)] = {
+            "judgment": render_term(node.judgment),
+            "rule": node.rule.index,
+            "co": node.rule.co,
+            "children": [done[id(c)] for c in node.children],
+        }
+    return done[id(proof)]
+
+
+def _postorder(root, children):
+    """Each distinct node below ``root`` once, after all of its children.
+
+    Nodes are told apart by identity, so a node shared in memory is
+    visited once however often it occurs.
+    """
+    done: set[int] = set()
+    todo = [root]
+    while todo:
+        node = todo[-1]
+        if id(node) in done:
+            todo.pop()
+            continue
+        pending = [c for c in children(node) if id(c) not in done]
+        if pending:
+            todo.extend(pending)
+            continue
+        todo.pop()
+        done.add(id(node))
+        yield node
 
 
 def proof_from_dict(d: dict) -> Union[WfProof, RegularProof]:
@@ -344,30 +382,29 @@ def proof_from_dict(d: dict) -> Union[WfProof, RegularProof]:
 
     A tree without back-references loads as a :class:`WfProof`; one
     with back-references loads as the :class:`RegularProof` whose choice
-    map collects the expanded nodes.
+    map collects the expanded nodes.  Each distinct judgment string is
+    parsed once, and a node dict shared in ``d`` loads as one shared
+    :class:`WfProof` node.
     """
     from .dsl import parse_judgment
 
-    def has_back(nd: dict) -> bool:
-        if nd.get("back"):
-            return True
-        return any(has_back(c) for c in nd.get("children", ()))
+    parsed: dict[str, Term] = {}
 
-    if not has_back(d):
-        def tree(nd: dict) -> WfProof:
-            return WfProof(parse_judgment(nd["judgment"]),
-                           RuleRef(nd["rule"], bool(nd.get("co"))),
-                           tuple(tree(c) for c in nd.get("children", ())))
-        return tree(d)
+    def judgment(text: str) -> Term:
+        t = parsed.get(text)
+        if t is None:
+            t = parsed[text] = parse_judgment(text)
+        return t
 
-    choice: dict[Term, int] = {}
-
-    def collect(nd: dict) -> None:
-        if nd.get("back"):
-            return
-        choice[parse_judgment(nd["judgment"])] = nd["rule"]
-        for c in nd.get("children", ()):
-            collect(c)
-
-    collect(d)
-    return RegularProof(parse_judgment(d["judgment"]), choice)
+    nodes = list(_postorder(
+        d, lambda nd: () if nd.get("back") else nd.get("children", ())))
+    if any(nd.get("back") for nd in nodes):
+        return RegularProof(judgment(d["judgment"]), {
+            judgment(nd["judgment"]): nd["rule"]
+            for nd in nodes if not nd.get("back")})
+    built: dict[int, WfProof] = {}
+    for nd in nodes:
+        built[id(nd)] = WfProof(
+            judgment(nd["judgment"]), RuleRef(nd["rule"], bool(nd.get("co"))),
+            tuple(built[id(c)] for c in nd.get("children", ())))
+    return built[id(d)]

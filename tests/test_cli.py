@@ -5,9 +5,12 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
-from coaxiom import parse_judgment, parse_system, render_term, sort_judgments
-from coaxiom.cli import main
+from coaxiom import (RegularProof, parse_judgment, parse_system,
+                     proof_from_dict, proof_to_dict, prove_approx,
+                     prove_regular, prove_wf, render_term, sort_judgments)
+from coaxiom.cli import _json_text, main
 from coaxiom.gen import gen_visit, parse_graph
 
 CYCLE_GRAPH = "node a node b node c edge a b edge b a\n"
@@ -161,6 +164,90 @@ def test_prove_level_and_regular_conflict(cycle):
     assert exc.value.code == 2
 
 
+def _ladder(k: int) -> str:
+    """x_i rests on y_i and z_i, which both rest on x_(i-1); a coaxiom
+    closes the ladder.  The wf proof of x_k has 2^(k+2) - 3 nodes but
+    only 3k + 1 distinct subproofs."""
+    lines = [f"x0 <- x{k}.", "co x0."]
+    for i in range(1, k + 1):
+        lines += [f"x{i} <- y{i}, z{i}.", f"y{i} <- x{i - 1}.",
+                  f"z{i} <- x{i - 1}."]
+    return "\n".join(lines) + "\n"
+
+
+def _unshared_dict(proof, sys_) -> dict:
+    """proof_to_dict as a plain recursive tree walk: a fresh dict for
+    every occurrence of a subproof."""
+    if not isinstance(proof, RegularProof):
+        return {"judgment": render_term(proof.judgment),
+                "rule": proof.rule.index, "co": proof.rule.co,
+                "children": [_unshared_dict(c, sys_) for c in proof.children]}
+    expanded = set()
+
+    def node(j):
+        if j in expanded:
+            return {"judgment": render_term(j), "back": True}
+        expanded.add(j)
+        i = proof.choice[j]
+        return {"judgment": render_term(j), "rule": i, "co": False,
+                "children": [node(p) for p in sys_.regular_rules[i].premises]}
+
+    return node(proof.root)
+
+
+def test_shared_subproofs_print_as_the_full_tree(tmp_path, capsys):
+    text = _ladder(8)
+    f = tmp_path / "ladder.coax"
+    f.write_text(text)
+    sys_, top = parse_system(text), parse_judgment("x8")
+    cases = [([], "wf", prove_wf(sys_, top)),
+             (["--level", "8"], "approx(8)", prove_approx(sys_, top, 8)),
+             (["--regular"], "regular", prove_regular(sys_, top))]
+    for flags, kind, proof in cases:
+        code, out, _ = run(capsys, "prove", str(f), "x8", *flags,
+                           "--format", "json")
+        want = {"judgment": "x8", "kind": kind,
+                "proof": _unshared_dict(proof, sys_)}
+        assert code == 0
+        assert out == json.dumps(want, indent=2) + "\n"
+    assert out.count('"judgment"') == (4 * 8 + 2) + 1  # nodes, and the header
+    wf_nodes = json.dumps(proof_to_dict(cases[0][2]), indent=2).count('"judgment"')
+    assert wf_nodes == 2 ** (8 + 2) - 3
+
+
+def test_a_600_deep_regular_proof_prints_as_json(tmp_path, capsys):
+    n = 600
+    text = "".join(f"c{i} <- c{(i + 1) % n}.\n" for i in range(n)) + "co c0.\n"
+    f = tmp_path / "cycle.coax"
+    f.write_text(text)
+    for argv in (["check", str(f), "c0"], ["prove", str(f), "c0", "--regular"]):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        # The document nests 1200 deep, past what json.loads accepts.
+        assert out.count('"judgment"') == n + 2  # n + 1 nodes, and the header
+        assert out.count('"back": true') == 1
+    sys_ = parse_system(text)
+    proof = prove_regular(sys_, parse_judgment("c0"))
+    assert proof_from_dict(proof_to_dict(proof, sys_)) == proof
+
+
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text())
+json_values = st.recursive(
+    json_scalars,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=12)
+
+
+@given(json_values, st.lists(json_values, min_size=1, max_size=4))
+def test_json_writer_matches_json_dumps(doc, shared):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+    # The same objects again, at the same depth and at other depths.
+    reused = [doc, shared, shared, {"k": [shared, doc]}, [[doc]], {"": {}}]
+    assert _json_text(reused) == json.dumps(reused, indent=2)
+
+
 # ---------------------------------------------------------------------------
 # bcp
 
@@ -253,6 +340,16 @@ def test_non_ascii_digit_is_a_parse_error(tmp_path, capsys, digit):
     code, out, err = run(capsys, "check", str(good), f"p({digit})")
     assert (code, out) == (2, "")
     assert err.startswith("parse error: 1:3: ")
+
+
+@pytest.mark.parametrize("kind", ["visit", "dist", "minpath"])
+def test_inf_is_not_a_node_name(tmp_path, capsys, kind):
+    # A rule file would read the node back as the infinity term.
+    graph = tmp_path / "g.graph"
+    graph.write_text("node a\nnode inf\nedge a inf 1\n")
+    code, out, err = run(capsys, "gen", kind, str(graph), "--target", "a")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: 2:6: ")
 
 
 def test_cap_exhaustion_exits_three(tmp_path, capsys):

@@ -221,6 +221,15 @@ INPUT_ERRORS = [
     ("lambda", "\\x. x) y", 1, 6, ("end of input",), ")"),
     ("lambda", "\\1. x", 1, 2, ("variable",), "1"),
     ("lambda", "\\x. % c", 1, 5, ("variable", "(", "\\"), "end of input"),
+    # Reserved and colliding names.  New rows go last: pytest numbers the
+    # ids of the rows.
+    ("graph", "node a\n  node inf", 2, 8, ("unreserved node name",), "inf"),
+    ("graph", "node inf edge inf inf", 1, 6, ("unreserved node name",), "inf"),
+    ("grammar", "Sx -> a ; SX -> b ;", 1, 11, ("case-distinct nonterminals",), "SX"),
+    ("grammar", "Ab -> a ;\nS -> Ab ;\n  AB -> b ;\nAB -> c ;", 3, 3,
+     ("case-distinct nonterminals",), "AB"),
+    ("grammar", "Sx -> a | SX ;\nSX -> b ;\nSx -> c ;", 2, 1,
+     ("case-distinct nonterminals",), "SX"),
 ]
 
 

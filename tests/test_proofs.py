@@ -167,6 +167,28 @@ def test_validate_regular_rejects_out_of_bound_judgment():
     assert any(v.reason == "not-in-bound" for v in report.violations)
 
 
+def test_validate_regular_reads_the_bound_from_interp(monkeypatch):
+    # _ascend is the engine's one phase-1 pass.
+    import coaxiom.engine as engine
+
+    no_co = System([Rule(P, (Q,)), Rule(Q, (P,))])
+    cases = [(no_co, RegularProof(P, {P: 0, Q: 1})),  # both not-in-bound
+             (CYCLE, prove_regular(CYCLE, P))]
+    reports = []
+    for sys_, proof in cases:
+        without = validate(sys_, proof, REGULAR_GENERATED)
+        interp = generated(sys_)
+        calls = []
+        monkeypatch.setattr(engine, "_ascend", lambda *a, _fn=engine._ascend:
+                            calls.append(a) or _fn(*a))
+        report = validate(sys_, proof, REGULAR_GENERATED, interp=interp)
+        monkeypatch.undo()
+        assert calls == [] and report == without
+        reports.append(report)
+    assert [v.reason for v in reports[0].violations] == ["not-in-bound"] * 2
+    assert reports[1].ok
+
+
 def test_validate_regular_rejects_incomplete_choice():
     fake = RegularProof(P, {P: 0})  # premise q has no chosen rule
     report = validate(CYCLE, fake, REGULAR_GENERATED)
@@ -209,6 +231,17 @@ def test_regular_proof_dict_marks_the_back_edge():
     while node.get("children"):
         node = node["children"][0]
     assert node.get("back") is True
+
+
+def test_deep_wf_proof_round_trips_through_a_dict():
+    proof = WfProof(sym("c0"), RuleRef(0, True))
+    for i in range(1, 3000):
+        proof = WfProof(sym(f"c{i}"), RuleRef(i), (proof,))
+    again = proof_from_dict(proof_to_dict(proof))
+    for i in reversed(range(3000)):
+        assert (again.judgment, again.rule) == (sym(f"c{i}"), RuleRef(i, i == 0))
+        again = again.children[0] if again.children else None
+    assert again is None
 
 
 def test_serialising_regular_proof_without_system_fails():
