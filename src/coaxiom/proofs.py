@@ -259,15 +259,13 @@ def _check_tree(sys: System, node: WfProof, path: tuple[int, ...],
 
 def validate(sys: System, proof: Union[WfProof, RegularProof], mode: str,
              level: Optional[int] = None,
-             budget: int = DEFAULT_BUDGET,
-             interp: Optional[Interpretation] = None) -> ValidationReport:
+             budget: int = DEFAULT_BUDGET) -> ValidationReport:
     """Re-check a proof object; the report lists every violated node.
 
     Modes: ``"wf-extended"`` (finite tree, any rules), ``"approx"``
     (additionally, co rules only at depth >= ``level``), and
     ``"regular-generated"`` (choice map well-formed and every judgment
-    inside the bound).  For the last, ``interp``, a :func:`generated`
-    or :func:`analyse` result for ``sys``, saves recomputing the bound.
+    inside the bound).
     """
     out: list[Violation] = []
     if mode == WF_EXTENDED or mode == APPROX:
@@ -284,8 +282,7 @@ def validate(sys: System, proof: Union[WfProof, RegularProof], mode: str,
     if mode == REGULAR_GENERATED:
         if not isinstance(proof, RegularProof):
             raise ValueError("regular-generated validation expects a RegularProof")
-        b = interp.phase1 if interp is not None else bound(sys, budget)
-        inside = b.judgments
+        inside = bound(sys, budget).judgments
         if proof.root not in proof.choice:
             out.append(Violation((), proof.root, "missing-choice"))
         for j in sorted(proof.choice, key=term_key):
@@ -359,7 +356,8 @@ def _postorder(root, children):
     """Each distinct node below ``root`` once, after all of its children.
 
     Nodes are told apart by identity, so a node shared in memory is
-    visited once however often it occurs.
+    visited once however often it occurs.  Children are taken last to
+    first, so on a tree the reversed sequence is the pre-order.
     """
     done: set[int] = set()
     todo = [root]
@@ -399,9 +397,13 @@ def proof_from_dict(d: dict) -> Union[WfProof, RegularProof]:
     nodes = list(_postorder(
         d, lambda nd: () if nd.get("back") else nd.get("children", ())))
     if any(nd.get("back") for nd in nodes):
-        return RegularProof(judgment(d["judgment"]), {
-            judgment(nd["judgment"]): nd["rule"]
-            for nd in nodes if not nd.get("back")})
+        # Filled in pre-order: a judgment expanded twice keeps the rule
+        # of its last expansion in document order.
+        choice: dict[Term, int] = {}
+        for nd in reversed(nodes):
+            if not nd.get("back"):
+                choice[judgment(nd["judgment"])] = nd["rule"]
+        return RegularProof(judgment(d["judgment"]), choice)
     built: dict[int, WfProof] = {}
     for nd in nodes:
         built[id(nd)] = WfProof(

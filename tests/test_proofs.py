@@ -167,28 +167,6 @@ def test_validate_regular_rejects_out_of_bound_judgment():
     assert any(v.reason == "not-in-bound" for v in report.violations)
 
 
-def test_validate_regular_reads_the_bound_from_interp(monkeypatch):
-    # _ascend is the engine's one phase-1 pass.
-    import coaxiom.engine as engine
-
-    no_co = System([Rule(P, (Q,)), Rule(Q, (P,))])
-    cases = [(no_co, RegularProof(P, {P: 0, Q: 1})),  # both not-in-bound
-             (CYCLE, prove_regular(CYCLE, P))]
-    reports = []
-    for sys_, proof in cases:
-        without = validate(sys_, proof, REGULAR_GENERATED)
-        interp = generated(sys_)
-        calls = []
-        monkeypatch.setattr(engine, "_ascend", lambda *a, _fn=engine._ascend:
-                            calls.append(a) or _fn(*a))
-        report = validate(sys_, proof, REGULAR_GENERATED, interp=interp)
-        monkeypatch.undo()
-        assert calls == [] and report == without
-        reports.append(report)
-    assert [v.reason for v in reports[0].violations] == ["not-in-bound"] * 2
-    assert reports[1].ok
-
-
 def test_validate_regular_rejects_incomplete_choice():
     fake = RegularProof(P, {P: 0})  # premise q has no chosen rule
     report = validate(CYCLE, fake, REGULAR_GENERATED)
@@ -231,6 +209,24 @@ def test_regular_proof_dict_marks_the_back_edge():
     while node.get("children"):
         node = node["children"][0]
     assert node.get("back") is True
+
+
+def _leaf(text, rule):
+    return {"judgment": text, "rule": rule, "co": False, "children": []}
+
+
+@pytest.mark.parametrize("first, last", [(1, 2), (2, 1)])
+def test_regular_dict_keeps_the_last_of_two_expansions(first, last):
+    # Hand-written input that expands q twice, first inside r's subtree
+    # and then as p's second child: the later expansion in document
+    # order sets q's rule, and the choice map keeps pre-order.
+    d = {"judgment": "p", "rule": 0, "co": False, "children": [
+        {"judgment": "r", "rule": 3, "co": False, "children": [
+            _leaf("q", first), {"judgment": "p", "back": True}]},
+        _leaf("q", last)]}
+    again = proof_from_dict(d)
+    assert again.choice == {P: 0, R: 3, Q: last}
+    assert list(again.choice) == [P, R, Q]
 
 
 def test_deep_wf_proof_round_trips_through_a_dict():
