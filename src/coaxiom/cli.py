@@ -25,7 +25,7 @@ import argparse
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .checks import (DropsAtLevel, NotInBound, SurvivesTo,
                      bounded_coinduction, level_witness)
@@ -67,11 +67,32 @@ def _rule_id(ref: RuleRef) -> str:
     return f"co {ref.index}" if ref.co else str(ref.index)
 
 
-def _render_wf(proof: WfProof, out: list[str], depth: int = 0) -> None:
-    out.append(f"{'  ' * depth}{render_term(proof.judgment)}"
-               f"   [rule {_rule_id(proof.rule)}]")
-    for child in proof.children:
-        _render_wf(child, out, depth + 1)
+def _render_wf(proof: WfProof, out: list[str]) -> None:
+    """The tree in pre-order, each node indented by its depth.
+
+    The lines a subtree fills are recorded under its identity and
+    depth, so a subproof shared in memory and met again at the same
+    depth is copied instead of being rendered again.
+    """
+    spans: dict[tuple[int, int], tuple[int, int]] = {}
+    # Nodes still to write, and (None, (span key, first line)) markers
+    # that close the subtree opened before them.
+    todo: list[tuple] = [(proof, 0)]
+    while todo:
+        node, depth = todo.pop()
+        if node is None:
+            key, start = depth
+            spans[key] = start, len(out)
+            continue
+        key = (id(node), depth)
+        span = spans.get(key)
+        if span is not None:
+            out += out[span[0]:span[1]]
+            continue
+        todo.append((None, (key, len(out))))
+        out.append(f"{'  ' * depth}{render_term(node.judgment)}"
+                   f"   [rule {_rule_id(node.rule)}]")
+        todo += [(c, depth + 1) for c in reversed(node.children)]
 
 
 def _render_regular(proof: RegularProof, sys_: System, out: list[str]) -> None:
@@ -106,43 +127,55 @@ def _dot_escape(s: str) -> str:
 
 
 def _dot_wf(proof: WfProof) -> str:
+    """Nodes numbered in pre-order; the edge to a child follows the
+    lines of the child's subtree."""
     lines = ["digraph proof {", "  rankdir=TB;"]
-    counter = [0]
-
-    def walk(p: WfProof) -> str:
-        name = f"n{counter[0]}"
-        counter[0] += 1
-        lines.append(f'  {name} [label="{_dot_escape(render_term(p.judgment))}"];')
-        for child in p.children:
-            cname = walk(child)
-            lines.append(f'  {name} -> {cname} [label="{_rule_id(p.rule)}"];')
-        return name
-
-    walk(proof)
+    # Open nodes, innermost last: (name, rule label, remaining children).
+    stack: list[tuple[str, str, Iterator[WfProof]]] = []
+    node: Optional[WfProof] = proof
+    count = 0
+    while True:
+        if node is not None:
+            name = f"n{count}"
+            count += 1
+            lines.append(f'  {name} [label="{_dot_escape(render_term(node.judgment))}"];')
+            stack.append((name, _rule_id(node.rule), iter(node.children)))
+        name, _, children = stack[-1]
+        node = next(children, None)
+        if node is None:
+            stack.pop()
+            if not stack:
+                break
+            parent, label, _ = stack[-1]
+            lines.append(f'  {parent} -> {name} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines)
 
 
 def _dot_regular(proof: RegularProof, sys_: System) -> str:
+    """Nodes in canonical order; edges depth-first from the root, an
+    edge to a judgment already expanded dashed."""
     ordered = sort_judgments(proof.choice)
     names = {j: f"n{i}" for i, j in enumerate(ordered)}
     lines = ["digraph proof {", "  rankdir=TB;"]
     for j in ordered:
         lines.append(f'  {names[j]} [label="{_dot_escape(render_term(j))}"];')
-    expanded: set[Term] = set()
-
-    def walk(j: Term) -> None:
-        if j in expanded:
-            return
-        expanded.add(j)
-        ix = proof.choice[j]
-        for p in sys_.regular_rules[ix].premises:
-            back = p in expanded
-            style = ', style=dashed' if back else ""
-            lines.append(f'  {names[j]} -> {names[p]} [label="{ix}"{style}];')
-            walk(p)
-
-    walk(proof.root)
+    expanded = {proof.root}
+    ix = proof.choice[proof.root]
+    # Expanded judgments, innermost last: (judgment, rule, remaining premises).
+    stack = [(proof.root, ix, iter(sys_.regular_rules[ix].premises))]
+    while stack:
+        j, ix, premises = stack[-1]
+        p = next(premises, None)
+        if p is None:
+            stack.pop()
+        elif p in expanded:
+            lines.append(f'  {names[j]} -> {names[p]} [label="{ix}", style=dashed];')
+        else:
+            lines.append(f'  {names[j]} -> {names[p]} [label="{ix}"];')
+            expanded.add(p)
+            ip = proof.choice[p]
+            stack.append((p, ip, iter(sys_.regular_rules[ip].premises)))
     lines.append("}")
     return "\n".join(lines)
 

@@ -18,7 +18,8 @@ of line::
 ``inf`` always denotes the infinity term, so no symbol can carry that
 name.  ``co`` is only special at the start of a statement, and only
 when a term follows it: ``co f(x).`` is a coaxiom, while ``co.``
-is an axiom concluding the nullary symbol ``co``.
+is an axiom concluding the nullary symbol ``co``.  A term may nest
+at most ``MAX_DEPTH`` brackets deep.
 
 Parsing stops at the first error and reports its position together with
 the token classes that would have been acceptable.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import NoReturn, Optional
 
 from .engine import Rule, System, rule_key
 from .terms import INF, FinSet, Num, Sym, Term, render_term
@@ -90,7 +91,8 @@ Token = tuple[str, str, int, int]
 
 
 class Lexicon:
-    """One token language: a constant table compiled into one regex.
+    """One token language: a constant table compiled into two regexes,
+    ``pattern`` for :func:`tokenize` and ``texts`` for bare token texts.
 
     ``specials`` are matched first, longest first, then ``INT`` and then
     ``word``, whose tokens get the kind ``word_kind``.  A character that
@@ -100,7 +102,7 @@ class Lexicon:
     every language.
     """
 
-    __slots__ = ("pattern", "stray", "quote_text")
+    __slots__ = ("pattern", "texts", "stray", "quote_text")
 
     def __init__(self, specials: tuple[str, ...], word: str, word_kind: str,
                  stray: tuple[str, ...], quote_text: bool):
@@ -109,6 +111,13 @@ class Lexicon:
             alts.append("(?P<SPECIAL>" + "|".join(map(re.escape, specials)) + ")")
         alts += [r"(?P<INT>-?[0-9]+)", f"(?P<{word_kind}>{word})"]
         self.pattern = re.compile(r"(?:[ \t\r]+|%[^\n]*)*(?:" + "|".join(alts) + ")?")
+        # ``texts(text)``: the same tokens as bare texts, for a parser
+        # that needs positions only to report an error.  A character
+        # that starts no token is a text of its own, and the list ends
+        # with "" (once or twice).
+        plain = list(map(re.escape, specials)) + [r"-?[0-9]+", word, "."]
+        self.texts = re.compile(
+            r"(?:[ \t\r\n]+|%[^\n]*)*(" + "|".join(plain) + ")?").findall
         self.stray = stray
         self.quote_text = quote_text
 
@@ -157,9 +166,8 @@ class Cursor:
         self.pos = 0
         self.quote_text = lexicon.quote_text
 
-    def peek(self, k: int = 0) -> Token:
-        """The token ``k`` ahead; callers never look past ``EOF``."""
-        return self.toks[self.pos + k]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def at(self, kind: str) -> bool:
         return self.toks[self.pos][0] == kind
@@ -185,87 +193,173 @@ class Cursor:
 # ---------------------------------------------------------------------------
 # parser
 
-_TERM_START = ("IDENT", "INT", "{")
+_EMPTY = FinSet()
+
+# The deepest bracket nesting a term may have.  A term's sort key holds
+# the keys of all its subterms, so the keys of a term n deep and of its
+# subterms take O(n**2) space together; past this depth the parser
+# reports an error instead.
+MAX_DEPTH = 2000
 
 
-class _Parser(Cursor):
+def _starts_term(tok: str) -> bool:
+    """Is the token text an IDENT, an INT or ``{``?"""
+    return tok == "{" or "a" <= tok[:1] <= "z" or "0" <= tok[-1:] <= "9"
+
+
+class _Parser:
+    """A parser over the token texts of one ``.coax`` text.
+
+    It reads bare token texts (``COAX.texts``), which leaves the
+    positions out of the hot loop.  Only a failure tokenizes
+    the text again with positions, to report where it happened; that
+    also reports a stray character first, wherever it is, as
+    :func:`tokenize` does.  Terms are built with an explicit stack, so
+    nesting depth is not limited by the interpreter stack.  Each method
+    takes the index of its first token and returns the index after its
+    last.
+    """
+
+    __slots__ = ("text", "toks", "flat")
+
     def __init__(self, text: str):
-        super().__init__(text, COAX)
+        self.text = text
+        self.toks = COAX.texts(text)
+        self.toks.append("")  # so that a lookahead of one never runs off the end
+        # Flat terms already read, by their tokens: see term().
+        self.flat: dict[tuple[str, ...], Term] = {}
 
-    def term(self) -> Term:
-        kind, text, _, _ = self.peek()
-        if kind == "INT":
-            self.take()
-            return Num(int(text))
-        if kind == "IDENT":
-            self.take()
-            if text == "inf":
-                return INF
-            if self.at("("):
-                self.take()
-                args = [self.term()]
-                while self.at(","):
-                    self.take()
-                    args.append(self.term())
-                self.expect(")")
-                return Sym(text, tuple(args))
-            return Sym(text)
-        if kind == "{":
-            self.take()
-            elems: list[Term] = []
-            if not self.at("}"):
-                elems.append(self.term())
-                while self.at(","):
-                    self.take()
-                    elems.append(self.term())
-            self.expect("}")
-            return FinSet(tuple(elems))
-        self.fail("term")
+    def fail(self, pos: int, *expected: str) -> NoReturn:
+        """Raise :class:`ParseError` at the ``pos``-th token."""
+        kind, _, line, column = tokenize(self.text, COAX)[pos]
+        raise ParseError(line, column, expected, "end of input" if kind == "EOF" else kind)
 
-    def statement(self) -> SourceStatement:
-        _, text, line, column = self.peek()
-        # "co" is the co marker only when a term follows.
-        co = text == "co" and self.peek(1)[0] in _TERM_START
-        if co:
-            self.take()
-        conclusion = self.term()
-        premises: list[Term] = []
-        if self.at("<-"):
-            self.take()
-            premises.append(self.term())
-            while self.at(","):
-                self.take()
-                premises.append(self.term())
-        self.expect(".")
-        return SourceStatement(Rule(conclusion, tuple(premises), co), line, column)
+    def term(self, pos: int) -> tuple[Term, int]:
+        """The term that starts at token ``pos``, and the index after it.
 
-    def source_system(self) -> SourceSystem:
-        stmts: list[SourceStatement] = []
-        while not self.at("EOF"):
-            stmts.append(self.statement())
-        return SourceSystem(tuple(stmts))
+        A rule file repeats each judgment in many rules, so a flat term,
+        a symbol applied to arguments without parentheses such as
+        ``visit(a,{a,b})``, is looked up by its tokens before it is read.
+        Every ``)`` after its ``(`` closes it, so its tokens run to the
+        first ``)``.
+        """
+        toks = self.toks
+        if toks[pos + 1] != "(":
+            return self._term(pos)
+        try:
+            end = toks.index(")", pos + 2) + 1
+        except ValueError:
+            return self._term(pos)
+        key = tuple(toks[pos:end])
+        t = self.flat.get(key)
+        if t is not None:
+            return t, end
+        t, after = self._term(pos)
+        if after == end and "(" not in key[2:]:
+            self.flat[key] = t
+        return t, after
+
+    def _term(self, pos: int) -> tuple[Term, int]:
+        toks = self.toks
+        # Open brackets, innermost last: (symbol name, or None for a
+        # set; the closing token; the finished items so far).
+        stack: list[tuple[Optional[str], str, list[Term]]] = []
+        while True:
+            tok = toks[pos]
+            pos += 1
+            if "a" <= tok[:1] <= "z":
+                if tok == "inf":
+                    t = INF
+                elif toks[pos] != "(":
+                    t = Sym(tok)
+                elif len(stack) < MAX_DEPTH:
+                    stack.append((tok, ")", []))
+                    pos += 1
+                    continue
+                else:
+                    self.fail(pos, f"terms nested at most {MAX_DEPTH} deep")
+            elif tok == "{":
+                if toks[pos] == "}":
+                    t = _EMPTY
+                    pos += 1
+                elif len(stack) < MAX_DEPTH:
+                    stack.append((None, "}", []))
+                    continue
+                else:
+                    self.fail(pos - 1, f"terms nested at most {MAX_DEPTH} deep")
+            elif "0" <= tok[-1:] <= "9":
+                t = Num(int(tok))
+            else:
+                self.fail(pos - 1, "term")
+            # t is finished: add it to its bracket, closing every
+            # bracket it completes.
+            while stack:
+                name, close, items = stack[-1]
+                items.append(t)
+                tok = toks[pos]
+                if tok == ",":
+                    pos += 1
+                    break
+                if tok != close:
+                    self.fail(pos, close)
+                pos += 1
+                stack.pop()
+                t = FinSet(tuple(items)) if name is None else Sym(name, tuple(items))
+            else:
+                return t, pos
+
+    def statements(self) -> list[tuple[int, Rule]]:
+        """Each rule with the index of its statement's first token."""
+        toks = self.toks
+        out: list[tuple[int, Rule]] = []
+        pos = 0
+        while toks[pos]:
+            first = pos
+            # "co" is the co marker only when a term follows.
+            co = toks[pos] == "co" and _starts_term(toks[pos + 1])
+            conclusion, pos = self.term(pos + co)
+            premises: list[Term] = []
+            sep = "<-"
+            while toks[pos] == sep:
+                t, pos = self.term(pos + 1)
+                premises.append(t)
+                sep = ","
+            if toks[pos] != ".":
+                self.fail(pos, ".")
+            out.append((first, Rule(conclusion, tuple(premises), co)))
+            pos += 1
+        return out
 
     def single_term(self) -> Term:
-        t = self.term()
-        self.expect("EOF")
+        t, pos = self.term(0)
+        if self.toks[pos]:
+            self.fail(pos, "EOF")
         return t
 
     def term_lines(self) -> tuple[Term, ...]:
+        toks = self.toks
         out: list[Term] = []
-        while not self.at("EOF"):
-            out.append(self.term())
-            self.expect(".")
+        pos = 0
+        while toks[pos]:
+            t, pos = self.term(pos)
+            if toks[pos] != ".":
+                self.fail(pos, ".")
+            out.append(t)
+            pos += 1
         return tuple(out)
 
 
 def parse_source(text: str) -> SourceSystem:
     """Parse a whole ``.coax`` document, keeping statement locations."""
-    return _Parser(text).source_system()
+    stmts = _Parser(text).statements()
+    toks = tokenize(text, COAX)
+    return SourceSystem(tuple(SourceStatement(rule, *toks[first][2:])
+                              for first, rule in stmts))
 
 
 def parse_system(text: str) -> System:
     """Parse a whole ``.coax`` document into a :class:`System`."""
-    return parse_source(text).system()
+    return System(rule for _, rule in _Parser(text).statements())
 
 
 def parse_judgment(text: str) -> Term:

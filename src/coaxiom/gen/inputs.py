@@ -393,43 +393,57 @@ LambdaTerm = Union[Var, Lam, App]
 
 
 def parse_lambda(text: str) -> LambdaTerm:
+    """A lambda term.  Application associates to the left, and an
+    abstraction extends as far right as possible.  The parser keeps its
+    own stack, so nesting depth is not limited by the interpreter stack.
+    """
     cur = Cursor(text, _LAMBDA)
     variables: dict[str, Var] = {}  # one shared node per variable name
-
-    def expr() -> LambdaTerm:
-        if cur.at("\\"):
+    # Unfinished enclosing terms, innermost last: a binder ("\\", var)
+    # awaiting its body; ("app", e), e applied to the trailing
+    # abstraction being read; ("(", spine), the application spine
+    # awaiting the parenthesised atom being read (None before its first).
+    stack: list[tuple[str, object]] = []
+    while True:
+        # An expression: its binders, then an application spine.
+        while cur.at("\\"):
             cur.take()
             var = cur.expect("WORD", "variable")[1]
             cur.expect(".")
-            return Lam(var, expr())
-        return apps()
-
-    def apps() -> LambdaTerm:
-        e = atom()
-        while cur.peek()[0] in ("WORD", "(", "\\"):
-            if cur.at("\\"):
-                # trailing abstraction extends as far right as possible
-                return App(e, expr())
-            e = App(e, atom())
-        return e
-
-    def atom() -> LambdaTerm:
-        kind = cur.peek()[0]
-        if kind == "WORD":
-            name = cur.take()[1]
-            if name not in variables:
-                variables[name] = Var(name)
-            return variables[name]
-        if kind == "(":
-            cur.take()
-            e = expr()
-            cur.expect(")")
-            return e
-        cur.fail("variable", "(", "\\")
-
-    e = expr()
-    cur.expect("EOF", "end of input")
-    return e
+            stack.append(("\\", var))
+        spine: Optional[LambdaTerm] = None
+        while True:
+            kind = cur.peek()[0]
+            if kind == "WORD":
+                name = cur.take()[1]
+                atom = variables.setdefault(name, Var(name))
+                spine = atom if spine is None else App(spine, atom)
+                continue
+            if kind == "(":
+                cur.take()
+                stack.append(("(", spine))
+                break
+            if spine is None:
+                cur.fail("variable", "(", "\\")
+            if kind == "\\":
+                stack.append(("app", spine))
+                break
+            # The spine ends the innermost expression: finish every
+            # enclosing term it completes.
+            e = spine
+            while stack:
+                tag, x = stack.pop()
+                if tag == "\\":
+                    e = Lam(x, e)
+                elif tag == "app":
+                    e = App(x, e)
+                else:
+                    cur.expect(")")
+                    spine = e if x is None else App(x, e)
+                    break
+            else:
+                cur.expect("EOF", "end of input")
+                return e
 
 
 def free_vars(e: LambdaTerm) -> frozenset[str]:

@@ -64,9 +64,6 @@ class WfProof:
     rule: RuleRef
     children: tuple["WfProof", ...] = ()
 
-    def depth(self) -> int:
-        return 1 + max((c.depth() for c in self.children), default=0)
-
 
 @dataclass(frozen=True, eq=True)
 class RegularProof:
@@ -111,17 +108,31 @@ def _candidates(sys: System, j: Term) -> list[tuple[RuleRef, Rule]]:
 
 def _build_wf(sys: System, entered: Mapping[Term, int], j: Term,
               memo: dict[Term, WfProof]) -> WfProof:
-    done = memo.get(j)
-    if done is not None:
-        return done
-    k = entered[j]
-    for ref, rule in _candidates(sys, j):
-        if all(p in entered and entered[p] < k for p in rule.premises):
-            children = tuple(_build_wf(sys, entered, p, memo) for p in rule.premises)
-            proof = WfProof(j, ref, children)
-            memo[j] = proof
-            return proof
-    raise AssertionError(f"no admissible rule for {render_term(j)} at layer {k}")
+    """The proof of ``j`` from the entry layers, sharing ``memo``.
+
+    Each judgment is proved by the canonically least rule whose premises
+    all entered in earlier layers.  The rules are picked from ``j``
+    down; the nodes are then built in the order of the entry layers, so
+    every premise's node exists before the nodes that use it.
+    """
+    picked: dict[Term, tuple[RuleRef, Rule]] = {}
+    todo = [j]
+    while todo:
+        g = todo.pop()
+        if g in picked or g in memo:
+            continue
+        k = entered[g]
+        for ref, rule in _candidates(sys, g):
+            if all(p in entered and entered[p] < k for p in rule.premises):
+                picked[g] = ref, rule
+                todo += rule.premises
+                break
+        else:
+            raise AssertionError(f"no admissible rule for {render_term(g)} at layer {k}")
+    for g in sorted(picked, key=entered.__getitem__):
+        ref, rule = picked[g]
+        memo[g] = WfProof(g, ref, tuple(memo[p] for p in rule.premises))
+    return memo[j]
 
 
 def prove_wf(sys: System, j: Term, budget: int = DEFAULT_BUDGET,
@@ -162,33 +173,42 @@ def prove_approx(sys: System, j: Term, n: int, budget: int = DEFAULT_BUDGET,
 
 
 def _canonical_build(sys: System, a: Interpretation, j: Term, n: int) -> WfProof:
+    """The level-``n`` proof of ``j``: a regular rule at every depth
+    below ``n`` whose premises survive one round less, then the
+    well-founded proofs of the judgments left at depth ``n``.
+
+    Rules are picked level by level from ``n`` down, and the nodes are
+    built from level 0 up, each level from the one below it.
+    """
     entered, dropped = a.phase1.levels, a.levels
-    wf_memo: dict[Term, WfProof] = {}
-    memo: dict[tuple[Term, int], WfProof] = {}
+    rules = sys.regular_rules
     ordered: dict[Term, list[int]] = {}
-
-    def build(g: Term, k: int) -> WfProof:
-        if k == 0:
-            return _build_wf(sys, entered, g, wf_memo)
-        key = (g, k)
-        done = memo.get(key)
-        if done is not None:
-            return done
-        if g not in ordered:
-            ordered[g] = sorted(sys.by_conclusion.get(g, ()),
-                                key=lambda i: rule_key(sys.regular_rules[i]))
-        # Premises must survive k - 1 rounds: in the bound and not
-        # dropped before round k.
-        for i in ordered[g]:
-            rule = sys.regular_rules[i]
-            if all(p in entered and dropped.get(p, k) >= k for p in rule.premises):
-                children = tuple(build(p, k - 1) for p in rule.premises)
-                proof = WfProof(g, RuleRef(i, False), children)
-                memo[key] = proof
-                return proof
-        raise AssertionError(f"no regular rule for {render_term(g)} at level {k}")
-
-    return build(j, n)
+    picks: list[dict[Term, int]] = []  # picks[n - k]: judgment -> rule at level k
+    need = {j}
+    for k in range(n, 0, -1):
+        chosen: dict[Term, int] = {}
+        below: set[Term] = set()
+        for g in need:
+            if g not in ordered:
+                ordered[g] = sorted(sys.by_conclusion.get(g, ()),
+                                    key=lambda i: rule_key(rules[i]))
+            # Premises must survive k - 1 rounds: in the bound and not
+            # dropped before round k.
+            for i in ordered[g]:
+                if all(p in entered and dropped.get(p, k) >= k for p in rules[i].premises):
+                    chosen[g] = i
+                    below.update(rules[i].premises)
+                    break
+            else:
+                raise AssertionError(f"no regular rule for {render_term(g)} at level {k}")
+        picks.append(chosen)
+        need = below
+    wf_memo: dict[Term, WfProof] = {}
+    built = {g: _build_wf(sys, entered, g, wf_memo) for g in need}
+    for chosen in reversed(picks):
+        built = {g: WfProof(g, RuleRef(i, False), tuple(built[p] for p in rules[i].premises))
+                 for g, i in chosen.items()}
+    return built[j]
 
 
 def prove_regular(sys: System, j: Term, budget: int = DEFAULT_BUDGET,

@@ -7,16 +7,25 @@ unreachability), and finite sets of terms.  Set terms are normalised on
 construction — elements are deduplicated and stored in canonical order —
 so structural equality coincides with set equality.
 
+Terms are interned (hash-consed): each constructor keeps one table, and
+building a term equal to one built before returns that same object.  So
+``==`` is identity, the hash is the identity hash, and both cost O(1)
+however deep the term.  ``copy``, ``deepcopy`` and pickling give back
+the interned object.  The tables hold every term ever built for as long
+as the process lives.  Terms are immutable.
+
 A single total order covers all terms: integers before ``inf`` before
 symbols before sets; integers by value, symbols by name, then arity,
 then argument-wise, sets element-wise with shorter prefixes first.
 That order is what "canonical" means throughout the package: sorted
-premise tuples, sorted trace listings, deterministic tie-breaks.
+premise tuples, sorted trace listings, deterministic tie-breaks.  Each
+term carries its sort key (see :func:`term_key`), computed once when it
+is interned; :func:`render_term` caches each term's text.  Neither
+recurses, so nesting depth is not limited by the interpreter stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
 
 __all__ = [
@@ -33,43 +42,123 @@ __all__ = [
     "render_term",
 ]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Sym:
+
+class _Interned:
+    """Shared behaviour of the four constructors: frozen, copied as
+    itself, and shown and pickled by the fields in its ``__slots__``."""
+
+    __slots__ = ("_key", "_text")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in type(self).__slots__)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in type(self).__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+def _intern(cls, key: tuple, text, **fields):
+    t = object.__new__(cls)
+    for name, value in fields.items():
+        _set(t, name, value)
+    _set(t, "_key", key)
+    _set(t, "_text", text)
+    return t
+
+
+# One table per constructor, keyed by the constructor's fields; terms
+# in the fields are compared by identity.  A set is also found under
+# each element tuple it was once built from.
+_SYMS: dict[tuple, "Sym"] = {}
+_NUMS: dict[int, "Num"] = {}
+_SETS: dict[tuple, "FinSet"] = {}
+
+
+class Sym(_Interned):
     """Symbol application ``name(arg1, ..., argk)``; nullary renders bare."""
 
-    name: str
-    args: tuple["Term", ...] = ()
+    __slots__ = ("name", "args")
+
+    def __new__(cls, name: str, args: tuple["Term", ...] = ()):
+        args = tuple(args)
+        t = _SYMS.get((name, args))
+        if t is None:
+            key = [2, name, len(args)]
+            for a in args:
+                key += a._key
+            t = _SYMS[name, args] = _intern(
+                cls, tuple(key), None if args else name, name=name, args=args)
+        return t
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
+class Num(_Interned):
+    """Integer literal; interned by ``int(value)``."""
+
+    __slots__ = ("value",)
+
+    def __new__(cls, value: int):
+        value = int(value)
+        t = _NUMS.get(value)
+        if t is None:
+            t = _NUMS[value] = _intern(cls, (0, value), str(value), value=value)
+        return t
 
 
-@dataclass(frozen=True)
-class Inf:
+class Inf(_Interned):
     """The single point above every integer."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class FinSet:
+    def __new__(cls):
+        return INF
+
+
+class FinSet(_Interned):
     """Finite set of terms; elements are kept sorted and duplicate-free."""
 
-    elements: tuple["Term", ...] = ()
+    __slots__ = ("elements",)
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(set(self.elements), key=term_key))
-        object.__setattr__(self, "elements", ordered)
+    def __new__(cls, elements: tuple["Term", ...] = ()):
+        given = tuple(elements)
+        t = _SETS.get(given)
+        if t is not None:
+            return t
+        # Sorted and deduplicated once; the table then knows the set
+        # under both tuples.
+        elements = tuple(sorted(set(given), key=term_key)) if len(given) > 1 else given
+        t = _SETS.get(elements)
+        if t is None:
+            key = [3]
+            for e in elements:
+                key += e._key
+            key.append(-1)
+            t = _SETS[elements] = _intern(
+                cls, tuple(key), None if elements else "{}", elements=elements)
+        _SETS[given] = t
+        return t
 
 
 Term = Union[Sym, Num, Inf, FinSet]
 
-INF = Inf()
+INF = _intern(Inf, (1,), "inf")
 
 
 def sym(name: str, *args: Term) -> Sym:
-    return Sym(name, tuple(args))
+    return Sym(name, args)
 
 
 def num(value: int) -> Num:
@@ -77,40 +166,51 @@ def num(value: int) -> Num:
 
 
 def finset(*elements: Term) -> FinSet:
-    return FinSet(tuple(elements))
+    return FinSet(elements)
 
 
-# Kind ranks for the total order: integer < inf < symbol < set.
-_RANKS = {Num: 0, Inf: 1, Sym: 2, FinSet: 3}
-
-
-def term_key(t: Term):
+def term_key(t: Term) -> tuple:
     """Sort key realising the canonical total order on terms.
 
-    Keys of distinct kinds differ in their first component, so Python's
-    tuple comparison never compares payloads of different types.
+    The key is the term's pre-order as one flat tuple: ``(0, v)`` for
+    the integer ``v``, ``(1,)`` for ``inf``, ``(2, name, arity, ...)``
+    followed by the arguments' keys for a symbol, and ``(3, ..., -1)``
+    around the elements' keys for a set.  Every key is self-delimiting
+    and the kind tags come first, so comparing two keys as tuples
+    compares the terms in canonical order without ever comparing
+    payloads of different types, and without recursion.
     """
-    if isinstance(t, Num):
-        return (0, t.value)
-    if isinstance(t, Inf):
-        return (1,)
-    if isinstance(t, Sym):
-        return (2, t.name, len(t.args), tuple(term_key(a) for a in t.args))
-    if isinstance(t, FinSet):
-        return (3, tuple(term_key(e) for e in t.elements))
-    raise TypeError(f"not a term: {t!r}")
+    try:
+        return t._key
+    except AttributeError:
+        raise TypeError(f"not a term: {t!r}") from None
 
 
 def render_term(t: Term) -> str:
-    """Canonical textual form; parsing it back yields an equal term."""
-    if isinstance(t, Num):
-        return str(t.value)
-    if isinstance(t, Inf):
-        return "inf"
-    if isinstance(t, Sym):
-        if not t.args:
-            return t.name
-        return f"{t.name}({','.join(render_term(a) for a in t.args)})"
-    if isinstance(t, FinSet):
-        return "{" + ",".join(render_term(e) for e in t.elements) + "}"
-    raise TypeError(f"not a term: {t!r}")
+    """Canonical textual form; parsing it back yields an equal term.
+
+    The text of every term met on the way is cached on the term, so a
+    shared subterm is rendered once.
+    """
+    try:
+        text = t._text
+    except AttributeError:
+        raise TypeError(f"not a term: {t!r}") from None
+    if text is not None:
+        return text
+    # Post-order over the subterms without text; only compound terms
+    # (a symbol with arguments, a non-empty set) start without one.
+    todo = [t]
+    while todo:
+        node = todo[-1]
+        parts = node.args if isinstance(node, Sym) else node.elements
+        missing = [p for p in parts if p._text is None]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        if node._text is None:
+            inner = ",".join([p._text for p in parts])
+            _set(node, "_text", f"{node.name}({inner})" if isinstance(node, Sym)
+                 else "{" + inner + "}")
+    return t._text

@@ -309,3 +309,26 @@ def bigstep(e, fuel: int = 10_000):
         return go(subst(fn.body, fn.var, arg))
 
     return go(e)
+
+
+# ---------------------------------------------------------------------------
+# the canonical order on terms, as nested tuples
+
+def nested_term_key(t):
+    """The canonical order's key, built recursively as nested tuples.
+
+    This is how the package keyed terms before it cached flat pre-order
+    keys: integers by value, then ``inf``, then symbols by name, arity
+    and arguments, then sets element-wise with shorter prefixes first.
+    """
+    from coaxiom.terms import FinSet, Inf, Num, Sym
+
+    if isinstance(t, Num):
+        return (0, t.value)
+    if isinstance(t, Inf):
+        return (1,)
+    if isinstance(t, Sym):
+        return (2, t.name, len(t.args), tuple(nested_term_key(a) for a in t.args))
+    if isinstance(t, FinSet):
+        return (3, tuple(nested_term_key(e) for e in t.elements))
+    raise TypeError(f"not a term: {t!r}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, strategies as st
 from coaxiom import (RegularProof, parse_judgment, parse_system,
                      proof_from_dict, proof_to_dict, prove_approx,
                      prove_regular, prove_wf, render_term, sort_judgments)
-from coaxiom.cli import _json_text, main
+from coaxiom.cli import _dot_escape, _json_text, _rule_id, main
+from coaxiom.dsl import MAX_DEPTH
 from coaxiom.gen import gen_visit, parse_graph
 
 CYCLE_GRAPH = "node a node b node c edge a b edge b a\n"
@@ -229,6 +231,127 @@ def test_a_600_deep_regular_proof_prints_as_json(tmp_path, capsys):
     sys_ = parse_system(text)
     proof = prove_regular(sys_, parse_judgment("c0"))
     assert proof_from_dict(proof_to_dict(proof, sys_)) == proof
+
+
+def _text_tree(proof, out, depth=0):
+    """The text renderer as a plain recursive tree walk."""
+    out.append(f"{'  ' * depth}{render_term(proof.judgment)}"
+               f"   [rule {_rule_id(proof.rule)}]")
+    for child in proof.children:
+        _text_tree(child, out, depth + 1)
+
+
+def _dot_tree(proof):
+    """The DOT renderer of a wf proof as a plain recursive tree walk."""
+    lines = ["digraph proof {", "  rankdir=TB;"]
+    count = [0]
+
+    def walk(p):
+        name = f"n{count[0]}"
+        count[0] += 1
+        lines.append(f'  {name} [label="{_dot_escape(render_term(p.judgment))}"];')
+        for child in p.children:
+            lines.append(f'  {name} -> {walk(child)} [label="{_rule_id(p.rule)}"];')
+        return name
+
+    walk(proof)
+    return "\n".join(lines + ["}"])
+
+
+def _dot_cycle(proof, sys_):
+    """The DOT renderer of a regular proof as a recursive walk."""
+    ordered = sort_judgments(proof.choice)
+    names = {j: f"n{i}" for i, j in enumerate(ordered)}
+    lines = ["digraph proof {", "  rankdir=TB;"]
+    lines += [f'  {names[j]} [label="{_dot_escape(render_term(j))}"];' for j in ordered]
+    expanded = set()
+
+    def walk(j):
+        if j in expanded:
+            return
+        expanded.add(j)
+        ix = proof.choice[j]
+        for p in sys_.regular_rules[ix].premises:
+            style = ", style=dashed" if p in expanded else ""
+            lines.append(f'  {names[j]} -> {names[p]} [label="{ix}"{style}];')
+            walk(p)
+
+    walk(proof.root)
+    return "\n".join(lines + ["}"])
+
+
+@pytest.mark.parametrize("top", ["x6", "y3", "x0"])
+def test_text_and_dot_proofs_match_the_recursive_tree_walks(tmp_path, capsys, top):
+    text = _ladder(6)
+    f = tmp_path / "ladder.coax"
+    f.write_text(text)
+    sys_, j = parse_system(text), parse_judgment(top)
+    cases = [([], "wf", prove_wf(sys_, j)),
+             (["--level", "3"], "approx(3)", prove_approx(sys_, j, 3))]
+    for flags, kind, proof in cases:
+        want = [f"{kind} proof of {top}:"]
+        _text_tree(proof, want)
+        assert run(capsys, "prove", str(f), top, *flags) == (0, "\n".join(want) + "\n", "")
+        assert run(capsys, "prove", str(f), top, *flags, "--format", "dot") == \
+            (0, _dot_tree(proof) + "\n", "")
+    want = _dot_cycle(prove_regular(sys_, j), sys_) + "\n"
+    assert run(capsys, "prove", str(f), top, "--regular", "--format", "dot") == (0, want, "")
+
+
+def _nested(depth: int) -> str:
+    return "p(" + "f(" * depth + "a" + ")" * depth + ")"
+
+
+CYCLE_3000 = "".join(f"c{i} <- c{(i + 1) % 3000}.\n" for i in range(3000)) + "co c0.\n"
+
+
+def _lines(n):
+    return lambda out: len(out.splitlines()) == n
+
+
+# (rule file, arguments after it, exit status, check of stdout or stderr).
+# Deep terms and deep proofs: none of them may die in a RecursionError,
+# which the CLI would report with a traceback and exit status 1.
+DEEP_CASES = {
+    "1200-deep term": (_nested(1200) + ".\n", ["generated"], 0,
+                       lambda out: out.splitlines()[1:] == [_nested(1200)]),
+    "100000-deep term": (
+        _nested(100_000) + ".\n", ["generated"], 2,
+        lambda err: err == f"parse error: 1:{2 * MAX_DEPTH + 2}: expected terms "
+                           f"nested at most {MAX_DEPTH} deep, found (\n"),
+    # A well-founded proof 3000 rules deep.
+    "3000-cycle wf": (CYCLE_3000, ["prove", "c1"], 0, _lines(3001)),
+    # Levels 2 and 1, then a well-founded proof of c2: 3001 nodes.
+    "3000-cycle level 2": (CYCLE_3000, ["prove", "c0", "--level", "2", "--format", "json"],
+                           0, lambda out: out.count('"judgment"') == 3002),
+    # 3000 nodes and 3000 edges, one of them back to the root.
+    "3000-cycle regular dot": (CYCLE_3000, ["prove", "c0", "--regular", "--format", "dot"],
+                               0, lambda out: _lines(6003)(out) and out.count("dashed") == 1),
+}
+
+
+@pytest.mark.parametrize("case", DEEP_CASES)
+def test_deep_terms_and_proofs_exit_with_their_status(tmp_path, capsys, case):
+    text, argv, code, check = DEEP_CASES[case]
+    f = tmp_path / "deep.coax"
+    f.write_text(text)
+    # Into a file: the level-2 JSON is 126 MB of indentation.
+    printed = tmp_path / "out.txt"
+    with open(printed, "w") as fh, contextlib.redirect_stdout(fh):
+        got = main([argv[0], str(f), *argv[1:]])
+    err = capsys.readouterr().err
+    assert got == code
+    assert check(printed.read_text() if code == 0 else err)
+    assert (err == "") == (code == 0)
+
+
+def test_gen_lambda_reads_deep_parentheses(tmp_path, capsys):
+    plain, wrapped = tmp_path / "plain.lam", tmp_path / "wrapped.lam"
+    plain.write_text("\\x. x\n")
+    wrapped.write_text("(" * 1500 + "\\x. x" + ")" * 1500 + "\n")
+    code, want, _ = run(capsys, "gen", "lambda", str(plain))
+    assert code == 0 and want
+    assert run(capsys, "gen", "lambda", str(wrapped)) == (0, want, "")
 
 
 json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 from hypothesis import given, settings, strategies as st
 
 from coaxiom import (INF, REGULAR_GENERATED, Rule, System, WF_EXTENDED,
@@ -9,6 +12,7 @@ from coaxiom import (INF, REGULAR_GENERATED, Rule, System, WF_EXTENDED,
                      ind, kernel, num, parse_judgment, parse_system,
                      prove_approx, prove_regular, prove_wf, render_system,
                      render_term, step, sym, term_key, validate)
+from oracles import nested_term_key
 
 IDENTS = st.sampled_from(("p", "q", "r", "visit", "f", "g2", "k_a", "co"))
 
@@ -47,6 +51,38 @@ def test_parse_inverts_render(t):
 @given(terms, terms)
 def test_term_key_separates_distinct_terms(a, b):
     assert (term_key(a) == term_key(b)) == (a == b)
+
+
+# Few names and values, so that two terms often share a long prefix.
+close_terms = st.recursive(
+    st.sampled_from((num(0), num(1), INF, sym("a"), sym("b"))),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(("f", "g")), st.lists(inner, min_size=1, max_size=3))
+        .map(lambda p: sym(p[0], *p[1])),
+        st.lists(inner, max_size=3).map(lambda es: finset(*es)),
+    ),
+    max_leaves=12,
+)
+
+
+@given(close_terms, close_terms)
+def test_flat_keys_compare_as_the_nested_keys_do(a, b):
+    flat = term_key(a), term_key(b)
+    nested = nested_term_key(a), nested_term_key(b)
+    assert (flat[0] < flat[1]) == (nested[0] < nested[1])
+    assert (flat[0] == flat[1]) == (nested[0] == nested[1])
+
+
+@given(st.lists(close_terms | terms, max_size=12))
+def test_flat_keys_sort_as_the_nested_keys_do(ts):
+    assert sorted(ts, key=term_key) == sorted(ts, key=nested_term_key)
+
+
+@given(terms)
+def test_equal_terms_are_one_object(t):
+    assert parse_judgment(render_term(t)) is t
+    assert copy.deepcopy(t) is t and copy.copy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
 
 
 @given(st.lists(terms, max_size=8))

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from coaxiom import (FinSet, INF, Num, Sym, finset, num, parse_judgment,
+import pytest
+
+import coaxiom.terms
+from coaxiom import (FinSet, INF, Inf, Num, Sym, finset, num, parse_judgment,
                      render_term, sym, term_key)
 
 
@@ -73,3 +76,63 @@ def test_terms_are_hashable_and_comparable_as_values():
     assert len({sym("a"), Sym("a"), num(1), Num(1)}) == 2
     assert sym("f", num(1)) == sym("f", num(1))
     assert sym("f", num(1)) != sym("f", num(2))
+
+
+def test_equal_terms_are_the_same_object():
+    assert sym("f", num(1), finset(sym("a"))) is sym("f", num(1), finset(sym("a")))
+    assert finset(num(2), num(1), num(2)) is finset(num(1), num(2))
+    assert Sym("a") is sym("a") and FinSet(()) is finset()
+    assert Inf() is INF
+
+
+def test_num_interns_by_int_value():
+    assert Num(True) is Num(1) and type(Num(True).value) is int
+    assert Num(False) is num(0)
+    assert render_term(sym("f", Num(True))) == "f(1)"
+
+
+def test_terms_are_immutable():
+    t = sym("f", num(1))
+    with pytest.raises(AttributeError):
+        t.name = "g"
+    with pytest.raises(AttributeError):
+        del num(1).value
+
+
+def test_repr_names_the_fields():
+    assert repr(sym("f", num(1))) == "Sym(name='f', args=(Num(value=1),))"
+    assert repr(finset(INF)) == "FinSet(elements=(Inf(),))"
+
+
+def test_a_set_sorts_its_elements_once(monkeypatch):
+    elements = (num(7), sym("b"), sym("a"))
+    s = FinSet(elements)
+    calls = []
+    monkeypatch.setattr(coaxiom.terms, "term_key",
+                        lambda t: calls.append(t) or t._key)
+    assert FinSet(elements) is s
+    assert FinSet(s.elements) is s
+    assert calls == []
+
+
+def test_keys_are_flat_pre_orders():
+    assert term_key(num(-3)) == (0, -3)
+    assert term_key(INF) == (1,)
+    assert term_key(sym("f", sym("a"), num(2))) == (2, "f", 2, 2, "a", 0, 0, 2)
+    assert term_key(finset(num(1), finset())) == (3, 0, 1, 3, -1, -1)
+
+
+def test_deep_terms_key_and_render_without_recursion():
+    t = sym("a")
+    for _ in range(1500):
+        t = sym("f", t)
+    assert render_term(t) == "f(" * 1500 + "a" + ")" * 1500
+    assert len(term_key(t)) == 3 * 1501
+    assert parse_judgment(render_term(t)) is t
+
+
+def test_non_terms_are_rejected():
+    with pytest.raises(TypeError):
+        term_key("a")
+    with pytest.raises(TypeError):
+        render_term(("a",))
