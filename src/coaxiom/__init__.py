@@ -18,8 +18,7 @@ from .engine import (Rule, System, Interpretation, EngineError,
                      INDUCTIVE, COINDUCTIVE, BOUND, GENERATED,
                      rule_key, step, ind, coind, bound, kernel,
                      generated, analyse, sort_judgments)
-from .dsl import (ParseError, SourceStatement, SourceSystem, parse_system,
-                  parse_source, parse_judgment, parse_judgments,
+from .dsl import (ParseError, parse_system, parse_judgment, parse_judgments,
                   render_system, render_rule)
 from .proofs import (RuleRef, WfProof, RegularProof, Violation,
                      ValidationReport, WF_EXTENDED, APPROX,
@@ -39,9 +38,8 @@ __all__ = [
     "NotPreFixed", "DEFAULT_BUDGET", "INDUCTIVE", "COINDUCTIVE", "BOUND",
     "GENERATED", "rule_key", "step", "ind", "coind", "bound", "kernel",
     "generated", "analyse", "sort_judgments",
-    "ParseError", "SourceStatement", "SourceSystem", "parse_system",
-    "parse_source", "parse_judgment", "parse_judgments", "render_system",
-    "render_rule",
+    "ParseError", "parse_system", "parse_judgment", "parse_judgments",
+    "render_system", "render_rule",
     "RuleRef", "WfProof", "RegularProof", "Violation", "ValidationReport",
     "WF_EXTENDED", "APPROX", "REGULAR_GENERATED",
     "prove_wf", "prove_approx", "prove_regular", "validate",

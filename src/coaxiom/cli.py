@@ -4,19 +4,29 @@ Subcommands:
 
 * ``ind | coind | generated FILE`` — compute an interpretation of the
   rule file, optionally with the per-iteration trace;
-* ``check FILE JUDGMENT`` — membership in the generated interpretation,
-  with a regular proof on success and a level witness on failure;
 * ``prove FILE JUDGMENT [--level N | --regular]`` — build a proof
-  object (well-founded, approximated, or regular);
+  object (well-founded, approximated, or regular), or a level witness
+  when there is none;
+* ``check FILE JUDGMENT`` — membership in the generated interpretation:
+  ``prove --regular`` under its own headings and JSON keys;
 * ``bcp FILE SPECFILE`` — run the bounded coinduction check on a
   candidate set of judgments;
 * ``gen KIND INPUT`` — ground one of the worked generators into a rule
   file.
 
+Each subcommand computes its result once and returns its exit status
+with a ``render(format)`` function; :func:`main` prints what it gives,
+text or DOT as it is and a JSON value through :func:`_json_text`.
+``gen`` writes its rule file itself.  JSON and the text of a
+well-founded proof are written by one pre-order writer,
+:func:`_write`, which copies a shared subtree instead of writing it
+again.
+
 Exit status: 0 success / derivable / accepted; 1 not derivable /
-rejected; 2 usage or parse errors; 3 exceeded budgets.  Results go to
-stdout, diagnostics to stderr.  Set output is always in canonical term
-order, so identical inputs print identical bytes.
+rejected; 2 usage or parse errors, and input nested too deeply; 3
+exceeded budgets.  Results go to stdout, diagnostics to stderr.  Set
+output is always in canonical term order, so identical inputs print
+identical bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ import argparse
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .checks import (DropsAtLevel, NotInBound, SurvivesTo,
                      bounded_coinduction, level_witness)
@@ -38,10 +48,9 @@ from .gen import (ClosureBudgetExceeded, DEFAULT_CAP, DEFAULT_CARRIES,
                   LIST_PREDICATES, MalformedEquations, gen_add, gen_dist,
                   gen_first, gen_lambda, gen_listpred, gen_minpath, gen_visit,
                   parse_equations, parse_grammar, parse_graph, parse_lambda)
-from .proofs import (APPROX, REGULAR_GENERATED, RegularProof, RuleRef,
-                     WF_EXTENDED, WfProof, proof_to_dict, prove_approx,
-                     prove_regular, prove_wf)
-from .terms import Term, render_term
+from .proofs import (RegularProof, RuleRef, WfProof, proof_to_dict,
+                     prove_approx, prove_regular, prove_wf)
+from .terms import render_term
 
 __all__ = ["main"]
 
@@ -50,76 +59,87 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+# What a subcommand returns: exit status and render(format), if any.
+Result = tuple[int, Optional[Callable[[str], object]]]
+
 
 # ---------------------------------------------------------------------------
 # rendering helpers
-
-def _set_line(judgments: Iterable[Term]) -> str:
-    return ", ".join(render_term(j) for j in sort_judgments(judgments))
-
-
-def _trace_lines(trace: Sequence[frozenset], out: list[str]) -> None:
-    for i, entry in enumerate(trace, start=1):
-        out.append(f"({i}) {_set_line(entry)}")
-
 
 def _rule_id(ref: RuleRef) -> str:
     return f"co {ref.index}" if ref.co else str(ref.index)
 
 
-def _render_wf(proof: WfProof, out: list[str]) -> None:
-    """The tree in pre-order, each node indented by its depth.
+def _write(value, expand) -> str:
+    """The text of a tree written in pre-order.
 
-    The lines a subtree fills are recorded under its identity and
-    depth, so a subproof shared in memory and met again at the same
-    depth is copied instead of being rendered again.
+    ``expand(value, depth)`` gives the text of a leaf, or ``(head,
+    entries, tail)`` for a value with children, where ``entries``
+    yields (text before the child, child).  The writer keeps its own
+    stack, so depth is not limited by the interpreter stack.  The
+    pieces a value fills are recorded under its identity and depth: a
+    value met again at the same depth, such as a subproof shared in
+    memory, is copied as a slice of the pieces instead of being
+    written again.
     """
+    out: list[str] = []
     spans: dict[tuple[int, int], tuple[int, int]] = {}
-    # Nodes still to write, and (None, (span key, first line)) markers
-    # that close the subtree opened before them.
-    todo: list[tuple] = [(proof, 0)]
-    while todo:
-        node, depth = todo.pop()
-        if node is None:
-            key, start = depth
-            spans[key] = start, len(out)
-            continue
-        key = (id(node), depth)
+    # Open values: (span key, first piece, entries, tail).
+    stack: list[tuple] = []
+    while True:
+        key = (id(value), len(stack))
         span = spans.get(key)
         if span is not None:
             out += out[span[0]:span[1]]
-            continue
-        todo.append((None, (key, len(out))))
-        out.append(f"{'  ' * depth}{render_term(node.judgment)}"
-                   f"   [rule {_rule_id(node.rule)}]")
-        todo += [(c, depth + 1) for c in reversed(node.children)]
+        elif isinstance(node := expand(value, len(stack)), str):
+            out.append(node)
+        else:
+            stack.append((key, len(out), node[1], node[2]))
+            out.append(node[0])
+        # Find the next child to write, closing every value that has
+        # none left.
+        while stack:
+            key, start, entries, tail = stack[-1]
+            entry = next(entries, None)
+            if entry is not None:
+                break
+            stack.pop()
+            out.append(tail)
+            spans[key] = (start, len(out))
+        else:
+            return "".join(out)
+        out.append(entry[0])
+        value = entry[1]
 
 
-def _render_regular(proof: RegularProof, sys_: System, out: list[str]) -> None:
-    out.append(f"root: {render_term(proof.root)}")
+def _wf_line(node: WfProof, depth: int) -> tuple:
+    """A wf proof node as its line indented by depth, then its children."""
+    return (f"{'  ' * depth}{render_term(node.judgment)}"
+            f"   [rule {_rule_id(node.rule)}]",
+            (("\n", c) for c in node.children), "")
+
+
+def _render_regular(proof: RegularProof, sys_: System) -> str:
+    out = [f"root: {render_term(proof.root)}"]
     for j in sort_judgments(proof.choice):
         rule = sys_.regular_rules[proof.choice[j]]
         premises = ", ".join(render_term(p) for p in rule.premises)
         out.append(f"{render_term(j)} <- rule {proof.choice[j]}"
                    + (f": {premises}" if premises else "   (axiom)"))
+    return "\n".join(out)
 
 
-def _witness_str(w: Union[NotInBound, DropsAtLevel, SurvivesTo]) -> str:
+def _witness(w: Union[NotInBound, DropsAtLevel, SurvivesTo]) -> tuple[str, dict]:
+    """The witness as text and as a JSON value."""
     if isinstance(w, NotInBound):
-        return "NotInBound"
+        return "NotInBound", {"kind": "not-in-bound"}
     if isinstance(w, DropsAtLevel):
-        return f"DropsAtLevel({w.level})"
+        return (f"DropsAtLevel({w.level})",
+                {"kind": "drops-at-level", "level": w.level})
     suffix = ", at fixpoint" if w.at_fixpoint else ""
-    return f"SurvivesTo({w.level}{suffix})"
-
-
-def _witness_dict(w: Union[NotInBound, DropsAtLevel, SurvivesTo]) -> dict:
-    if isinstance(w, NotInBound):
-        return {"kind": "not-in-bound"}
-    if isinstance(w, DropsAtLevel):
-        return {"kind": "drops-at-level", "level": w.level}
-    return {"kind": "survives-to", "level": w.level,
-            "at_fixpoint": w.at_fixpoint}
+    return (f"SurvivesTo({w.level}{suffix})",
+            {"kind": "survives-to", "level": w.level,
+             "at_fixpoint": w.at_fixpoint})
 
 
 def _dot_escape(s: str) -> str:
@@ -194,53 +214,27 @@ def _entries(container, indent: str):
             sep = comma
 
 
+def _json_node(value, depth: int):
+    if isinstance(value, (dict, list, tuple)):
+        brackets = "{}" if isinstance(value, dict) else "[]"
+        if not value:
+            return brackets
+        indent = "  " * depth
+        return (brackets[0], _entries(value, indent + "  "),
+                "\n" + indent + brackets[1])
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
 def _json_text(value) -> str:
     """``json.dumps(value, indent=2)``, byte for byte (keys must be str).
 
-    Every JSON output of the CLI goes through here.  The writer keeps
-    its own stack, so nesting depth is not limited by the interpreter
-    stack.  Text goes to one list of pieces, and the pieces each
-    container fills are recorded under its identity and depth: a
-    container met again at the same depth, such as a subproof that
-    :func:`proof_to_dict` shares, is copied as a slice of the list
-    instead of being written again.
+    Every JSON output of the CLI goes through here.  A container met
+    again at the same depth, such as a subproof that
+    :func:`proof_to_dict` shares, is copied (see :func:`_write`).
     """
-    out: list[str] = []
-    spans: dict[tuple[int, int], tuple[int, int]] = {}
-    # Open containers: (span key, first piece, entries, closing piece).
-    stack: list[tuple] = []
-    while True:
-        if isinstance(value, (dict, list, tuple)):
-            key = (id(value), len(stack))
-            span = spans.get(key)
-            brackets = "{}" if isinstance(value, dict) else "[]"
-            if span is not None:  # a repeat: copy its pieces
-                out += out[span[0]:span[1]]
-            elif not value:
-                out.append(brackets)
-            else:
-                indent = "  " * len(stack)
-                stack.append((key, len(out), _entries(value, indent + "  "),
-                              "\n" + indent + brackets[1]))
-                out.append(brackets[0])
-        elif isinstance(value, str):
-            out.append(encode_basestring_ascii(value))
-        else:
-            out.append(json.dumps(value))
-        # Find the next item to write, closing every container that
-        # has none left.
-        while stack:
-            key, start, entries, close = stack[-1]
-            entry = next(entries, None)
-            if entry is not None:
-                break
-            stack.pop()
-            out.append(close)
-            spans[key] = (start, len(out))
-        else:
-            return "".join(out)
-        prefix, value = entry
-        out.append(prefix)
+    return _write(value, _json_node)
 
 
 # ---------------------------------------------------------------------------
@@ -251,77 +245,46 @@ def _load_system(path: str) -> System:
         return parse_system(fh.read())
 
 
-def _cmd_interpret(args: argparse.Namespace) -> int:
+def _cmd_interpret(args: argparse.Namespace) -> Result:
     sys_ = _load_system(args.file)
     fn = {"ind": ind, "coind": coind, "generated": generated}[args.mode]
     interp: Interpretation = fn(sys_, budget=args.max_iters)
-    if args.format == "json":
-        payload = {
-            "interpretation": args.mode,
-            "judgments": [render_term(j) for j in interp.sorted_judgments()],
-        }
-        if args.trace:
-            if args.mode == "generated":
-                payload["trace"] = {
-                    "phase1": [[render_term(j) for j in sort_judgments(s)]
-                               for s in interp.phase1.trace],
-                    "phase2": [[render_term(j) for j in sort_judgments(s)]
-                               for s in interp.trace],
-                }
-            else:
-                payload["trace"] = [[render_term(j) for j in sort_judgments(s)]
-                                    for s in interp.trace]
-        print(_json_text(payload))
-        return EXIT_OK
-    out: list[str] = []
-    if args.trace:
-        if args.mode == "generated":
-            out.append("phase 1 (ascending):")
-            _trace_lines(interp.phase1.trace, out)
-            out.append("phase 2 (descending):")
-            _trace_lines(interp.trace, out)
-        else:
-            direction = "descending" if args.mode == "coind" else "ascending"
-            out.append(f"trace ({direction}):")
-            _trace_lines(interp.trace, out)
-        out.append("")
-    out.append(f"{args.mode} ({len(interp.judgments)} judgments):")
-    out.extend(render_term(j) for j in interp.sorted_judgments())
-    print("\n".join(out))
-    return EXIT_OK
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    sys_ = _load_system(args.file)
-    j = parse_judgment(args.judgment)
-    interp = generated(sys_, budget=args.max_iters)
-    if j in interp:
-        proof = prove_regular(sys_, j, interp=interp)
-        if args.format == "json":
-            print(_json_text({
-                "judgment": render_term(j),
-                "derivable": True,
-                "proof": proof_to_dict(proof, sys_),
-            }))
-        else:
-            lines = [f"derivable: {render_term(j)}", "regular proof:"]
-            _render_regular(proof, sys_, lines)
-            print("\n".join(lines))
-        return EXIT_OK
-    witness = level_witness(sys_, j, args.max_iters, interp=interp)
-    if args.format == "json":
-        print(_json_text({
-            "judgment": render_term(j),
-            "derivable": False,
-            "witness": _witness_dict(witness),
-        }))
+    judgments = [render_term(j) for j in interp.sorted_judgments()]
+    if not args.trace:
+        parts = []
+    elif args.mode == "generated":
+        parts = [("phase 1 (ascending)", "phase1", interp.phase1.trace),
+                 ("phase 2 (descending)", "phase2", interp.trace)]
     else:
-        print(f"NotDerivable: {render_term(j)}")
-        print(f"witness: {_witness_str(witness)}")
-    return EXIT_NEGATIVE
+        direction = "descending" if args.mode == "coind" else "ascending"
+        parts = [(f"trace ({direction})", None, interp.trace)]
+    # (heading, JSON key, the sets of the trace as rendered terms)
+    traces = [(heading, key, [[render_term(j) for j in sort_judgments(s)]
+                              for s in trace])
+              for heading, key, trace in parts]
+
+    def render(fmt: str):
+        if fmt == "json":
+            doc = {"interpretation": args.mode, "judgments": judgments}
+            if traces:
+                doc["trace"] = ({key: sets for _, key, sets in traces}
+                                if args.mode == "generated" else traces[0][2])
+            return doc
+        out = []
+        for heading, _, sets in traces:
+            out.append(heading + ":")
+            out += [f"({i}) {', '.join(s)}" for i, s in enumerate(sets, start=1)]
+        if traces:
+            out.append("")
+        out.append(f"{args.mode} ({len(judgments)} judgments):")
+        return "\n".join(out + judgments)
+
+    return EXIT_OK, render
 
 
-def _cmd_prove(args: argparse.Namespace) -> int:
+def _cmd_prove(args: argparse.Namespace) -> Result:
+    """``prove``, and ``check`` as ``prove --regular`` under its own
+    headings and with ``derivable`` in place of ``kind``."""
     sys_ = _load_system(args.file)
     j = parse_judgment(args.judgment)
     # A regular proof needs the bounded fixed point itself, so its
@@ -337,59 +300,51 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     else:
         kind = "wf"
         proof = prove_wf(sys_, j, interp=interp)
+    check, name = args.command == "check", render_term(j)
     if proof is None:
-        witness = level_witness(sys_, j, args.max_iters, interp=interp)
-        if args.format == "json":
-            print(_json_text({
-                "judgment": render_term(j),
-                "proof": None,
-                "kind": kind,
-                "witness": _witness_dict(witness),
-            }))
-        else:
-            print(f"NotDerivable: {render_term(j)} has no {kind} proof")
-            print(f"witness: {_witness_str(witness)}")
-        return EXIT_NEGATIVE
-    if args.format == "json":
-        print(_json_text({
-            "judgment": render_term(j),
-            "kind": kind,
-            "proof": proof_to_dict(proof, sys_),
-        }))
-    elif args.format == "dot":
-        if isinstance(proof, RegularProof):
-            print(_dot_regular(proof, sys_))
-        else:
-            print(_dot_wf(proof))
-    else:
-        lines = [f"{kind} proof of {render_term(j)}:"]
-        if isinstance(proof, RegularProof):
-            _render_regular(proof, sys_, lines)
-        else:
-            _render_wf(proof, lines)
-        print("\n".join(lines))
-    return EXIT_OK
+        text, doc = _witness(level_witness(sys_, j, args.max_iters,
+                                           interp=interp))
+        head = {"derivable": False} if check else {"proof": None, "kind": kind}
+        missing = "" if check else f" has no {kind} proof"
+        return EXIT_NEGATIVE, lambda fmt: (
+            {"judgment": name, **head, "witness": doc} if fmt == "json"
+            else f"NotDerivable: {name}{missing}\nwitness: {text}")
+
+    def render(fmt: str):
+        if fmt == "json":
+            head = {"derivable": True} if check else {"kind": kind}
+            return {"judgment": name, **head,
+                    "proof": proof_to_dict(proof, sys_)}
+        regular = isinstance(proof, RegularProof)
+        if fmt == "dot":
+            return _dot_regular(proof, sys_) if regular else _dot_wf(proof)
+        heading = (f"derivable: {name}\nregular proof:" if check
+                   else f"{kind} proof of {name}:")
+        body = (_render_regular(proof, sys_) if regular
+                else _write(proof, _wf_line))
+        return f"{heading}\n{body}"
+
+    return EXIT_OK, render
 
 
-def _cmd_bcp(args: argparse.Namespace) -> int:
+def _cmd_bcp(args: argparse.Namespace) -> Result:
     sys_ = _load_system(args.file)
     with open(args.specfile, "r", encoding="utf-8") as fh:
         candidate = frozenset(parse_judgments(fh.read()))
     verdict = bounded_coinduction(sys_, candidate, budget=args.max_iters)
-    if args.format == "json":
-        print(_json_text({
-            "accepted": verdict.accepted,
-            "candidate": [render_term(j) for j in sort_judgments(candidate)],
-            "failures": [{"judgment": render_term(j), "reason": r}
-                         for j, r in verdict.failures],
-        }))
-    elif verdict.accepted:
-        print(f"accepted ({len(candidate)} judgments)")
-    else:
-        print("rejected:")
-        for j, reason in verdict.failures:
-            print(f"  {render_term(j)}: {reason}")
-    return EXIT_OK if verdict.accepted else EXIT_NEGATIVE
+
+    def render(fmt: str):
+        if fmt == "json":
+            return {"accepted": verdict.accepted,
+                    "candidate": [render_term(j) for j in sort_judgments(candidate)],
+                    "failures": [{"judgment": render_term(j), "reason": r}
+                                 for j, r in verdict.failures]}
+        if verdict.accepted:
+            return f"accepted ({len(candidate)} judgments)"
+        return "\n".join(["rejected:"] + [f"  {render_term(j)}: {reason}"
+                                          for j, reason in verdict.failures])
+
+    return (EXIT_OK if verdict.accepted else EXIT_NEGATIVE), render
 
 
 def _parse_carries(text: str) -> tuple[int, ...]:
@@ -399,7 +354,8 @@ def _parse_carries(text: str) -> tuple[int, ...]:
         raise ValueError(f"carries must be comma-separated integers: {text!r}")
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> Result:
+    """Writes the rule file itself: it has no other format to render."""
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     kind = args.kind
@@ -434,7 +390,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             fh.write(rendered)
     else:
         sys.stdout.write(rendered)
-    return EXIT_OK
+    return EXIT_OK, None
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", metavar="FILE", help="rule file")
     p.add_argument("judgment", metavar="JUDGMENT", help="judgment term")
     _add_common(p, ("text", "json"))
-    p.set_defaults(fn=_cmd_check)
+    p.set_defaults(fn=_cmd_prove, regular=True, level=None)
 
     p = subs.add_parser("prove", help="build a proof object")
     p.add_argument("file", metavar="FILE", help="rule file")
@@ -518,31 +474,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (exception, label of its message on stderr, exit status), matched in order
+_ERRORS = (
+    (ParseError, "parse error", EXIT_USAGE),
+    (MalformedEquations, "malformed equations", EXIT_USAGE),
+    (ValueError, "error", EXIT_USAGE),
+    (RecursionError, "error: input nested too deeply", EXIT_USAGE),
+    (OSError, "io error", EXIT_USAGE),
+    (InstantiationTooLarge, "instantiation too large", EXIT_BUDGET),
+    (ClosureBudgetExceeded, "closure budget exceeded", EXIT_BUDGET),
+    (BudgetExceeded, "iteration budget exceeded", EXIT_BUDGET),
+)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except MalformedEquations as e:
-        print(f"malformed equations: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as e:
-        print(f"io error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except InstantiationTooLarge as e:
-        print(f"instantiation too large: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ClosureBudgetExceeded as e:
-        print(f"closure budget exceeded: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except BudgetExceeded as e:
-        print(f"iteration budget exceeded: {e}", file=sys.stderr)
-        return EXIT_BUDGET
+        status, render = args.fn(args)
+        if render is not None:
+            result = render(args.format)
+            print(result if isinstance(result, str) else _json_text(result))
+        return status
+    except tuple(cls for cls, _, _ in _ERRORS) as e:
+        label, status = next((label, status) for cls, label, status in _ERRORS
+                             if isinstance(e, cls))
+        print(f"{label}: {e}", file=sys.stderr)
+        return status
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ The tokenizer and token cursor defined here (:func:`tokenize`,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NoReturn, Optional
 
 from .engine import Rule, System, rule_key
@@ -40,10 +39,7 @@ from .terms import INF, FinSet, Num, Sym, Term, render_term
 
 __all__ = [
     "ParseError",
-    "SourceStatement",
-    "SourceSystem",
     "parse_system",
-    "parse_source",
     "parse_judgment",
     "parse_judgments",
     "render_system",
@@ -61,25 +57,6 @@ class ParseError(Exception):
         self.found = found
         want = " or ".join(expected)
         super().__init__(f"{line}:{column}: expected {want}, found {found}")
-
-
-@dataclass(frozen=True)
-class SourceStatement:
-    """A parsed rule plus where its statement started."""
-
-    rule: Rule
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class SourceSystem:
-    """Parse result that remembers source locations, for tooling."""
-
-    statements: tuple[SourceStatement, ...]
-
-    def system(self) -> System:
-        return System(s.rule for s in self.statements)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +285,11 @@ class _Parser:
             else:
                 return t, pos
 
-    def statements(self) -> list[tuple[int, Rule]]:
-        """Each rule with the index of its statement's first token."""
+    def statements(self) -> list[Rule]:
         toks = self.toks
-        out: list[tuple[int, Rule]] = []
+        out: list[Rule] = []
         pos = 0
         while toks[pos]:
-            first = pos
             # "co" is the co marker only when a term follows.
             co = toks[pos] == "co" and _starts_term(toks[pos + 1])
             conclusion, pos = self.term(pos + co)
@@ -326,7 +301,7 @@ class _Parser:
                 sep = ","
             if toks[pos] != ".":
                 self.fail(pos, ".")
-            out.append((first, Rule(conclusion, tuple(premises), co)))
+            out.append(Rule(conclusion, tuple(premises), co))
             pos += 1
         return out
 
@@ -349,17 +324,9 @@ class _Parser:
         return tuple(out)
 
 
-def parse_source(text: str) -> SourceSystem:
-    """Parse a whole ``.coax`` document, keeping statement locations."""
-    stmts = _Parser(text).statements()
-    toks = tokenize(text, COAX)
-    return SourceSystem(tuple(SourceStatement(rule, *toks[first][2:])
-                              for first, rule in stmts))
-
-
 def parse_system(text: str) -> System:
     """Parse a whole ``.coax`` document into a :class:`System`."""
-    return System(rule for _, rule in _Parser(text).statements())
+    return System(_Parser(text).statements())
 
 
 def parse_judgment(text: str) -> Term:

@@ -260,21 +260,26 @@ def _resolve(sys: System, ref: RuleRef) -> Optional[Rule]:
     return None
 
 
-def _check_tree(sys: System, node: WfProof, path: tuple[int, ...],
-                min_co_depth: Optional[int], out: list[Violation]) -> None:
-    rule = _resolve(sys, node.rule)
-    if rule is None:
-        out.append(Violation(path, node.judgment, "bad-rule-ref"))
-    else:
-        if rule.conclusion != node.judgment:
-            out.append(Violation(path, node.judgment, "conclusion-mismatch"))
-        had = sorted((c.judgment for c in node.children), key=term_key)
-        if tuple(had) != rule.premises:
-            out.append(Violation(path, node.judgment, "premise-mismatch"))
-        if node.rule.co and min_co_depth is not None and len(path) < min_co_depth:
-            out.append(Violation(path, node.judgment, "co-rule-depth"))
-    for i, child in enumerate(node.children):
-        _check_tree(sys, child, path + (i,), min_co_depth, out)
+def _check_tree(sys: System, proof: WfProof, min_co_depth: Optional[int],
+                out: list[Violation]) -> None:
+    """Violations in pre-order, each at its path of child indices."""
+    todo: list[tuple[WfProof, tuple[int, ...]]] = [(proof, ())]
+    while todo:
+        node, path = todo.pop()
+        children = node.children
+        rule = _resolve(sys, node.rule)
+        if rule is None:
+            out.append(Violation(path, node.judgment, "bad-rule-ref"))
+        else:
+            if rule.conclusion != node.judgment:
+                out.append(Violation(path, node.judgment, "conclusion-mismatch"))
+            had = sorted((c.judgment for c in children), key=term_key)
+            if tuple(had) != rule.premises:
+                out.append(Violation(path, node.judgment, "premise-mismatch"))
+            if node.rule.co and min_co_depth is not None and len(path) < min_co_depth:
+                out.append(Violation(path, node.judgment, "co-rule-depth"))
+        for i in range(len(children) - 1, -1, -1):
+            todo.append((children[i], path + (i,)))
 
 
 def validate(sys: System, proof: Union[WfProof, RegularProof], mode: str,
@@ -296,7 +301,7 @@ def validate(sys: System, proof: Union[WfProof, RegularProof], mode: str,
             if level is None or level < 0:
                 raise ValueError("approx validation needs level >= 0")
             min_co = level
-        _check_tree(sys, proof, (), min_co, out)
+        _check_tree(sys, proof, min_co, out)
         label = mode if mode == WF_EXTENDED else f"approx({level})"
         return ValidationReport(label, tuple(out))
     if mode == REGULAR_GENERATED:

@@ -1,0 +1,110 @@
+"""Recorded CLI invocations: argv -> exit status, stdout and stderr.
+
+``tests/data/cli_golden.json`` holds the input files and, for each
+argv, what ``coaxiom.cli.main`` answered; ``test_cli`` replays them.
+After an intended change of output, rewrite the file with::
+
+    PYTHONPATH=src python tests/cli_golden.py
+
+and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "cli_golden.json"
+
+
+def ladder(k: int) -> str:
+    """x_i rests on y_i and z_i, which both rest on x_(i-1); a coaxiom
+    closes the ladder.  The wf proof of x_k has 2^(k+2) - 3 nodes but
+    only 3k + 1 distinct subproofs."""
+    lines = [f"x0 <- x{k}.", "co x0."]
+    for i in range(1, k + 1):
+        lines += [f"x{i} <- y{i}, z{i}.", f"y{i} <- x{i - 1}.",
+                  f"z{i} <- x{i - 1}."]
+    return "\n".join(lines) + "\n"
+
+
+# Input files, written into the working directory of the replay.
+FILES = {
+    "cycle.coax": (DATA / "cycle.coax").read_text(),
+    "ladder3.coax": ladder(3),
+    "accept.spec": "visit(a,{a,b}). visit(b,{a,b}). visit(c,{c}).\n",
+    "reject.spec": "visit(a,{a}). visit(c,{c}). visit(a,{a,b,c}).\n",
+    "bad.coax": "p <- .",
+}
+
+# (file, member, non-member)
+SUBJECTS = [("cycle.coax", "visit(a,{a,b})", "visit(a,{a})"),
+            ("ladder3.coax", "x3", "w")]
+
+
+def cases() -> list[list[str]]:
+    out = []
+    for f, _, _ in SUBJECTS:
+        for mode in ("ind", "coind", "generated"):
+            for trace in ([], ["--trace"]):
+                for fmt in ("text", "json"):
+                    out.append([mode, f, *trace, "--format", fmt])
+    for f, member, other in SUBJECTS:
+        for j in (member, other):
+            for fmt in ("text", "json"):
+                out.append(["check", f, j, "--format", fmt])
+    for j in ("visit(a,{a,b})", "visit(a,{a,b,c})"):
+        for flags in ([], ["--level", "1"], ["--regular"]):
+            for fmt in ("text", "json", "dot"):
+                out.append(["prove", "cycle.coax", j, *flags, "--format", fmt])
+    for flags in ([], ["--level", "3"], ["--regular"]):
+        out.append(["prove", "ladder3.coax", "x3", *flags])
+    out += [["prove", "cycle.coax", "visit(a,{a})", "--level", "2"],
+            ["bcp", "cycle.coax", "accept.spec"],
+            ["bcp", "cycle.coax", "accept.spec", "--format", "json"],
+            ["bcp", "cycle.coax", "reject.spec"],
+            ["bcp", "cycle.coax", "reject.spec", "--format", "json"],
+            ["generated", "bad.coax"],
+            ["check", "missing.coax", "p"],
+            ["generated", "cycle.coax", "--max-iters", "1"]]
+    return out
+
+
+def write_files(directory: Path) -> None:
+    for name, text in FILES.items():
+        (directory / name).write_text(text)
+
+
+def invoke(argv: list[str]) -> dict:
+    """Run ``main`` in the current directory; capture what it prints."""
+    from coaxiom.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"argv": argv, "code": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
+def record(directory: Path) -> dict:
+    write_files(directory)
+    here = os.getcwd()
+    os.chdir(directory)
+    try:
+        return {"files": FILES, "runs": [invoke(argv) for argv in cases()]}
+    finally:
+        os.chdir(here)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = record(Path(tmp))
+    GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {len(doc['runs'])} runs to {GOLDEN}", file=sys.stderr)

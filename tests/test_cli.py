@@ -8,6 +8,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+import cli_golden
+
 from coaxiom import (RegularProof, parse_judgment, parse_system,
                      proof_from_dict, proof_to_dict, prove_approx,
                      prove_regular, prove_wf, render_term, sort_judgments)
@@ -166,17 +168,6 @@ def test_prove_level_and_regular_conflict(cycle):
     assert exc.value.code == 2
 
 
-def _ladder(k: int) -> str:
-    """x_i rests on y_i and z_i, which both rest on x_(i-1); a coaxiom
-    closes the ladder.  The wf proof of x_k has 2^(k+2) - 3 nodes but
-    only 3k + 1 distinct subproofs."""
-    lines = [f"x0 <- x{k}.", "co x0."]
-    for i in range(1, k + 1):
-        lines += [f"x{i} <- y{i}, z{i}.", f"y{i} <- x{i - 1}.",
-                  f"z{i} <- x{i - 1}."]
-    return "\n".join(lines) + "\n"
-
-
 def _unshared_dict(proof, sys_) -> dict:
     """proof_to_dict as a plain recursive tree walk: a fresh dict for
     every occurrence of a subproof."""
@@ -198,7 +189,7 @@ def _unshared_dict(proof, sys_) -> dict:
 
 
 def test_shared_subproofs_print_as_the_full_tree(tmp_path, capsys):
-    text = _ladder(8)
+    text = cli_golden.ladder(8)
     f = tmp_path / "ladder.coax"
     f.write_text(text)
     sys_, top = parse_system(text), parse_judgment("x8")
@@ -282,7 +273,7 @@ def _dot_cycle(proof, sys_):
 
 @pytest.mark.parametrize("top", ["x6", "y3", "x0"])
 def test_text_and_dot_proofs_match_the_recursive_tree_walks(tmp_path, capsys, top):
-    text = _ladder(6)
+    text = cli_golden.ladder(6)
     f = tmp_path / "ladder.coax"
     f.write_text(text)
     sys_, j = parse_system(text), parse_judgment(top)
@@ -352,6 +343,18 @@ def test_gen_lambda_reads_deep_parentheses(tmp_path, capsys):
     code, want, _ = run(capsys, "gen", "lambda", str(plain))
     assert code == 0 and want
     assert run(capsys, "gen", "lambda", str(wrapped)) == (0, want, "")
+
+
+@pytest.mark.parametrize("binders", [500, 1500])
+def test_too_deep_input_is_a_usage_error(tmp_path, capsys, binders):
+    # The lambda walks of ``gen lambda`` still recurse; a RecursionError
+    # must not end in a traceback and exit status 1 ("not derivable").
+    f = tmp_path / "deep.lam"
+    f.write_text("\\x. " * binders + "x\n")
+    code, out, err = run(capsys, "gen", "lambda", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: input nested too deeply: ")
+    assert err.count("\n") == 1
 
 
 json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
@@ -498,3 +501,22 @@ def test_judgments_print_in_canonical_order(cycle, capsys):
     body = out.splitlines()[1:]
     parsed = [parse_judgment(s) for s in body]
     assert parsed == sort_judgments(parsed)
+
+
+# ---------------------------------------------------------------------------
+# recorded runs (rewrite with ``PYTHONPATH=src python tests/cli_golden.py``)
+
+GOLDEN = json.loads(cli_golden.GOLDEN.read_text())
+
+
+def test_recorded_runs_cover_the_listed_cases():
+    assert [r["argv"] for r in GOLDEN["runs"]] == cli_golden.cases()
+    assert GOLDEN["files"] == cli_golden.FILES
+
+
+@pytest.mark.parametrize("recorded", GOLDEN["runs"],
+                         ids=[" ".join(r["argv"]) for r in GOLDEN["runs"]])
+def test_cli_output_matches_the_recorded_run(tmp_path, monkeypatch, recorded):
+    cli_golden.write_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert cli_golden.invoke(recorded["argv"]) == recorded

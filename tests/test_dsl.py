@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from coaxiom import (INF, ParseError, Rule, System, finset, num,
-                     parse_judgment, parse_judgments, parse_source,
-                     parse_system, render_rule, render_system, sym)
+                     parse_judgment, parse_judgments, parse_system,
+                     render_rule, render_system, sym)
 
 P, Q = sym("p"), sym("q")
 
@@ -187,8 +187,3 @@ def test_integers_are_ascii_digits(text, column, found):
     assert error_fields(parse_system, text + ".") == \
         (1, column, ("statement", "term"), found)
 
-
-def test_source_system_remembers_positions():
-    src = parse_source("p.\n  q <- p.")
-    assert [(s.line, s.column) for s in src.statements] == [(1, 1), (2, 3)]
-    assert src.system() == parse_system("p. q <- p.")

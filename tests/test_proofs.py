@@ -15,6 +15,7 @@ from coaxiom import (APPROX, REGULAR_GENERATED, RegularProof, Rule, RuleRef,
                      System, WF_EXTENDED, WfProof, bound, generated,
                      proof_from_dict, proof_to_dict, prove_approx,
                      prove_regular, prove_wf, sym, validate)
+from coaxiom.terms import term_key
 
 P, Q, R = sym("p"), sym("q"), sym("r")
 
@@ -181,6 +182,51 @@ def test_violation_paths_point_at_the_node():
     report = validate(LADDER, rebuilt, WF_EXTENDED)
     paths = {v.path for v in report.violations}
     assert (0, 0) in paths
+
+
+def _recursive_violations(sys_, node, path=(), min_co=None):
+    """The tree check as a plain recursive walk: (path, judgment, reason)."""
+    out = []
+    rules = sys_.co_rules if node.rule.co else sys_.regular_rules
+    rule = rules[node.rule.index] if 0 <= node.rule.index < len(rules) else None
+    if rule is None:
+        out.append((path, node.judgment, "bad-rule-ref"))
+    else:
+        if rule.conclusion != node.judgment:
+            out.append((path, node.judgment, "conclusion-mismatch"))
+        if tuple(sorted((c.judgment for c in node.children), key=term_key)) != rule.premises:
+            out.append((path, node.judgment, "premise-mismatch"))
+        if node.rule.co and min_co is not None and len(path) < min_co:
+            out.append((path, node.judgment, "co-rule-depth"))
+    for i, child in enumerate(node.children):
+        out += _recursive_violations(sys_, child, path + (i,), min_co)
+    return out
+
+
+def test_violations_keep_their_paths_in_pre_order():
+    co_p = WfProof(P, RuleRef(0, True))
+    bad = WfProof(R, RuleRef(7, False))
+    tree = WfProof(P, RuleRef(0), (
+        WfProof(Q, RuleRef(1), (bad, co_p)),
+        WfProof(P, RuleRef(1), (WfProof(Q, RuleRef(0), (bad,)), co_p)),
+        co_p))
+    for mode, level in ((WF_EXTENDED, None), (APPROX, 0), (APPROX, 2), (APPROX, 3)):
+        got = [(v.path, v.judgment, v.reason)
+               for v in validate(CHAIN, tree, mode, level=level).violations]
+        assert got == _recursive_violations(CHAIN, tree, min_co=level)
+        assert len(got) >= 7
+
+
+def test_a_3000_deep_wf_proof_validates():
+    n = 3000
+    cycle = System([Rule(sym(f"c{i}"), (sym(f"c{(i + 1) % n}"),)) for i in range(n)]
+                   + [Rule(sym("c0"), co=True)])
+    proof = prove_wf(cycle, sym("c1"))
+    assert validate(cycle, proof, WF_EXTENDED).ok
+    assert validate(cycle, proof, APPROX, level=n - 1).ok
+    report = validate(cycle, proof, APPROX, level=n)
+    assert [(len(v.path), v.judgment, v.reason) for v in report.violations] \
+        == [(n - 1, sym("c0"), "co-rule-depth")]
 
 
 # ---------------------------------------------------------------------------
