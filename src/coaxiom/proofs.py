@@ -19,12 +19,13 @@ system, reporting every offending node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 from .engine import (DEFAULT_BUDGET, Interpretation, Rule, System, analyse,
                      bound, generated, rule_key)
-from .terms import Term, render_term, term_key
+from .terms import Term, _Frozen, _set, render_term, term_key
 
 __all__ = [
     "RuleRef",
@@ -52,17 +53,47 @@ class RuleRef:
     co: bool = False
 
 
-@dataclass(frozen=True)
-class WfProof:
+# One table for every proof node ever built, keyed by judgment, rule
+# index, co flag and children; judgments and children are interned, so
+# the key compares them by identity.
+_NODES: dict[tuple, "WfProof"] = {}
+
+
+class WfProof(_Frozen):
     """Well-founded proof tree node.
 
     Children appear in canonical premise order; their judgments are
     exactly the premises of the referenced rule.
+
+    Nodes are interned like terms: building a node equal to one built
+    before returns that same object, so equal subproofs are shared,
+    ``==`` is identity and the hash is the identity hash.  Nodes are
+    immutable; ``copy``, ``deepcopy`` and pickling give back the
+    interned node, and the table keeps every node for as long as the
+    process lives.
     """
 
-    judgment: Term
-    rule: RuleRef
-    children: tuple["WfProof", ...] = ()
+    __slots__ = ("judgment", "rule", "children")
+
+    def __new__(cls, judgment: Term, rule: RuleRef,
+                children: tuple["WfProof", ...] = ()):
+        children = tuple(children)
+        key = (judgment, rule.index, rule.co, children)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = object.__new__(cls)
+            _set(node, "judgment", judgment)
+            _set(node, "rule", rule)
+            _set(node, "children", children)
+        return node
+
+    def __repr__(self) -> str:
+        # Children by their judgments only: a shared subtree is never
+        # expanded, and nothing recurses.
+        kids = [f"<proof of {render_term(c.judgment)}>" for c in self.children]
+        shown = ", ".join(kids) + ("," if len(kids) == 1 else "")
+        return (f"WfProof(judgment={self.judgment!r}, rule={self.rule!r}, "
+                f"children=({shown}))")
 
 
 @dataclass(frozen=True, eq=True)
@@ -262,24 +293,49 @@ def _resolve(sys: System, ref: RuleRef) -> Optional[Rule]:
 
 def _check_tree(sys: System, proof: WfProof, min_co_depth: Optional[int],
                 out: list[Violation]) -> None:
-    """Violations in pre-order, each at its path of child indices."""
+    """Violations in pre-order, each at its path of child indices.
+
+    Each distinct node is checked once, after its children: its own
+    structural violations, whether its subtree holds any, and the least
+    depth of a co-rule node in it (0 at the node itself).  The walk
+    over paths then enters only the subtrees that can still report
+    something, so a valid proof costs time in its distinct nodes.
+    """
+    limit = -1 if min_co_depth is None else min_co_depth
+    # node -> (own structural reasons, any violation below, co depth)
+    info: dict[WfProof, tuple[list[str], bool, float]] = {}
+    for node in _postorder(proof, lambda node: node.children):
+        children = node.children
+        rule = _resolve(sys, node.rule)
+        reasons: list[str] = []
+        if rule is None:
+            reasons.append("bad-rule-ref")
+        else:
+            if rule.conclusion != node.judgment:
+                reasons.append("conclusion-mismatch")
+            had = sorted((c.judgment for c in children), key=term_key)
+            if tuple(had) != rule.premises:
+                reasons.append("premise-mismatch")
+        if node.rule.co and rule is not None:
+            co_depth = 0
+        else:
+            co_depth = min((info[c][2] for c in children), default=math.inf) + 1
+        info[node] = (reasons, bool(reasons) or any(info[c][1] for c in children),
+                      co_depth)
     todo: list[tuple[WfProof, tuple[int, ...]]] = [(proof, ())]
     while todo:
         node, path = todo.pop()
+        reasons, _, co_depth = info[node]
+        for reason in reasons:
+            out.append(Violation(path, node.judgment, reason))
+        if co_depth == 0 and len(path) < limit:
+            out.append(Violation(path, node.judgment, "co-rule-depth"))
+        depth = len(path) + 1
         children = node.children
-        rule = _resolve(sys, node.rule)
-        if rule is None:
-            out.append(Violation(path, node.judgment, "bad-rule-ref"))
-        else:
-            if rule.conclusion != node.judgment:
-                out.append(Violation(path, node.judgment, "conclusion-mismatch"))
-            had = sorted((c.judgment for c in children), key=term_key)
-            if tuple(had) != rule.premises:
-                out.append(Violation(path, node.judgment, "premise-mismatch"))
-            if node.rule.co and min_co_depth is not None and len(path) < min_co_depth:
-                out.append(Violation(path, node.judgment, "co-rule-depth"))
         for i in range(len(children) - 1, -1, -1):
-            todo.append((children[i], path + (i,)))
+            _, below, co_depth = info[children[i]]
+            if below or depth + co_depth < limit:
+                todo.append((children[i], path + (i,)))
 
 
 def validate(sys: System, proof: Union[WfProof, RegularProof], mode: str,
@@ -406,8 +462,9 @@ def proof_from_dict(d: dict) -> Union[WfProof, RegularProof]:
     A tree without back-references loads as a :class:`WfProof`; one
     with back-references loads as the :class:`RegularProof` whose choice
     map collects the expanded nodes.  Each distinct judgment string is
-    parsed once, and a node dict shared in ``d`` loads as one shared
-    :class:`WfProof` node.
+    parsed once, and each distinct node dict is built once; nodes are
+    interned, so equal subtrees load as one shared :class:`WfProof`
+    node, whether or not their dicts are shared in ``d``.
     """
     from .dsl import parse_judgment
 
@@ -419,19 +476,38 @@ def proof_from_dict(d: dict) -> Union[WfProof, RegularProof]:
             t = parsed[text] = parse_judgment(text)
         return t
 
+    # Depth-first over the distinct node dicts; a node is built when the
+    # None pushed above its children comes back up, so after them.
+    refs: dict[tuple, RuleRef] = {}
+    built: dict[int, WfProof] = {}
+    todo: list = [d]
+    while todo:
+        nd = todo.pop()
+        if nd is None:
+            nd = todo.pop()
+        elif id(nd) in built:
+            continue
+        elif nd.get("back"):
+            break
+        elif nd.get("children"):
+            todo += (nd, None)
+            todo += nd["children"]
+            continue
+        kids = nd.get("children", ())
+        ref_key = (nd["rule"], nd.get("co"))
+        ref = refs.get(ref_key)
+        if ref is None:
+            ref = refs[ref_key] = RuleRef(ref_key[0], bool(ref_key[1]))
+        built[id(nd)] = WfProof(judgment(nd["judgment"]), ref,
+                                tuple([built[id(c)] for c in kids]))
+    else:
+        return built[id(d)]
     nodes = list(_postorder(
         d, lambda nd: () if nd.get("back") else nd.get("children", ())))
-    if any(nd.get("back") for nd in nodes):
-        # Filled in pre-order: a judgment expanded twice keeps the rule
-        # of its last expansion in document order.
-        choice: dict[Term, int] = {}
-        for nd in reversed(nodes):
-            if not nd.get("back"):
-                choice[judgment(nd["judgment"])] = nd["rule"]
-        return RegularProof(judgment(d["judgment"]), choice)
-    built: dict[int, WfProof] = {}
-    for nd in nodes:
-        built[id(nd)] = WfProof(
-            judgment(nd["judgment"]), RuleRef(nd["rule"], bool(nd.get("co"))),
-            tuple(built[id(c)] for c in nd.get("children", ())))
-    return built[id(d)]
+    # Filled in pre-order: a judgment expanded twice keeps the rule of
+    # its last expansion in document order.
+    choice: dict[Term, int] = {}
+    for nd in reversed(nodes):
+        if not nd.get("back"):
+            choice[judgment(nd["judgment"])] = nd["rule"]
+    return RegularProof(judgment(d["judgment"]), choice)

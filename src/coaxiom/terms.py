@@ -45,15 +45,11 @@ __all__ = [
 _set = object.__setattr__
 
 
-class _Interned:
-    """Shared behaviour of the four constructors: frozen, copied as
-    itself, and shown and pickled by the fields in its ``__slots__``."""
+class _Frozen:
+    """Frozen, copied as itself, and pickled by the fields in its
+    ``__slots__``: the behaviour every interned value shares."""
 
-    __slots__ = ("_key", "_text")
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in type(self).__slots__)
-        return f"{type(self).__name__}({shown})"
+    __slots__ = ()
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in type(self).__slots__)
@@ -69,6 +65,37 @@ class _Interned:
 
     def __deepcopy__(self, memo):
         return self
+
+
+class _Interned(_Frozen):
+    """Shared behaviour of the four constructors, shown by the fields
+    in their ``__slots__``."""
+
+    __slots__ = ("_key", "_text")
+
+    def __repr__(self) -> str:
+        # Pieces of text and terms still to show, next one last.
+        out: list[str] = []
+        todo: list = [self]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, str):
+                out.append(t)
+                continue
+            seq: list = [f"{type(t).__name__}("]
+            for n, f in enumerate(type(t).__slots__):
+                value = getattr(t, f)
+                seq.append(f"{', ' if n else ''}{f}=")
+                if isinstance(value, tuple):
+                    seq.append("(")
+                    for i, item in enumerate(value):
+                        seq += (", ", item) if i else (item,)
+                    seq.append(",)" if len(value) == 1 else ")")
+                else:
+                    seq.append(repr(value))
+            seq.append(")")
+            todo += reversed(seq)
+        return "".join(out)
 
 
 def _intern(cls, key: tuple, text, **fields):

@@ -208,6 +208,24 @@ def test_shared_subproofs_print_as_the_full_tree(tmp_path, capsys):
     assert wf_nodes == 2 ** (8 + 2) - 3
 
 
+def test_a_loaded_wf_proof_shares_its_equal_subtrees(tmp_path, capsys):
+    # The k = 12 ladder's JSON proof is a tree of 2^14 - 3 node dicts
+    # holding 3k + 1 distinct subproofs.
+    f = tmp_path / "ladder.coax"
+    f.write_text(cli_golden.ladder(12))
+    code, out, _ = run(capsys, "prove", str(f), "x12", "--format", "json")
+    assert code == 0
+    proof = proof_from_dict(json.loads(out)["proof"])
+    assert proof is prove_wf(parse_system(cli_golden.ladder(12)), parse_judgment("x12"))
+    seen, todo = set(), [proof]
+    while todo:
+        node = todo.pop()
+        if node not in seen:
+            seen.add(node)
+            todo += node.children
+    assert len(seen) == 3 * 12 + 1
+
+
 def test_a_600_deep_regular_proof_prints_as_json(tmp_path, capsys):
     n = 600
     text = "".join(f"c{i} <- c{(i + 1) % n}.\n" for i in range(n)) + "co c0.\n"

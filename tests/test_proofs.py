@@ -7,14 +7,19 @@ for the regular proofs.
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
+import random
+import time
 
 import pytest
 
+import cli_golden
 from coaxiom import (APPROX, REGULAR_GENERATED, RegularProof, Rule, RuleRef,
                      System, WF_EXTENDED, WfProof, bound, generated,
-                     proof_from_dict, proof_to_dict, prove_approx,
-                     prove_regular, prove_wf, sym, validate)
+                     parse_system, proof_from_dict, proof_to_dict,
+                     prove_approx, prove_regular, prove_wf, sym, validate)
 from coaxiom.terms import term_key
 
 P, Q, R = sym("p"), sym("q"), sym("r")
@@ -227,6 +232,114 @@ def test_a_3000_deep_wf_proof_validates():
     report = validate(cycle, proof, APPROX, level=n)
     assert [(len(v.path), v.judgment, v.reason) for v in report.violations] \
         == [(n - 1, sym("c0"), "co-rule-depth")]
+
+
+def _random_shared_proof(rng, size=8):
+    """A proof of CHAIN-judgments whose nodes reuse earlier nodes as
+    children, so subtrees are shared.  About half of the nodes follow a
+    rule of CHAIN, so whole subtrees can be valid; the others take any
+    rule reference, including out-of-range ones of either list."""
+    pool = []
+    judgments = (P, Q, R, sym("zap"))
+    for _ in range(size):
+        co = rng.random() < 0.4
+        rules = CHAIN.co_rules if co else CHAIN.regular_rules
+        index = rng.randrange(-1, len(rules) + 2)
+        if pool and 0 <= index < len(rules) and rng.random() < 0.5:
+            rule = rules[index]
+            kids = [[n for n in pool if n.judgment == p] for p in rule.premises]
+            if all(kids):
+                pool.append(WfProof(rule.conclusion, RuleRef(index, co),
+                                    tuple(rng.choice(k[-3:]) for k in kids)))
+                continue
+        kids = tuple(rng.choice(pool[-4:]) for _ in range(rng.randrange(3))) if pool else ()
+        pool.append(WfProof(rng.choice(judgments), RuleRef(index, co), kids))
+    return pool[-1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_validate_matches_the_recursive_check_on_shared_proofs(seed):
+    rng = random.Random(seed)
+    modes = [(WF_EXTENDED, None)] + [(APPROX, n) for n in range(5)]
+    for _ in range(150):
+        proof = _random_shared_proof(rng, rng.randrange(1, 10))
+        for mode, level in modes:
+            got = [(v.path, v.judgment, v.reason)
+                   for v in validate(CHAIN, proof, mode, level=level).violations]
+            assert got == _recursive_violations(CHAIN, proof, min_co=level)
+        assert proof_from_dict(json.loads(json.dumps(proof_to_dict(proof)))) is proof
+
+
+def test_an_out_of_range_co_rule_is_only_a_bad_reference():
+    # The co-depth check skips a co node whose rule does not resolve,
+    # also when it sits above a resolvable co rule.
+    bad_co = WfProof(Q, RuleRef(7, True), (WfProof(R, RuleRef(2, True)),))
+    tree = WfProof(P, RuleRef(0), (bad_co,))
+    report = validate(CHAIN, tree, APPROX, level=3)
+    assert [(v.path, v.reason) for v in report.violations] == [
+        ((0,), "bad-rule-ref"), ((0, 0), "co-rule-depth")]
+    assert [(v.path, v.reason) for v in report.violations] == [
+        (path, reason) for path, _, reason in _recursive_violations(CHAIN, tree, min_co=3)]
+
+
+def _ladder(k):
+    return parse_system(cli_golden.ladder(k)), sym(f"x{k}")
+
+
+def test_validate_checks_each_shared_node_once():
+    # The k = 30 ladder's wf proof has 91 distinct nodes on 2^32 - 3
+    # paths; a valid proof is checked in its distinct nodes.
+    sys_, top = _ladder(30)
+    proof = prove_wf(sys_, top)
+    for mode, level in ((WF_EXTENDED, None), (APPROX, 30)):
+        start = time.perf_counter()
+        report = validate(sys_, proof, mode, level=level)
+        assert report.ok
+        assert time.perf_counter() - start < 0.1, mode
+
+
+# ---------------------------------------------------------------------------
+# interned proof nodes
+
+def test_equal_nodes_are_one_object():
+    leaf = WfProof(R, RuleRef(0))
+    assert WfProof(Q, RuleRef(1), (leaf,)) is WfProof(Q, RuleRef(1), (leaf,))
+    assert WfProof(Q, RuleRef(1), [leaf]) is WfProof(Q, RuleRef(1, False), (leaf,))
+    assert WfProof(Q, RuleRef(1), (leaf,)) is not WfProof(Q, RuleRef(1, True), (leaf,))
+    sys_, top = _ladder(30)
+    assert prove_wf(sys_, top) is prove_wf(sys_, top)
+    assert prove_approx(sys_, top, 5) is prove_approx(sys_, top, 5)
+
+
+def test_nodes_are_frozen_and_copy_as_themselves():
+    proof = prove_wf(LADDER, P)
+    assert copy.copy(proof) is proof
+    assert copy.deepcopy(proof) is proof
+    assert pickle.loads(pickle.dumps(proof)) is proof
+    with pytest.raises(AttributeError):
+        proof.judgment = Q
+    with pytest.raises(AttributeError):
+        del proof.children
+
+
+def test_repr_shows_children_by_judgment():
+    proof = prove_wf(LADDER, P)
+    assert repr(proof) == ("WfProof(judgment=Sym(name='p', args=()), "
+                           "rule=RuleRef(index=2, co=False), children=(<proof of q>,))")
+    assert repr(WfProof(R, RuleRef(0))) == \
+        "WfProof(judgment=Sym(name='r', args=()), rule=RuleRef(index=0, co=False), children=())"
+    sys_, top = _ladder(30)
+    assert repr(prove_wf(sys_, top)).endswith("children=(<proof of y30>, <proof of z30>))")
+
+
+def test_a_3000_deep_proof_hashes_and_round_trips():
+    n = 3000
+    cycle = System([Rule(sym(f"c{i}"), (sym(f"c{(i + 1) % n}"),)) for i in range(n)]
+                   + [Rule(sym("c0"), co=True)])
+    proof = prove_wf(cycle, sym("c1"))
+    assert hash(proof) == hash(proof)
+    assert proof == proof_from_dict(proof_to_dict(proof))
+    assert {proof: 1}[prove_wf(cycle, sym("c1"))] == 1
 
 
 # ---------------------------------------------------------------------------

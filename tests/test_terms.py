@@ -104,6 +104,26 @@ def test_repr_names_the_fields():
     assert repr(finset(INF)) == "FinSet(elements=(Inf(),))"
 
 
+def test_repr_keeps_its_format_at_any_depth():
+    cases = {
+        sym("a"): "Sym(name='a', args=())",
+        num(-2): "Num(value=-2)",
+        finset(): "FinSet(elements=())",
+        sym("f", num(-1), INF): "Sym(name='f', args=(Num(value=-1), Inf()))",
+        finset(sym("a"), num(1), sym("a")):
+            "FinSet(elements=(Num(value=1), Sym(name='a', args=())))",
+        sym("g'", finset(finset()), sym("h", sym("b"))):
+            "Sym(name=\"g'\", args=(FinSet(elements=(FinSet(elements=()),)), "
+            "Sym(name='h', args=(Sym(name='b', args=()),))))",
+    }
+    for t, shown in cases.items():
+        assert repr(t) == shown
+    t = sym("a")
+    for _ in range(1500):
+        t = sym("s", t)
+    assert repr(t) == "Sym(name='s', args=(" * 1500 + "Sym(name='a', args=())" + ",))" * 1500
+
+
 def test_a_set_sorts_its_elements_once(monkeypatch):
     elements = (num(7), sym("b"), sym("a"))
     s = FinSet(elements)
