@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -173,29 +174,20 @@ def _dot_wf(proof: WfProof) -> str:
 
 
 def _dot_regular(proof: RegularProof, sys_: System) -> str:
-    """Nodes in canonical order; edges depth-first from the root, an
-    edge to a judgment already expanded dashed."""
-    ordered = sort_judgments(proof.choice)
+    """Nodes in canonical order; edges in the pre-order of
+    :func:`proof_to_dict`, an edge to a back-reference dashed."""
+    ordered = [render_term(j) for j in sort_judgments(proof.choice)]
     names = {j: f"n{i}" for i, j in enumerate(ordered)}
     lines = ["digraph proof {", "  rankdir=TB;"]
-    for j in ordered:
-        lines.append(f'  {names[j]} [label="{_dot_escape(render_term(j))}"];')
-    expanded = {proof.root}
-    ix = proof.choice[proof.root]
-    # Expanded judgments, innermost last: (judgment, rule, remaining premises).
-    stack = [(proof.root, ix, iter(sys_.regular_rules[ix].premises))]
-    while stack:
-        j, ix, premises = stack[-1]
-        p = next(premises, None)
-        if p is None:
-            stack.pop()
-        elif p in expanded:
-            lines.append(f'  {names[j]} -> {names[p]} [label="{ix}", style=dashed];')
-        else:
-            lines.append(f'  {names[j]} -> {names[p]} [label="{ix}"];')
-            expanded.add(p)
-            ip = proof.choice[p]
-            stack.append((p, ip, iter(sys_.regular_rules[ip].premises)))
+    lines += [f'  {names[j]} [label="{_dot_escape(j)}"];' for j in ordered]
+    todo = [(None, proof_to_dict(proof, sys_))]
+    while todo:
+        parent, node = todo.pop()
+        if parent is not None:
+            style = ", style=dashed" if node.get("back") else ""
+            lines.append(f'  {names[parent["judgment"]]} -> {names[node["judgment"]]}'
+                         f' [label="{parent["rule"]}"{style}];')
+        todo += ((node, c) for c in reversed(node.get("children", ())))
     lines.append("}")
     return "\n".join(lines)
 
@@ -348,10 +340,12 @@ def _cmd_bcp(args: argparse.Namespace) -> Result:
 
 
 def _parse_carries(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
+    """Integers ``-?[0-9]+`` in ASCII, as in every other input language;
+    whitespace around an item and empty items are ignored."""
+    items = [part.strip() for part in text.split(",") if part.strip()]
+    if not all(re.fullmatch(r"-?[0-9]+", item) for item in items):
         raise ValueError(f"carries must be comma-separated integers: {text!r}")
+    return tuple(map(int, items))
 
 
 def _cmd_gen(args: argparse.Namespace) -> Result:
@@ -396,8 +390,16 @@ def _cmd_gen(args: argparse.Namespace) -> Result:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _count(text: str) -> int:
+    """The type of every budget and cap option: an integer >= 0, in
+    ASCII digits like every other integer input."""
+    if not re.fullmatch(r"[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    p.add_argument("--max-iters", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--max-iters", type=_count, default=DEFAULT_BUDGET,
                    metavar="N", help="iteration budget for fixpoint loops")
     p.add_argument("--format", choices=formats, default="text",
                    help="output format")
@@ -452,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", metavar="INPUT", help="input description file")
     p.add_argument("-o", "--output", metavar="OUT",
                    help="write the rule file here instead of stdout")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, metavar="N",
+    p.add_argument("--cap", type=_count, default=DEFAULT_CAP, metavar="N",
                    help="maximum number of grounded rules")
     p.add_argument("--target", metavar="NODE",
                    help="target node (dist, minpath)")
@@ -467,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--carries", metavar="C1,C2,...",
                    help=f"allowed carries (add); default "
                         f"{','.join(map(str, DEFAULT_CARRIES))}")
-    p.add_argument("--budget", type=int, default=DEFAULT_CLOSURE_BUDGET,
+    p.add_argument("--budget", type=_count, default=DEFAULT_CLOSURE_BUDGET,
                    metavar="N", help="closure size budget (lambda)")
     p.set_defaults(fn=_cmd_gen)
 

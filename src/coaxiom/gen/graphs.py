@@ -76,22 +76,27 @@ def simple_paths_to(g: Graph, target: str,
     adj = {v: [e.dst for e in g.successors(v)] for v in g.nodes}
     out: dict[str, list[tuple[str, ...]]] = {v: [] for v in g.nodes}
     total = 0
-
-    def dfs(node: str, path: list[str]) -> None:
-        nonlocal total
-        if node == target:
-            out[path[0]].append(tuple(path))
-            total += 1
-            guard_cap(total, cap)
-            return
-        for nxt in adj[node]:
-            if nxt not in path:
-                path.append(nxt)
-                dfs(nxt, path)
-                path.pop()
-
     for v in sorted(g.nodes):
-        dfs(v, [v])
+        # Depth-first with its own stack: todo[0] yields the start node
+        # and todo[i] the successors of path[i - 1].  A path ends at the
+        # target.
+        path: list[str] = []
+        on_path: set[str] = set()
+        todo = [iter((v,))]
+        while todo:
+            node = next(todo[-1], None)
+            if node is None:
+                todo.pop()
+                if todo:
+                    on_path.remove(path.pop())
+            elif node == target:
+                out[v].append((*path, node))
+                total += 1
+                guard_cap(total, cap)
+            elif node not in on_path:
+                path.append(node)
+                on_path.add(node)
+                todo.append(iter(adj[node]))
     return out
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .engine import (DEFAULT_BUDGET, Interpretation, Rule, System, analyse,
                      bound, generated, rule_key)
@@ -127,43 +127,60 @@ class ValidationReport:
 # construction
 
 
-def _candidates(sys: System, j: Term) -> list[tuple[RuleRef, Rule]]:
-    """All rules concluding j, canonically ordered, regular before co."""
-    cands = [(RuleRef(i, False), sys.regular_rules[i])
-             for i in sys.by_conclusion.get(j, ())]
-    cands += [(RuleRef(i, True), sys.co_rules[i])
-              for i in sys.co_rules_for(j)]
-    cands.sort(key=lambda pair: rule_key(pair[1]))
-    return cands
+def _least(sys: System, j: Term, admissible: Callable[[Term], bool],
+           co: bool = False) -> tuple[Rule, int]:
+    """The canonically least rule concluding ``j`` whose premises all
+    pass ``admissible``, with its index in its list.  Regular rules come
+    before co rules at a tie, and co rules compete only when ``co`` is
+    set."""
+    rules = sys.regular_rules
+    ok = [(rules[i], i) for i in sys.by_conclusion.get(j, ())
+          if all(map(admissible, rules[i].premises))]
+    if co:
+        ok += [(sys.co_rules[i], i) for i in sys.co_rules_for(j)
+               if all(map(admissible, sys.co_rules[i].premises))]
+    if not ok:
+        raise AssertionError(f"no admissible rule for {render_term(j)}")
+    # Usually one rule is admissible; it needs no key.
+    return ok[0] if len(ok) == 1 else min(ok, key=lambda pair: rule_key(pair[0]))
 
 
-def _build_wf(sys: System, entered: Mapping[Term, int], j: Term,
-              memo: dict[Term, WfProof]) -> WfProof:
-    """The proof of ``j`` from the entry layers, sharing ``memo``.
+def _build(sys: System, entered: Mapping[Term, int],
+           dropped: Mapping[Term, int], j: Term, n: int) -> WfProof:
+    """The level-``n`` proof of ``j``: level 0 is the well-founded proof.
 
-    Each judgment is proved by the canonically least rule whose premises
-    all entered in earlier layers.  The rules are picked from ``j``
-    down; the nodes are then built in the order of the entry layers, so
-    every premise's node exists before the nodes that use it.
+    At every depth below ``n`` a judgment takes the least regular rule
+    whose premises are in the bound and survive one round less; from
+    depth ``n`` on, it takes the least rule of the extended system whose
+    premises all entered the bound in earlier layers.  The rules are
+    picked from ``j`` down, then the nodes are built from the leaves up:
+    by level, and at level 0 by entry layer, so every premise's node
+    exists before the nodes that use it.
     """
-    picked: dict[Term, tuple[RuleRef, Rule]] = {}
-    todo = [j]
+    picked: dict[tuple[Term, int], tuple[Rule, int]] = {}
+    todo = [(j, n)]
     while todo:
-        g = todo.pop()
-        if g in picked or g in memo:
+        key = todo.pop()
+        if key in picked:
             continue
-        k = entered[g]
-        for ref, rule in _candidates(sys, g):
-            if all(p in entered and entered[p] < k for p in rule.premises):
-                picked[g] = ref, rule
-                todo += rule.premises
-                break
+        g, k = key
+        if k:
+            # Premises must survive k - 1 rounds: in the bound and not
+            # dropped before round k.
+            pick = _least(sys, g, lambda p: p in entered and dropped.get(p, k) >= k)
         else:
-            raise AssertionError(f"no admissible rule for {render_term(g)} at layer {k}")
-    for g in sorted(picked, key=entered.__getitem__):
-        ref, rule = picked[g]
-        memo[g] = WfProof(g, ref, tuple(memo[p] for p in rule.premises))
-    return memo[j]
+            layer = entered[g]
+            pick = _least(sys, g, lambda p: entered.get(p, layer) < layer, co=True)
+        picked[key] = pick
+        below = k - 1 if k else 0
+        todo += [(p, below) for p in pick[0].premises]
+    built: dict[tuple[Term, int], WfProof] = {}
+    for g, k in sorted(picked, key=lambda key: (key[1], entered[key[0]])):
+        rule, i = picked[g, k]
+        below = k - 1 if k else 0
+        built[g, k] = WfProof(g, RuleRef(i, rule.co),
+                              tuple([built[p, below] for p in rule.premises]))
+    return built[j, n]
 
 
 def prove_wf(sys: System, j: Term, budget: int = DEFAULT_BUDGET,
@@ -179,7 +196,7 @@ def prove_wf(sys: System, j: Term, budget: int = DEFAULT_BUDGET,
     b = interp.phase1 if interp is not None else bound(sys, budget)
     if j not in b.judgments:
         return None
-    return _build_wf(sys, b.levels, j, {})
+    return _build(sys, b.levels, {}, j, 0)
 
 
 def prove_approx(sys: System, j: Term, n: int, budget: int = DEFAULT_BUDGET,
@@ -200,46 +217,7 @@ def prove_approx(sys: System, j: Term, n: int, budget: int = DEFAULT_BUDGET,
     a = interp if interp is not None else analyse(sys, budget)
     if j not in a.phase1.judgments or a.levels.get(j, n + 1) <= n:
         return None
-    return _canonical_build(sys, a, j, n)
-
-
-def _canonical_build(sys: System, a: Interpretation, j: Term, n: int) -> WfProof:
-    """The level-``n`` proof of ``j``: a regular rule at every depth
-    below ``n`` whose premises survive one round less, then the
-    well-founded proofs of the judgments left at depth ``n``.
-
-    Rules are picked level by level from ``n`` down, and the nodes are
-    built from level 0 up, each level from the one below it.
-    """
-    entered, dropped = a.phase1.levels, a.levels
-    rules = sys.regular_rules
-    ordered: dict[Term, list[int]] = {}
-    picks: list[dict[Term, int]] = []  # picks[n - k]: judgment -> rule at level k
-    need = {j}
-    for k in range(n, 0, -1):
-        chosen: dict[Term, int] = {}
-        below: set[Term] = set()
-        for g in need:
-            if g not in ordered:
-                ordered[g] = sorted(sys.by_conclusion.get(g, ()),
-                                    key=lambda i: rule_key(rules[i]))
-            # Premises must survive k - 1 rounds: in the bound and not
-            # dropped before round k.
-            for i in ordered[g]:
-                if all(p in entered and dropped.get(p, k) >= k for p in rules[i].premises):
-                    chosen[g] = i
-                    below.update(rules[i].premises)
-                    break
-            else:
-                raise AssertionError(f"no regular rule for {render_term(g)} at level {k}")
-        picks.append(chosen)
-        need = below
-    wf_memo: dict[Term, WfProof] = {}
-    built = {g: _build_wf(sys, entered, g, wf_memo) for g in need}
-    for chosen in reversed(picks):
-        built = {g: WfProof(g, RuleRef(i, False), tuple(built[p] for p in rules[i].premises))
-                 for g, i in chosen.items()}
-    return built[j]
+    return _build(sys, a.phase1.levels, a.levels, j, n)
 
 
 def prove_regular(sys: System, j: Term, budget: int = DEFAULT_BUDGET,
@@ -255,24 +233,13 @@ def prove_regular(sys: System, j: Term, budget: int = DEFAULT_BUDGET,
     g = interp if interp is not None else generated(sys, budget)
     if j not in g.judgments:
         return None
-    inside = g.judgments
     choice: dict[Term, int] = {}
     todo = [j]
     while todo:
         cur = todo.pop()
-        if cur in choice:
-            continue
-        picked = None
-        for i in sorted(sys.by_conclusion.get(cur, ()),
-                        key=lambda i: rule_key(sys.regular_rules[i])):
-            if sys._premise_sets[i] <= inside:
-                picked = i
-                break
-        if picked is None:
-            raise AssertionError(
-                f"{render_term(cur)} has no rule inside the bounded fixed point")
-        choice[cur] = picked
-        todo.extend(p for p in sys.regular_rules[picked].premises if p not in choice)
+        if cur not in choice:
+            rule, choice[cur] = _least(sys, cur, g.judgments.__contains__)
+            todo += rule.premises
     return RegularProof(j, choice)
 
 

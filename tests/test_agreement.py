@@ -11,9 +11,10 @@ from __future__ import annotations
 import random
 
 from coaxiom import (APPROX, DropsAtLevel, NotInBound, REGULAR_GENERATED,
-                     SurvivesTo, WF_EXTENDED, bound, bounded_coinduction,
-                     coind, generated, ind, kernel, level_witness,
-                     prove_approx, prove_regular, prove_wf, validate)
+                     Rule, SurvivesTo, WF_EXTENDED, analyse, bound,
+                     bounded_coinduction, coind, generated, ind, kernel,
+                     level_witness, prove_approx, prove_regular, prove_wf,
+                     rule_key, validate)
 from corpus import as_system, corpus
 from oracles import (brute_bound, brute_generated, brute_gfp, brute_lfp,
                      brute_survives, naive_ascending_trace,
@@ -109,6 +110,70 @@ def check_proof_agreement(seed, triples, levels=(0, 1, 2, 3)):
 def test_proof_existence_tracks_the_three_characterisations():
     for seed, triples in CORPUS[:60]:
         check_proof_agreement(seed, triples)
+
+
+# ---------------------------------------------------------------------------
+# the canonical choice: every proof shape uses the least admissible rule
+
+def least_rule(triples, j, admissible, co=False):
+    """The least rule by ``rule_key`` concluding ``j`` whose premises
+    all pass ``admissible``; co rules only when ``co`` is set."""
+    return min((Rule(c, tuple(ps), co=k) for c, ps, k in triples
+                if c == j and (co or not k) and all(map(admissible, ps))),
+               key=rule_key)
+
+
+def check_canonical_choice(seed, triples):
+    sys_ = as_system(triples)
+    beta = naive_ascending_trace(triples, use_co=True)
+    entered = {}
+    for layer, s in enumerate(beta, start=1):
+        for j in s:
+            entered.setdefault(j, layer)
+    down = naive_descending_trace(triples, beta[-1])
+
+    def survives(p, rounds):
+        s = beta[-1] if rounds == 0 else down[min(rounds, len(down)) - 1]
+        return p in s
+
+    def used(node):
+        rules = sys_.co_rules if node.rule.co else sys_.regular_rules
+        return rules[node.rule.index]
+
+    a = analyse(sys_)
+    for j in rule_universe(triples):
+        for n in (0, 1, 2, 3):
+            proof = prove_wf(sys_, j, interp=a) if n == 0 else \
+                prove_approx(sys_, j, n, interp=a)
+            # (node, levels left: its premises survive k - 1 rounds, and
+            # at 0 they entered the bound before it)
+            todo = [] if proof is None else [(proof, n)]
+            seen = set()
+            while todo:
+                node, k = todo.pop()
+                if (node, k) in seen:
+                    continue
+                seen.add((node, k))
+                g = node.judgment
+                if k:
+                    want = least_rule(triples, g, lambda p: survives(p, k - 1))
+                else:
+                    want = least_rule(triples, g,
+                                      lambda p: entered.get(p, entered[g]) < entered[g],
+                                      co=True)
+                assert used(node) == want, f"seed {seed}: level {n}, {g} at {k}"
+                todo += ((c, max(k - 1, 0)) for c in node.children)
+        reg = prove_regular(sys_, j, interp=a)
+        if reg is not None:
+            for g, i in reg.choice.items():
+                want = least_rule(triples, g, down[-1].__contains__)
+                assert sys_.regular_rules[i] == want, f"seed {seed}: regular {g}"
+
+
+def test_every_proof_uses_the_least_admissible_rule_whatever_the_file_order():
+    for seed, triples in CORPUS:
+        check_canonical_choice(seed, triples)
+        check_canonical_choice(seed, triples[::-1])
 
 
 # ---------------------------------------------------------------------------

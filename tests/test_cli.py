@@ -375,6 +375,19 @@ def test_too_deep_input_is_a_usage_error(tmp_path, capsys, binders):
     assert err.count("\n") == 1
 
 
+def test_gen_dist_on_a_long_path_graph_reaches_the_cap(tmp_path, capsys):
+    # 1100 nodes in a row: the simple paths are enumerated with an
+    # explicit stack, so the generator gets as far as counting its rules.
+    n = 1100
+    graph = tmp_path / "path.graph"
+    graph.write_text("".join(f"node v{i}\n" for i in range(n))
+                     + "".join(f"edge v{i} v{i + 1} 1\n" for i in range(n - 1)))
+    code, out, err = run(capsys, "gen", "dist", str(graph), "--target", f"v{n - 1}")
+    assert (code, out) == (3, "")
+    assert err == ("instantiation too large: instantiation needs 1211099 rules, "
+                   "cap is 1000000\n")
+
+
 json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
                 | st.text())
 json_values = st.recursive(
@@ -457,6 +470,39 @@ def test_gen_add_carries_flag(tmp_path, capsys):
     assert "co add(z,z,z,-1)." not in out
 
 
+# --carries TEXT -> exit status and the carries grounded (one coaxiom each)
+CARRIES = {
+    "0,1": (0, {0, 1}),
+    "-1,0,1,2": (0, {-1, 0, 1, 2}),
+    " 1 , ,2,": (0, {1, 2}),
+    ",": (0, set()),
+    "\u0663,0": (2, None),  # Arabic-Indic three
+    "\u00b2": (2, None),  # superscript two
+    "+1,1_0": (2, None),
+    "1.5": (2, None),
+    "0x1": (2, None),
+    "1 2": (2, None),
+    "--1": (2, None),
+}
+
+
+@pytest.mark.parametrize("text", CARRIES)
+def test_gen_add_reads_carries_as_ascii_integers(tmp_path, capsys, text):
+    eqs = tmp_path / "s.eqs"
+    eqs.write_text("z = 0 : z;\n")
+    code, out, err = run(capsys, "gen", "add", str(eqs), "--roots", "z", "z", "z",
+                         f"--carries={text}")
+    want, carries = CARRIES[text]
+    assert code == want
+    if code:
+        assert (out, err) == ("", f"error: carries must be comma-separated "
+                                  f"integers: {text!r}\n")
+    else:
+        prefix = "co add(z,z,z,"
+        assert {int(line[len(prefix):-2]) for line in out.splitlines()
+                if line.startswith(prefix)} == carries
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 
@@ -506,6 +552,50 @@ def test_cap_exhaustion_exits_three(tmp_path, capsys):
 def test_iteration_budget_exits_three(cycle, capsys):
     code, _, err = run(capsys, "generated", str(cycle), "--max-iters", "1")
     assert code == 3 and "budget" in err
+
+
+# option -> (command with an input that runs to the end, what a zero
+# budget or cap prints)
+COUNT_OPTIONS = {
+    "--max-iters": (("generated", "cycle.coax"),
+                    "iteration budget exceeded: no fixed point within 0 iterations"),
+    "--cap": (("gen", "visit", "cycle.graph"),
+              "instantiation too large: instantiation needs 20 rules, cap is 0"),
+    "--budget": (("gen", "lambda", "id.lam"),
+                 "closure budget exceeded: evaluation closure exceeds 0 expressions"),
+}
+
+
+def _count_option_argv(tmp_path, option, value):
+    (tmp_path / "cycle.graph").write_text(CYCLE_GRAPH)
+    (tmp_path / "id.lam").write_text("\\x. x\n")
+    assert main(["gen", "visit", str(tmp_path / "cycle.graph"),
+                 "-o", str(tmp_path / "cycle.coax")]) == 0
+    *command, name = COUNT_OPTIONS[option][0]
+    return [*command, str(tmp_path / name), option, value]
+
+
+@pytest.mark.parametrize("value", ["-1", "-3", "\u0663"])  # Arabic-Indic three
+@pytest.mark.parametrize("option", COUNT_OPTIONS)
+def test_budget_or_cap_that_is_not_a_count_is_a_usage_error(tmp_path, capsys,
+                                                           option, value):
+    # Status 3 means a budget ran out; a negative one is a usage error.
+    argv = _count_option_argv(tmp_path, option, value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: ")
+    assert err.endswith(f"error: argument {option}: expected an integer >= 0, "
+                        f"got {value!r}\n")
+
+
+@pytest.mark.parametrize("option", COUNT_OPTIONS)
+def test_zero_budget_or_cap_runs_out_at_once(tmp_path, capsys, option):
+    argv = _count_option_argv(tmp_path, option, "0")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(COUNT_OPTIONS[option][1]) and err.count("\n") == 1
 
 
 def test_unknown_subcommand_exits_two():

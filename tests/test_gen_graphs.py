@@ -140,6 +140,26 @@ def test_simple_paths_enumeration():
     assert ("c", "a", "e") in paths["c"]
 
 
+def test_simple_paths_come_depth_first_in_successor_order():
+    g = parse_graph("node a node b node c node d "
+                    "edge a b edge a c edge b c edge b d edge c b edge c d")
+    assert simple_paths_to(g, "d") == {
+        "a": [("a", "b", "c", "d"), ("a", "b", "d"), ("a", "c", "b", "d"),
+              ("a", "c", "d")],
+        "b": [("b", "c", "d"), ("b", "d")],
+        "c": [("c", "b", "d"), ("c", "d")],
+        "d": [("d",)],
+    }
+
+
+def test_simple_paths_on_a_path_deeper_than_the_interpreter_stack():
+    nodes = [f"v{i}" for i in range(1500)]
+    g = parse_graph(" ".join(f"node {v}" for v in nodes) + " "
+                    + " ".join(f"edge {u} {v}" for u, v in zip(nodes, nodes[1:])))
+    assert simple_paths_to(g, nodes[-1]) == {
+        v: [tuple(nodes[i:])] for i, v in enumerate(nodes)}
+
+
 def test_minpath_generated_exactly_on_the_toll_graph():
     g = generated(gen_minpath(TOLL, "e")).judgments
     assert g == {
