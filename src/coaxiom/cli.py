@@ -391,8 +391,9 @@ def _cmd_gen(args: argparse.Namespace) -> Result:
 # argument parsing
 
 def _count(text: str) -> int:
-    """The type of every budget and cap option: an integer >= 0, in
-    ASCII digits like every other integer input."""
+    """The type of every integer option (budgets, caps, the proof
+    level): an integer >= 0, in ASCII digits like every other integer
+    input."""
     if not re.fullmatch(r"[0-9]+", text):
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
@@ -431,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", metavar="FILE", help="rule file")
     p.add_argument("judgment", metavar="JUDGMENT", help="judgment term")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--level", type=int, metavar="N",
+    group.add_argument("--level", type=_count, metavar="N",
                        help="approximated proof at this level")
     group.add_argument("--regular", action="store_true",
                        help="regular (cyclic) proof over the generated "

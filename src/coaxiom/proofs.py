@@ -141,8 +141,7 @@ def _least(sys: System, j: Term, admissible: Callable[[Term], bool],
                if all(map(admissible, sys.co_rules[i].premises))]
     if not ok:
         raise AssertionError(f"no admissible rule for {render_term(j)}")
-    # Usually one rule is admissible; it needs no key.
-    return ok[0] if len(ok) == 1 else min(ok, key=lambda pair: rule_key(pair[0]))
+    return min(ok, key=lambda pair: rule_key(pair[0]))
 
 
 def _build(sys: System, entered: Mapping[Term, int],
@@ -157,7 +156,8 @@ def _build(sys: System, entered: Mapping[Term, int],
     by level, and at level 0 by entry layer, so every premise's node
     exists before the nodes that use it.
     """
-    picked: dict[tuple[Term, int], tuple[Rule, int]] = {}
+    # (judgment, level) -> (rule, its index, the level of its premises)
+    picked: dict[tuple[Term, int], tuple[Rule, int, int]] = {}
     todo = [(j, n)]
     while todo:
         key = todo.pop()
@@ -167,17 +167,16 @@ def _build(sys: System, entered: Mapping[Term, int],
         if k:
             # Premises must survive k - 1 rounds: in the bound and not
             # dropped before round k.
-            pick = _least(sys, g, lambda p: p in entered and dropped.get(p, k) >= k)
+            rule, i = _least(sys, g, lambda p: p in entered and dropped.get(p, k) >= k)
         else:
             layer = entered[g]
-            pick = _least(sys, g, lambda p: entered.get(p, layer) < layer, co=True)
-        picked[key] = pick
-        below = k - 1 if k else 0
-        todo += [(p, below) for p in pick[0].premises]
+            rule, i = _least(sys, g, lambda p: entered.get(p, layer) < layer, co=True)
+        below = max(k - 1, 0)
+        picked[key] = rule, i, below
+        todo += [(p, below) for p in rule.premises]
     built: dict[tuple[Term, int], WfProof] = {}
     for g, k in sorted(picked, key=lambda key: (key[1], entered[key[0]])):
-        rule, i = picked[g, k]
-        below = k - 1 if k else 0
+        rule, i, below = picked[g, k]
         built[g, k] = WfProof(g, RuleRef(i, rule.co),
                               tuple([built[p, below] for p in rule.premises]))
     return built[j, n]

@@ -571,15 +571,18 @@ def _count_option_argv(tmp_path, option, value):
     (tmp_path / "id.lam").write_text("\\x. x\n")
     assert main(["gen", "visit", str(tmp_path / "cycle.graph"),
                  "-o", str(tmp_path / "cycle.coax")]) == 0
+    if option == "--level":
+        return ["prove", str(tmp_path / "cycle.coax"), "visit(a,{a})", option, value]
     *command, name = COUNT_OPTIONS[option][0]
     return [*command, str(tmp_path / name), option, value]
 
 
-@pytest.mark.parametrize("value", ["-1", "-3", "\u0663"])  # Arabic-Indic three
-@pytest.mark.parametrize("option", COUNT_OPTIONS)
-def test_budget_or_cap_that_is_not_a_count_is_a_usage_error(tmp_path, capsys,
-                                                           option, value):
-    # Status 3 means a budget ran out; a negative one is a usage error.
+@pytest.mark.parametrize("value", ["-1", "-3", "\u0663", " +1_0"])  # Arabic-Indic three
+@pytest.mark.parametrize("option", [*COUNT_OPTIONS, "--level"])
+def test_integer_option_that_is_not_a_count_is_a_usage_error(tmp_path, capsys,
+                                                            option, value):
+    # Status 3 means a budget ran out; a negative one is a usage error,
+    # and so is a negative proof level.
     argv = _count_option_argv(tmp_path, option, value)
     with pytest.raises(SystemExit) as exc:
         main(argv)
