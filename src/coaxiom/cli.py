@@ -17,7 +17,7 @@ Subcommands:
 Each subcommand computes its result once and returns its exit status
 with a ``render(format)`` function; :func:`main` prints what it gives,
 text or DOT as it is and a JSON value through :func:`_json_text`.
-``gen`` writes its rule file itself.  JSON and the text of a
+``gen --output`` writes its rule file itself.  JSON and the text of a
 well-founded proof are written by one pre-order writer,
 :func:`_write`, which copies a shared subtree instead of writing it
 again.
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
@@ -382,9 +383,9 @@ def _cmd_gen(args: argparse.Namespace) -> Result:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
-    return EXIT_OK, None
+        return EXIT_OK, None
+    # A rule file ends with a newline, which main's print puts back.
+    return EXIT_OK, (lambda _format: rendered[:-1]) if rendered else None
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{','.join(map(str, DEFAULT_CARRIES))}")
     p.add_argument("--budget", type=_count, default=DEFAULT_CLOSURE_BUDGET,
                    metavar="N", help="closure size budget (lambda)")
-    p.set_defaults(fn=_cmd_gen)
+    p.set_defaults(fn=_cmd_gen, format="text")  # a rule file has one format
 
     return parser
 
@@ -496,7 +497,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         status, render = args.fn(args)
         if render is not None:
             result = render(args.format)
-            print(result if isinstance(result, str) else _json_text(result))
+            try:
+                print(result if isinstance(result, str) else _json_text(result))
+                sys.stdout.flush()  # so that a closed pipe shows here
+            except BrokenPipeError:
+                # The reader stopped early, which changes nothing about
+                # the result.  Point stdout at devnull, as the signal
+                # module's documentation does, so that the flush at
+                # exit cannot fail again.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
         return status
     except tuple(cls for cls, _, _ in _ERRORS) as e:
         label, status = next((label, status) for cls, label, status in _ERRORS

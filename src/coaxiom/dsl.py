@@ -32,7 +32,7 @@ The tokenizer and token cursor defined here (:func:`tokenize`,
 from __future__ import annotations
 
 import re
-from typing import NoReturn, Optional
+from typing import Callable, NoReturn, Optional, TypeVar
 
 from .engine import Rule, System, rule_key
 from .terms import INF, FinSet, Num, Sym, Term, render_term
@@ -45,6 +45,8 @@ __all__ = [
     "render_system",
     "render_rule",
 ]
+
+_R = TypeVar("_R")
 
 
 class ParseError(Exception):
@@ -68,8 +70,8 @@ Token = tuple[str, str, int, int]
 
 
 class Lexicon:
-    """One token language: a constant table compiled into two regexes,
-    ``pattern`` for :func:`tokenize` and ``texts`` for bare token texts.
+    """One token language: a constant table compiled into the regex
+    ``pattern`` for :func:`tokenize`.
 
     ``specials`` are matched first, longest first, then ``INT`` and then
     ``word``, whose tokens get the kind ``word_kind``.  A character that
@@ -79,7 +81,7 @@ class Lexicon:
     every language.
     """
 
-    __slots__ = ("pattern", "texts", "stray", "quote_text")
+    __slots__ = ("pattern", "stray", "quote_text")
 
     def __init__(self, specials: tuple[str, ...], word: str, word_kind: str,
                  stray: tuple[str, ...], quote_text: bool):
@@ -88,13 +90,6 @@ class Lexicon:
             alts.append("(?P<SPECIAL>" + "|".join(map(re.escape, specials)) + ")")
         alts += [r"(?P<INT>-?[0-9]+)", f"(?P<{word_kind}>{word})"]
         self.pattern = re.compile(r"(?:[ \t\r]+|%[^\n]*)*(?:" + "|".join(alts) + ")?")
-        # ``texts(text)``: the same tokens as bare texts, for a parser
-        # that needs positions only to report an error.  A character
-        # that starts no token is a text of its own, and the list ends
-        # with "" (once or twice).
-        plain = list(map(re.escape, specials)) + [r"-?[0-9]+", word, "."]
-        self.texts = re.compile(
-            r"(?:[ \t\r\n]+|%[^\n]*)*(" + "|".join(plain) + ")?").findall
         self.stray = stray
         self.quote_text = quote_text
 
@@ -178,66 +173,72 @@ _EMPTY = FinSet()
 # reports an error instead.
 MAX_DEPTH = 2000
 
+# ``_TEXTS(text)``: the token texts that _Parser reads.  They are the
+# texts of the ``COAX`` tokens, except that a flat term, a symbol
+# applied to arguments without parentheses or comments such as
+# ``visit(a,{a,b})``, is one text.  A character that starts no token
+# is a text of its own, and the list ends with "" (once or twice).
+_TEXTS = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)*"
+                    r"([a-z][A-Za-z0-9_]*(?:\([^()%]*\))?|<-|[(){},.]|-?[0-9]+|.)?").findall
+
+
+class _Reread(Exception):
+    """A reading that took flat terms as single tokens cannot go on:
+    read the text again token by token (see :func:`_read`)."""
+
 
 def _starts_term(tok: str) -> bool:
-    """Is the token text an IDENT, an INT or ``{``?"""
+    """Is the token text an IDENT, an INT, a flat term or ``{``?"""
     return tok == "{" or "a" <= tok[:1] <= "z" or "0" <= tok[-1:] <= "9"
 
 
 class _Parser:
     """A parser over the token texts of one ``.coax`` text.
 
-    It reads bare token texts (``COAX.texts``), which leaves the
-    positions out of the hot loop.  Only a failure tokenizes
-    the text again with positions, to report where it happened; that
-    also reports a stray character first, wherever it is, as
-    :func:`tokenize` does.  Terms are built with an explicit stack, so
-    nesting depth is not limited by the interpreter stack.  Each method
-    takes the index of its first token and returns the index after its
-    last.
+    Positions are kept out of the hot loop: ``tokens``, the positioned
+    tokens that ``toks`` are the texts of, is given only when a text is
+    read again token by token (see :func:`_read`); without it
+    :meth:`fail` asks for that reading.  Terms are built with an explicit
+    stack, so nesting depth is not limited by the interpreter stack.
+    Each method takes the index of its first token and returns the
+    index after its last.
     """
 
-    __slots__ = ("text", "toks", "flat")
+    __slots__ = ("toks", "tokens", "flat")
 
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = COAX.texts(text)
-        self.toks.append("")  # so that a lookahead of one never runs off the end
-        # Flat terms already read, by their tokens: see term().
-        self.flat: dict[tuple[str, ...], Term] = {}
+    def __init__(self, toks: list[str], tokens: Optional[list[Token]] = None):
+        self.toks = toks
+        toks.append("")  # so that a lookahead of one never runs off the end
+        self.tokens = tokens
+        # Flat terms already read, by their text: see flat_term().
+        self.flat: dict[str, tuple[Term, int]] = {}
 
     def fail(self, pos: int, *expected: str) -> NoReturn:
         """Raise :class:`ParseError` at the ``pos``-th token."""
-        kind, _, line, column = tokenize(self.text, COAX)[pos]
+        if self.tokens is None:
+            raise _Reread
+        kind, _, line, column = self.tokens[pos]
         raise ParseError(line, column, expected, "end of input" if kind == "EOF" else kind)
 
-    def term(self, pos: int) -> tuple[Term, int]:
-        """The term that starts at token ``pos``, and the index after it.
+    def flat_term(self, tok: str) -> tuple[Term, int]:
+        """The flat term spelled by the token text ``tok``, and the most
+        brackets it can nest: its ``(`` and each ``{``.
 
-        A rule file repeats each judgment in many rules, so a flat term,
-        a symbol applied to arguments without parentheses such as
-        ``visit(a,{a,b})``, is looked up by its tokens before it is read.
-        Every ``)`` after its ``(`` closes it, so its tokens run to the
-        first ``)``.
+        A rule file repeats each judgment in many rules, so each text
+        is read once per parse, as the tokens between its parentheses.
         """
-        toks = self.toks
-        if toks[pos + 1] != "(":
-            return self._term(pos)
-        try:
-            end = toks.index(")", pos + 2) + 1
-        except ValueError:
-            return self._term(pos)
-        key = tuple(toks[pos:end])
-        t = self.flat.get(key)
-        if t is not None:
-            return t, end
-        t, after = self._term(pos)
-        if after == end and "(" not in key[2:]:
-            self.flat[key] = t
-        return t, after
+        hit = self.flat.get(tok)
+        if hit is None:
+            name, _, args = tok.partition("(")
+            toks = [name, "("] + [t for t in _TEXTS(args) if t] + [""]
+            t, pos = self.term(toks, 0)
+            if pos != len(toks) - 1:  # as in inf(a)
+                raise _Reread
+            hit = self.flat[tok] = t, 1 + tok.count("{")
+        return hit
 
-    def _term(self, pos: int) -> tuple[Term, int]:
-        toks = self.toks
+    def term(self, toks: list[str], pos: int) -> tuple[Term, int]:
+        """The term that starts at ``toks[pos]``, and the index after it."""
         # Open brackets, innermost last: (symbol name, or None for a
         # set; the closing token; the finished items so far).
         stack: list[tuple[Optional[str], str, list[Term]]] = []
@@ -245,7 +246,13 @@ class _Parser:
             tok = toks[pos]
             pos += 1
             if "a" <= tok[:1] <= "z":
-                if tok == "inf":
+                if tok[-1] == ")":
+                    t, depth = self.flat_term(tok)
+                    if len(stack) + depth > MAX_DEPTH:
+                        # Too deep, or its sets only side by side: the
+                        # token-by-token reading tells.
+                        raise _Reread
+                elif tok == "inf":
                     t = INF
                 elif toks[pos] != "(":
                     t = Sym(tok)
@@ -292,11 +299,11 @@ class _Parser:
         while toks[pos]:
             # "co" is the co marker only when a term follows.
             co = toks[pos] == "co" and _starts_term(toks[pos + 1])
-            conclusion, pos = self.term(pos + co)
+            conclusion, pos = self.term(toks, pos + co)
             premises: list[Term] = []
             sep = "<-"
             while toks[pos] == sep:
-                t, pos = self.term(pos + 1)
+                t, pos = self.term(toks, pos + 1)
                 premises.append(t)
                 sep = ","
             if toks[pos] != ".":
@@ -306,7 +313,7 @@ class _Parser:
         return out
 
     def single_term(self) -> Term:
-        t, pos = self.term(0)
+        t, pos = self.term(self.toks, 0)
         if self.toks[pos]:
             self.fail(pos, "EOF")
         return t
@@ -316,7 +323,7 @@ class _Parser:
         out: list[Term] = []
         pos = 0
         while toks[pos]:
-            t, pos = self.term(pos)
+            t, pos = self.term(toks, pos)
             if toks[pos] != ".":
                 self.fail(pos, ".")
             out.append(t)
@@ -324,19 +331,35 @@ class _Parser:
         return tuple(out)
 
 
+def _read(text: str, read: Callable[[_Parser], _R]) -> _R:
+    """``read`` applied to a parser of ``text``.
+
+    The first reading takes each flat term as one token.  If it cannot
+    go on, the text is read again token by token, with the tokens of
+    :func:`tokenize`: that reading gives an error its position, or
+    reads a term that only looked too deep.  Tokenizing also reports a
+    stray character first, wherever it is.
+    """
+    try:
+        return read(_Parser(_TEXTS(text)))
+    except _Reread:
+        tokens = tokenize(text, COAX)
+        return read(_Parser([tok[1] for tok in tokens], tokens))
+
+
 def parse_system(text: str) -> System:
     """Parse a whole ``.coax`` document into a :class:`System`."""
-    return System(_Parser(text).statements())
+    return System(_read(text, _Parser.statements))
 
 
 def parse_judgment(text: str) -> Term:
     """Parse one bare term, e.g. a judgment given on a command line."""
-    return _Parser(text).single_term()
+    return _read(text, _Parser.single_term)
 
 
 def parse_judgments(text: str) -> tuple[Term, ...]:
     """Parse a judgment-set file: one ``.``-terminated term per entry."""
-    return _Parser(text).term_lines()
+    return _read(text, _Parser.term_lines)
 
 
 # ---------------------------------------------------------------------------

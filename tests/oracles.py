@@ -17,6 +17,7 @@ leak in here.
 from __future__ import annotations
 
 import heapq
+import re
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Sequence, Tuple
 
 Judgment = Hashable
@@ -332,3 +333,120 @@ def nested_term_key(t):
     if isinstance(t, FinSet):
         return (3, tuple(nested_term_key(e) for e in t.elements))
     raise TypeError(f"not a term: {t!r}")
+
+
+# ---------------------------------------------------------------------------
+# the .coax reader, token by token
+
+# One .coax token: a special, an integer in ASCII digits, an identifier.
+COAX_TOKEN = re.compile(r"<-|[(){},.]|-?[0-9]+|[a-z][A-Za-z0-9_]*")
+
+
+def coax_tokens(text: str) -> List[str]:
+    """The token texts of a .coax text; comments and whitespace separate
+    tokens, and any other character is an error."""
+    out = []
+    for line in text.split("\n"):
+        rest = line.split("%", 1)[0]
+        pos = 0
+        while pos < len(rest):
+            if rest[pos] in " \t\r":
+                pos += 1
+                continue
+            m = COAX_TOKEN.match(rest, pos)
+            if m is None:
+                raise ValueError(f"stray character {rest[pos]!r}")
+            out.append(m.group())
+            pos = m.end()
+    return out
+
+
+class _CoaxReader:
+    """Recursive descent over the tokens of one .coax text, one token at
+    a time: the reference for the package's reader, which takes a flat
+    term such as ``visit(a,{a,b})`` as one token."""
+
+    def __init__(self, text: str):
+        self.toks = coax_tokens(text) + [""]
+        self.pos = 0
+
+    def peek(self, ahead: int = 0) -> str:
+        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+
+    def take(self, want=None) -> str:
+        tok = self.peek()
+        if want is not None and tok != want:
+            raise ValueError(f"expected {want!r}, found {tok!r}")
+        self.pos += 1
+        return tok
+
+    def term(self):
+        from coaxiom.terms import INF, finset, num, sym
+
+        tok = self.take()
+        if tok == "{":
+            items = []
+            if self.peek() != "}":
+                items.append(self.term())
+                while self.peek() == ",":
+                    self.take()
+                    items.append(self.term())
+            self.take("}")
+            return finset(*items)
+        if not tok[:1].islower():
+            if tok[-1:].isdigit():
+                return num(int(tok))
+            raise ValueError(f"expected a term, found {tok!r}")
+        if tok == "inf":
+            return INF
+        if self.peek() != "(":
+            return sym(tok)
+        self.take("(")
+        args = [self.term()]
+        while self.peek() == ",":
+            self.take()
+            args.append(self.term())
+        self.take(")")
+        return sym(tok, *args)
+
+    def starts_term(self, tok: str) -> bool:
+        return tok == "{" or tok[:1].islower() or tok[-1:].isdigit()
+
+
+def read_coax_rules(text: str) -> List[RuleTriple]:
+    """The rules of a .coax text, in file order, as triples."""
+    r = _CoaxReader(text)
+    out = []
+    while r.peek():
+        co = r.peek() == "co" and r.starts_term(r.peek(1))
+        if co:
+            r.take()
+        conclusion = r.term()
+        premises = []
+        if r.peek() == "<-":
+            r.take()
+            premises.append(r.term())
+            while r.peek() == ",":
+                r.take()
+                premises.append(r.term())
+        r.take(".")
+        out.append((conclusion, frozenset(premises), co))
+    return out
+
+
+def read_coax_term(text: str):
+    """The one term a text holds."""
+    r = _CoaxReader(text)
+    t = r.term()
+    r.take("")
+    return t
+
+
+def read_coax_terms(text: str) -> list:
+    """The terms of a judgment-set text, each ending with ``.``."""
+    r = _CoaxReader(text)
+    out = []
+    while r.peek():
+        out.append(r.term())
+        r.take(".")
+    return out

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -631,3 +635,39 @@ def test_cli_output_matches_the_recorded_run(tmp_path, monkeypatch, recorded):
     cli_golden.write_files(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert cli_golden.invoke(recorded["argv"]) == recorded
+
+
+# ---------------------------------------------------------------------------
+# a reader that stops early
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("command, lines", [
+    (["generated", "many.coax"], 1),
+    (["gen", "visit", "ring.graph"], 1),
+    (["generated", "few.coax"], 0),
+], ids=["generated", "gen", "unread"])
+def test_a_reader_closing_the_pipe_early_changes_nothing(tmp_path, command, lines):
+    """The first two outputs are several times a pipe's buffer, so the
+    command is still writing when the reader closes the pipe; the last
+    one is written after the pipe is closed, at the final flush."""
+    (tmp_path / "many.coax").write_text("".join(f"p({i}).\n" for i in range(20000)))
+    (tmp_path / "few.coax").write_text("p.\nq <- p.\n")
+    ring = [f"v{i}" for i in range(6)]
+    (tmp_path / "ring.graph").write_text(
+        "".join(f"node {v}\n" for v in ring)
+        + "".join(f"edge {v} {w}\n" for v, w in zip(ring, ring[1:] + ring[:1]))
+        + "edge v0 v3\n")
+    # Buffered stdout, as usual, so that the final flush can meet the
+    # closed pipe too.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    with subprocess.Popen([sys.executable, "-m", "coaxiom.cli", *command], cwd=tmp_path,
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert stderr == b""

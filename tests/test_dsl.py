@@ -147,6 +147,15 @@ SYSTEM_ERRORS = [
     ("p\n\n  <- \n ?", 4, 2, ("statement", "term"), "'?'"),
     ("p. %c\n\t q <-\r\n  .", 3, 3, ("term",), "."),
     ("p <- .\n#", 2, 1, ("statement", "term"), "'#'"),        # stray before syntax
+    # Errors inside or right after a flat term such as p(a,{b}).
+    ("p(#).", 1, 3, ("statement", "term"), "'#'"),
+    ("p(a. q).", 1, 4, (")",), "."),
+    ("p(a %c\n)", 2, 2, (".",), "end of input"),
+    ("inf(a).", 1, 4, (".",), "("),
+    ("p(a,{b).", 1, 7, ("}",), ")"),
+    ("p(a b).", 1, 5, (")",), "IDENT"),
+    ("q <- p(a, 1 2).", 1, 13, (")",), "INT"),
+    ("p <- q(a, {b}", 1, 14, (")",), "end of input"),        # ) missing at the end
 ]
 
 JUDGMENT_ERRORS = [
@@ -155,6 +164,14 @@ JUDGMENT_ERRORS = [
     ("%only comment", 1, 1, ("term",), "end of input"),
     ("f(1,", 1, 5, ("term",), "end of input"),
     ("Foo", 1, 1, ("statement", "term"), "'F'"),
+    ("p(#)", 1, 3, ("statement", "term"), "'#'"),
+    ("p(a. q)", 1, 4, (")",), "."),
+    ("p(a %c\n).", 2, 2, ("EOF",), "."),
+    ("inf(a)", 1, 4, ("EOF",), "("),
+    ("co p(a).", 1, 4, ("EOF",), "IDENT"),                   # co marks only rules
+    ("co(a).", 1, 6, ("EOF",), "."),
+    ("p(a,{b)", 1, 7, ("}",), ")"),
+    ("q(a, {b}", 1, 9, (")",), "end of input"),
 ]
 
 
@@ -173,6 +190,45 @@ def test_system_error_positions(text, line, column, expected, found):
 @pytest.mark.parametrize("text, line, column, expected, found", JUDGMENT_ERRORS)
 def test_judgment_error_positions(text, line, column, expected, found):
     assert error_fields(parse_judgment, text) == (line, column, expected, found)
+
+
+def nested(depth):
+    """``f(p({...{a}...}))`` with its innermost braces ``depth`` brackets deep."""
+    n = depth - 2
+    return "f(p(" + "{" * n + "a" + "}" * n + "))"
+
+
+def nested_term(depth):
+    t = sym("a")
+    for _ in range(depth - 2):
+        t = finset(t)
+    return sym("f", sym("p", t))
+
+
+@pytest.mark.parametrize("depth", [1998, 1999, 2000])
+def test_terms_nest_up_to_the_depth_limit(depth):
+    assert parse_judgment(nested(depth)) is nested_term(depth)
+    assert parse_system(nested(depth) + ".") == System([Rule(nested_term(depth))])
+
+
+def test_terms_nested_past_the_depth_limit_are_an_error():
+    want = (1, 2003, ("terms nested at most 2000 deep",), "{")
+    assert error_fields(parse_judgment, nested(2001)) == want
+    assert error_fields(parse_system, nested(2001) + ".") == want
+    assert error_fields(parse_judgments, nested(2001) + ".") == want
+
+
+def reused(n):
+    """A flat term with ``n`` nested braces, read at the top level and
+    then again one bracket deeper."""
+    flat = "p(" + "{" * n + "a" + "}" * n + ")"
+    return f"{flat}.\nf({flat})."
+
+
+def test_a_flat_term_reused_deeper_counts_its_brackets():
+    assert len(parse_system(reused(1998)).regular_rules) == 2
+    assert error_fields(parse_system, reused(1999)) == \
+        (2, 2003, ("terms nested at most 2000 deep",), "{")
 
 
 @pytest.mark.parametrize("text, column, found", [

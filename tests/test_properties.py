@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import copy
 import pickle
+import random
+import re
 
 from hypothesis import given, settings, strategies as st
 
 from coaxiom import (INF, REGULAR_GENERATED, Rule, System, WF_EXTENDED,
                      bound, bounded_coinduction, coind, finset, generated,
-                     ind, kernel, num, parse_judgment, parse_system,
+                     ind, kernel, num, parse_judgment, parse_judgments,
+                     parse_system,
                      prove_approx, prove_regular, prove_wf, render_system,
                      render_term, step, sym, term_key, validate)
-from oracles import nested_term_key
+from corpus import CORPUS_SIZE, random_triples
+from oracles import (nested_term_key, read_coax_rules, read_coax_term,
+                     read_coax_terms)
 
 IDENTS = st.sampled_from(("p", "q", "r", "visit", "f", "g2", "k_a", "co"))
 
@@ -94,6 +99,46 @@ def test_sorting_by_term_key_is_stable_under_repetition(ts):
 @given(systems)
 def test_system_round_trips_through_the_dsl(sys_):
     assert parse_system(render_system(sys_)) == sys_
+
+
+# Each token of a rendered text, and the whitespace before it.
+TOKEN_AND_SPACE = re.compile(r"([ \t\r\n]*)(<-|[(){},.]|-?[0-9]+|[a-z][A-Za-z0-9_]*)")
+GAPS = (" ", "\n", "\t ", "\r\n", " % c\n", "%(x){,}.\n", "\n%\n  ")
+
+
+def respace(text, rnd):
+    """``text`` with random whitespace and comments between its tokens,
+    also inside flat terms such as ``visit(a,{a,b})``."""
+    out = []
+    for space, tok in TOKEN_AND_SPACE.findall(text):
+        out += [rnd.choice(GAPS) if rnd.random() < 0.3 else space, tok]
+    return "".join(out) + rnd.choice(("",) + GAPS)
+
+
+@given(st.integers(0, CORPUS_SIZE - 1), st.lists(terms, min_size=1, max_size=12),
+       st.integers(0, 2 ** 32))
+def test_respaced_corpus_systems_parse_as_read_token_by_token(seed, js, gaps):
+    """The reader that takes a flat term as one token agrees with the
+    reference reader, which takes one token at a time."""
+    name = {sym(f"j{i}"): js[i % len(js)] for i in range(12)}
+    sys_ = System(Rule(name[c], tuple(name[p] for p in ps), co=co)
+                  for c, ps, co in random_triples(seed))
+    text = respace(render_system(sys_), random.Random(gaps))
+    parsed = parse_system(text)
+    reference = System(Rule(c, tuple(ps), co=co) for c, ps, co in read_coax_rules(text))
+    assert parsed.regular_rules == reference.regular_rules
+    assert parsed.co_rules == reference.co_rules
+    assert parsed == sys_
+
+
+@given(st.lists(terms, min_size=1, max_size=6), st.integers(0, 2 ** 32))
+def test_respaced_judgments_parse_as_read_token_by_token(ts, gaps):
+    rnd = random.Random(gaps)
+    for t in ts:
+        text = respace(render_term(t), rnd)
+        assert parse_judgment(text) is read_coax_term(text) is t
+    text = respace("".join(render_term(t) + "." for t in ts), rnd)
+    assert list(parse_judgments(text)) == read_coax_terms(text) == ts
 
 
 # ---------------------------------------------------------------------------
