@@ -9,13 +9,14 @@ with back-references, which we can print and validate like any other.
 
 from coaxiom import (INF, REGULAR_GENERATED, generated, prove_regular,
                      render_term, sort_judgments, validate)
-from coaxiom.gen import gen_lambda, parse_lambda, render_lambda
+from coaxiom.gen import gen_lambda, parse_lambda
 
-DELTA = parse_lambda(r"(\x. x x) (\x. x x)")
+SOURCE = r"(\x. x x) (\x. x x)"
+DELTA = parse_lambda(SOURCE)
 
 
 def main():
-    print(f"term: {render_lambda(DELTA)}")
+    print(f"term: {SOURCE}")
     sys_ = gen_lambda(DELTA)
     got = generated(sys_).judgments
 

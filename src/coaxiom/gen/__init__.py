@@ -14,10 +14,9 @@ from .common import (DEFAULT_CAP, DEFAULT_CLOSURE_BUDGET,
 from .graphs import gen_dist, gen_minpath, gen_visit, simple_paths_to
 from .grammars import encode_string, gen_first, nullable_nonterminals
 from .inputs import (App, ConsBind, Edge, EquationSystem, Grammar, Graph, Lam,
-                     LambdaTerm, NilBind, TreeBind, Var, free_vars,
-                     parse_equations, parse_grammar, parse_graph, parse_lambda,
-                     render_lambda)
-from .lambdas import alpha_normal, encode_lambda, gen_lambda, value_closure
+                     LambdaTerm, NilBind, TreeBind, Var, parse_equations,
+                     parse_grammar, parse_graph, parse_lambda, render_lambda)
+from .lambdas import encode_lambda, gen_lambda, value_closure
 from .lists import DEFAULT_CARRIES, LIST_PREDICATES, gen_add, gen_listpred
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "parse_equations",
     "parse_lambda",
     "render_lambda",
-    "free_vars",
     "gen_visit",
     "gen_dist",
     "gen_minpath",
@@ -57,7 +55,6 @@ __all__ = [
     "gen_listpred",
     "gen_add",
     "gen_lambda",
-    "alpha_normal",
     "encode_lambda",
     "value_closure",
 ]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..dsl import Cursor, Lexicon, ParseError, Token
-from ..terms import Num, Sym, Term
+from ..terms import Num, Sym, Term, _Frozen, _set
 from .common import MalformedEquations
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "parse_equations",
     "parse_lambda",
     "render_lambda",
-    "free_vars",
 ]
 
 _SYMBOL_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
@@ -372,33 +371,50 @@ def parse_equations(text: str) -> EquationSystem:
 # ---------------------------------------------------------------------------
 # lambda terms
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Lambda(_Frozen):
+    """An interned lambda term, ``Var(index)``, ``Lam(body)`` or
+    ``App(fn, arg)``, with its node count ``size``.  One table holds
+    every node ever built, so ``==`` is identity."""
+
+    __slots__ = ("size",)
+    _table: dict[tuple, "_Lambda"] = {}
+
+    def __new__(cls, *fields):
+        t = cls._table.get((cls, *fields))
+        if t is None:
+            t = cls._table[cls, *fields] = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields, strict=True):
+                _set(t, name, value)
+            _set(t, "size", 1 + sum(getattr(f, "size", 0) for f in fields))
+        return t
 
 
-@dataclass(frozen=True)
-class Lam:
-    var: str
-    body: "LambdaTerm"
+class Var(_Lambda):
+    """The variable of the index-th enclosing binder, 0 the innermost."""
+
+    __slots__ = ("index",)
 
 
-@dataclass(frozen=True)
-class App:
-    fn: "LambdaTerm"
-    arg: "LambdaTerm"
+class Lam(_Lambda):
+    __slots__ = ("body",)
+
+
+class App(_Lambda):
+    __slots__ = ("fn", "arg")
 
 
 LambdaTerm = Union[Var, Lam, App]
 
 
 def parse_lambda(text: str) -> LambdaTerm:
-    """A lambda term.  Application associates to the left, and an
-    abstraction extends as far right as possible.  The parser keeps its
-    own stack, so nesting depth is not limited by the interpreter stack.
-    """
+    """A lambda term, read up to alpha-equivalence.  Application
+    associates to the left, and an abstraction extends as far right as
+    possible.  The parser keeps its own stack, so nesting depth is not
+    limited by the interpreter stack."""
     cur = Cursor(text, _LAMBDA)
-    variables: dict[str, Var] = {}  # one shared node per variable name
+    # The binding depths of each variable name in scope, innermost last.
+    scope: dict[str, list[int]] = {}
+    depth = 0
     # Unfinished enclosing terms, innermost last: a binder ("\\", var)
     # awaiting its body; ("app", e), e applied to the trailing
     # abstraction being read; ("(", spine), the application spine
@@ -411,12 +427,16 @@ def parse_lambda(text: str) -> LambdaTerm:
             var = cur.expect("WORD", "variable")[1]
             cur.expect(".")
             stack.append(("\\", var))
+            scope.setdefault(var, []).append(depth)
+            depth += 1
         spine: Optional[LambdaTerm] = None
         while True:
             kind = cur.peek()[0]
             if kind == "WORD":
-                name = cur.take()[1]
-                atom = variables.setdefault(name, Var(name))
+                _, name, line, column = cur.take()
+                if not scope.get(name):
+                    raise ParseError(line, column, ("bound variable",), name)
+                atom = Var(depth - 1 - scope[name][-1])
                 spine = atom if spine is None else App(spine, atom)
                 continue
             if kind == "(":
@@ -434,7 +454,9 @@ def parse_lambda(text: str) -> LambdaTerm:
             while stack:
                 tag, x = stack.pop()
                 if tag == "\\":
-                    e = Lam(x, e)
+                    scope[x].pop()
+                    depth -= 1
+                    e = Lam(e)
                 elif tag == "app":
                     e = App(x, e)
                 else:
@@ -446,23 +468,38 @@ def parse_lambda(text: str) -> LambdaTerm:
                 return e
 
 
-def free_vars(e: LambdaTerm) -> frozenset[str]:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Lam):
-        return free_vars(e.body) - {e.var}
-    return free_vars(e.fn) | free_vars(e.arg)
+def _fold(e: LambdaTerm, visit):
+    """``visit(t, depth, *kids)`` once per subterm t of e under depth
+    binders, in post-order, kids being the results for t's children.
+    The fold keeps its own stack."""
+    done: dict[tuple[LambdaTerm, int], object] = {}
+    todo = [(e, 0)]
+    while todo:
+        key = t, depth = todo[-1]
+        if isinstance(t, Lam):
+            kids = [(t.body, depth + 1)]
+        else:
+            kids = [(t.fn, depth), (t.arg, depth)] if isinstance(t, App) else []
+        missing = [k for k in kids if k not in done]
+        todo += missing
+        if not missing:
+            todo.pop()
+            if key not in done:
+                done[key] = visit(t, depth, *[done[k] for k in kids])
+    return done[e, 0]
 
 
 def render_lambda(e: LambdaTerm) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Lam):
-        return f"\\{e.var}. {render_lambda(e.body)}"
-    fn = render_lambda(e.fn)
-    if isinstance(e.fn, Lam):
-        fn = f"({fn})"
-    arg = render_lambda(e.arg)
-    if not isinstance(e.arg, Var):
-        arg = f"({arg})"
-    return f"{fn} {arg}"
+    """Source text of a closed term, naming binders x0, x1, ... by depth."""
+
+    def text(t: LambdaTerm, depth: int, *kids: str) -> str:
+        if isinstance(t, Var):
+            return f"x{depth - 1 - t.index}"
+        if isinstance(t, Lam):
+            return f"\\x{depth}. {kids[0]}"
+        fn, arg = kids
+        fn = f"({fn})" if isinstance(t.fn, Lam) else fn
+        arg = arg if isinstance(t.arg, Var) else f"({arg})"
+        return f"{fn} {arg}"
+
+    return _fold(e, text)

@@ -7,8 +7,8 @@ beta-redex contractions between its values; evaluation of a closure
 term only ever produces terms already in the closure, so the grounded
 system is complete for the root.
 
-Terms are alpha-normalised (binders renamed to x0, x1, ... by binding
-depth), which keeps the closure finite for many self-applications.
+Terms are interned de Bruijn terms, so alpha-equivalent terms are one
+object, which keeps the closure finite for many self-applications.
 Terms that keep manufacturing genuinely new abstractions blow the
 closure budget instead.
 """
@@ -19,61 +19,32 @@ from ..engine import Rule, System
 from ..terms import INF, Term, sym, term_key
 from .common import (DEFAULT_CAP, DEFAULT_CLOSURE_BUDGET,
                      ClosureBudgetExceeded, guard_cap)
-from .inputs import App, Lam, LambdaTerm, Var, free_vars, render_lambda
+from .inputs import App, Lam, LambdaTerm, Var, _fold
 
-__all__ = ["gen_lambda", "alpha_normal", "encode_lambda", "value_closure"]
-
-
-def alpha_normal(e: LambdaTerm) -> LambdaTerm:
-    """Rename binders to x0, x1, ... by their binding depth."""
-
-    def go(t: LambdaTerm, env: dict[str, str], depth: int) -> LambdaTerm:
-        if isinstance(t, Var):
-            return Var(env.get(t.name, t.name))
-        if isinstance(t, Lam):
-            fresh = f"x{depth}"
-            return Lam(fresh, go(t.body, {**env, t.var: fresh}, depth + 1))
-        return App(go(t.fn, env, depth), go(t.arg, env, depth))
-
-    return go(e, {}, 0)
-
-
-def _subst(e: LambdaTerm, x: str, v: LambdaTerm) -> LambdaTerm:
-    """Replace free x by the closed term v (no capture possible)."""
-    if isinstance(e, Var):
-        return v if e.name == x else e
-    if isinstance(e, Lam):
-        return e if e.var == x else Lam(e.var, _subst(e.body, x, v))
-    return App(_subst(e.fn, x, v), _subst(e.arg, x, v))
+__all__ = ["gen_lambda", "encode_lambda", "value_closure"]
 
 
 def _contract(fn: Lam, arg: LambdaTerm) -> LambdaTerm:
-    return alpha_normal(_subst(fn.body, fn.var, arg))
-
-
-def _size(e: LambdaTerm) -> int:
-    if isinstance(e, Var):
-        return 1
-    if isinstance(e, Lam):
-        return 1 + _size(e.body)
-    return 1 + _size(e.fn) + _size(e.arg)
-
-
-def _occurrences(e: LambdaTerm, x: str) -> int:
-    if isinstance(e, Var):
-        return 1 if e.name == x else 0
-    if isinstance(e, Lam):
-        return 0 if e.var == x else _occurrences(e.body, x)
-    return _occurrences(e.fn, x) + _occurrences(e.arg, x)
+    """The body of fn with the closed value arg for its variable: a
+    closed value needs no shifting, and arg is shared, not copied."""
+    return _fold(fn.body, lambda t, depth, *kids:
+                 type(t)(*kids) if kids else arg if t.index == depth else t)
 
 
 def encode_lambda(e: LambdaTerm) -> Term:
-    """var(x) / lam(x, body) / app(fn, arg) as judgment terms."""
-    if isinstance(e, Var):
-        return sym("var", sym(e.name))
-    if isinstance(e, Lam):
-        return sym("lam", sym(e.var), encode_lambda(e.body))
-    return sym("app", encode_lambda(e.fn), encode_lambda(e.arg))
+    """var(x) / lam(x, body) / app(fn, arg) as judgment terms, naming
+    binders x0, x1, ... by depth; an open term is a ValueError."""
+
+    def enc(t: LambdaTerm, depth: int, *kids: Term) -> Term:
+        if isinstance(t, Var):
+            if t.index >= depth:
+                raise ValueError(f"open term: Var({t.index}) under {depth} binders")
+            return sym("var", sym(f"x{depth - 1 - t.index}"))
+        if isinstance(t, Lam):
+            return sym("lam", sym(f"x{depth}"), *kids)
+        return sym("app", *kids)
+
+    return _fold(e, enc)
 
 
 def value_closure(root: LambdaTerm,
@@ -83,13 +54,13 @@ def value_closure(root: LambdaTerm,
 
     Returns (closure, values), both sorted by encoded term.  The
     budget bounds the total number of syntax nodes the closure may
-    accumulate; a contraction's size is known arithmetically before
-    it is built, so ClosureBudgetExceeded fires without constructing
-    the oversized term.  Self-applications that keep minting distinct
-    abstractions double their size each round and hit the budget
-    immediately; closures of well-behaved programs stay tiny.
+    accumulate.  A contraction is built before its size is checked,
+    which is cheap: the substituted value is shared, not copied.
+    Self-applications that keep minting distinct abstractions double
+    their size each round and hit the budget immediately; closures of
+    well-behaved programs stay tiny.  An open root is a ValueError.
     """
-    start = alpha_normal(root)
+    encode_lambda(root)  # only to reject an open root
     closure: list[LambdaTerm] = []
     seen: set[LambdaTerm] = set()
     total = 0
@@ -98,13 +69,13 @@ def value_closure(root: LambdaTerm,
         nonlocal total
         if t in seen:
             return
-        total += _size(t)
+        total += t.size
         if total > budget:
             raise ClosureBudgetExceeded(budget)
         seen.add(t)
         closure.append(t)
 
-    add(start)
+    add(root)
     decomposed = 0
     contracted: set[tuple[Lam, LambdaTerm]] = set()
     while True:
@@ -123,11 +94,10 @@ def value_closure(root: LambdaTerm,
                 if (fn, arg) in contracted:
                     continue
                 contracted.add((fn, arg))
-                grown = _size(fn.body) + \
-                    _occurrences(fn.body, fn.var) * (_size(arg) - 1)
-                if total + grown > budget:
+                red = _contract(fn, arg)
+                if total + red.size > budget:
                     raise ClosureBudgetExceeded(budget)
-                add(_contract(fn, arg))
+                add(red)
         if len(closure) == before and decomposed == len(closure):
             break
 
@@ -145,10 +115,6 @@ def gen_lambda(e: LambdaTerm, budget: int = DEFAULT_CLOSURE_BUDGET,
     divergence propagation rules for a diverging f and for a diverging
     a under a converging f.  One coaxiom eval(t, inf) per closure term.
     """
-    if free_vars(e):
-        raise ValueError(f"term must be closed, free: "
-                         f"{', '.join(sorted(free_vars(e)))} "
-                         f"in {render_lambda(e)}")
     closure, values = value_closure(e, budget)
     apps = [t for t in closure if isinstance(t, App)]
     nv = len(values)

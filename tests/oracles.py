@@ -276,24 +276,45 @@ class FuelOut(Exception):
     """The big-step evaluator ran out of fuel (treated as divergence)."""
 
 
+def shift(d: int, t, cutoff: int = 0):
+    """Add d to every variable of t bound outside it (TAPL 6.2.1): an
+    index at or above ``cutoff`` is one of those."""
+    from coaxiom.gen import App, Lam, Var
+
+    if isinstance(t, Var):
+        return Var(t.index + d) if t.index >= cutoff else t
+    if isinstance(t, Lam):
+        return Lam(shift(d, t.body, cutoff + 1))
+    return App(shift(d, t.fn, cutoff), shift(d, t.arg, cutoff))
+
+
+def subst(j: int, s, t):
+    """Replace variable j by s in t (TAPL 6.2.4), shifting s under
+    each binder it is carried into."""
+    from coaxiom.gen import App, Lam, Var
+
+    if isinstance(t, Var):
+        return s if t.index == j else t
+    if isinstance(t, Lam):
+        return Lam(subst(j + 1, shift(1, s), t.body))
+    return App(subst(j, s, t.fn), subst(j, s, t.arg))
+
+
+def beta(body, v):
+    """The contraction of ``(\\. body) v``: substitute, then drop the binder."""
+    return shift(-1, subst(0, shift(1, v), body))
+
+
 def bigstep(e, fuel: int = 10_000):
     """Big-step call-by-value evaluation of a closed term.
 
-    Works directly on the parsed ``Var``/``Lam``/``App`` shapes but does
-    its own substitution, so it shares nothing with the generator's
-    closure machinery.  Raises :class:`FuelOut` when the step budget is
-    exhausted, which the tests interpret as divergence.
+    Works directly on the parsed de Bruijn ``Var``/``Lam``/``App`` nodes
+    but contracts with the textbook shift and substitution above, so it
+    shares nothing with the generator's closure machinery.  Raises
+    :class:`FuelOut` when the step budget is exhausted, which the tests
+    interpret as divergence.
     """
-    from coaxiom.gen import App, Lam, Var
-
-    def subst(t, x, v):
-        if isinstance(t, Var):
-            return v if t.name == x else t
-        if isinstance(t, Lam):
-            if t.var == x:
-                return t
-            return Lam(t.var, subst(t.body, x, v))
-        return App(subst(t.fn, x, v), subst(t.arg, x, v))
+    from coaxiom.gen import Lam, Var
 
     budget = [fuel]
 
@@ -304,10 +325,10 @@ def bigstep(e, fuel: int = 10_000):
         if isinstance(t, Lam):
             return t
         if isinstance(t, Var):
-            raise ValueError(f"open term: {t.name}")
+            raise ValueError(f"open term: {t!r}")
         fn = go(t.fn)
         arg = go(t.arg)
-        return go(subst(fn.body, fn.var, arg))
+        return go(beta(fn.body, arg))
 
     return go(e)
 

@@ -28,9 +28,9 @@ from pathlib import Path
 from coaxiom import (INF, DropsAtLevel, coind, generated, ind,
                      level_witness, num, parse_judgment, parse_system, sym)
 from coaxiom.cli import main
-from coaxiom.gen import (DEFAULT_CARRIES, alpha_normal, encode_lambda,
-                         gen_add, gen_dist, gen_lambda, gen_listpred,
-                         parse_equations, parse_graph, parse_lambda)
+from coaxiom.gen import (DEFAULT_CARRIES, App, encode_lambda, gen_add,
+                         gen_dist, gen_lambda, gen_listpred, parse_equations,
+                         parse_graph, parse_lambda)
 from corpus import as_system
 from oracles import (brute_generated, brute_gfp, brute_lfp, dijkstra_to,
                      rule_universe)
@@ -222,10 +222,11 @@ DELTA = parse_lambda(r"(\x. x x) (\x. x x)")
 
 @criterion(6, "self-application diverges; its half evaluates to itself", 1.0)
 def test_criterion_06_lambda_divergence():
-    half = alpha_normal(parse_lambda(r"\x. x x"))
+    half = parse_lambda(r"\y. y y")
+    assert DELTA is App(half, half)
     got = generated(gen_lambda(DELTA)).judgments
     assert got == {
-        sym("eval", encode_lambda(alpha_normal(DELTA)), INF),
+        sym("eval", encode_lambda(DELTA), INF),
         sym("eval", encode_lambda(half), encode_lambda(half)),
     }
 

@@ -367,16 +367,18 @@ def test_gen_lambda_reads_deep_parentheses(tmp_path, capsys):
     assert run(capsys, "gen", "lambda", str(wrapped)) == (0, want, "")
 
 
-@pytest.mark.parametrize("binders", [500, 1500])
-def test_too_deep_input_is_a_usage_error(tmp_path, capsys, binders):
-    # The lambda walks of ``gen lambda`` still recurse; a RecursionError
-    # must not end in a traceback and exit status 1 ("not derivable").
-    f = tmp_path / "deep.lam"
-    f.write_text("\\x. " * binders + "x\n")
-    code, out, err = run(capsys, "gen", "lambda", str(f))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: input nested too deeply: ")
-    assert err.count("\n") == 1
+def test_gen_lambda_on_deep_binders(tmp_path, capsys):
+    # 1500 binders: the eval judgment then nests 1502 terms deep, below
+    # MAX_DEPTH, and no lambda walk recurses.
+    n = 1500
+    assert n + 2 < MAX_DEPTH
+    f, rules = tmp_path / "deep.lam", tmp_path / "deep.coax"
+    f.write_text("\\x. " * n + "x\n")
+    assert run(capsys, "gen", "lambda", str(f), "-o", str(rules))[0] == 0
+    value = "".join(f"lam(x{i}," for i in range(n)) + f"var(x{n - 1})" + ")" * n
+    code, out, err = run(capsys, "generated", str(rules))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [f"eval({value},{value})"]
 
 
 def test_gen_dist_on_a_long_path_graph_reaches_the_cap(tmp_path, capsys):

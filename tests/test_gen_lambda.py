@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from coaxiom import INF, generated, sym
-from coaxiom.gen import (ClosureBudgetExceeded, alpha_normal, encode_lambda,
+from coaxiom.gen import (App, ClosureBudgetExceeded, Lam, Var, encode_lambda,
                          gen_lambda, parse_lambda, value_closure)
 from oracles import FuelOut, bigstep
 
@@ -25,23 +25,22 @@ def ev(subject, result):
 
 
 # ---------------------------------------------------------------------------
-# alpha normalisation and the closure
+# alpha-equivalence and the closure
 
-def test_alpha_normal_renames_by_binder_depth():
-    a = parse_lambda(r"\a. \b. a b")
-    b = parse_lambda(r"\x. \y. x y")
-    assert alpha_normal(a) == alpha_normal(b)
+def test_alpha_equivalent_terms_are_one_object():
+    assert parse_lambda(r"\a. \b. a b") is parse_lambda(r"\x. \y. x y")
 
 
-def test_alpha_normal_keeps_shadowing_straight():
-    inner = parse_lambda(r"\x. \x. x")
-    assert alpha_normal(inner) == parse_lambda(r"\x0. \x1. x1")
+def test_shadowing_binds_the_innermost_binder():
+    assert parse_lambda(r"\x. \x. x") is parse_lambda(r"\x0. \x1. x1")
+    assert encode_lambda(parse_lambda(r"\x. \x. x")) == \
+        sym("lam", sym("x0"), sym("lam", sym("x1"), sym("var", sym("x1"))))
 
 
 def test_delta_closure_is_two_terms():
     clo, vals = value_closure(DELTA)
     assert len(clo) == 2 and len(vals) == 1
-    assert vals[0] == alpha_normal(parse_lambda(r"\x. x x"))
+    assert vals[0] is parse_lambda(r"\x. x x")
 
 
 def test_closure_budget_counts_total_nodes():
@@ -69,16 +68,15 @@ def test_delta_diverges_cleanly():
     with pytest.raises(FuelOut):
         bigstep(DELTA, fuel=200)  # oracle agrees it spins
     g = generated(gen_lambda(DELTA)).judgments
-    d = alpha_normal(parse_lambda(r"\x. x x"))
-    assert g == {ev(d, encode_lambda(d)), ev(alpha_normal(DELTA), INF)}
+    d = parse_lambda(r"\x. x x")
+    assert g == {ev(d, encode_lambda(d)), ev(DELTA, INF)}
 
 
 def test_identity_application_terminates():
     value = bigstep(IDAPP)
     g = generated(gen_lambda(IDAPP)).judgments
-    idn = alpha_normal(value)
-    assert ev(alpha_normal(IDAPP), encode_lambda(idn)) in g
-    assert ev(alpha_normal(IDAPP), INF) not in g
+    assert ev(IDAPP, encode_lambda(value)) in g
+    assert ev(IDAPP, INF) not in g
 
 
 def test_tri_self_application_diverges_within_a_small_closure():
@@ -86,10 +84,10 @@ def test_tri_self_application_diverges_within_a_small_closure():
         bigstep(TRI, fuel=500)
     sys_ = gen_lambda(TRI, budget=100)  # three alpha-classes suffice
     g = generated(sys_).judgments
-    w = alpha_normal(parse_lambda(r"\x. x x x"))
-    ww = alpha_normal(TRI)  # w w
-    www = alpha_normal(  # the one contraction: (w w) w
-        parse_lambda(r"(\x. x x x) (\x. x x x) (\x. x x x)"))
+    w = parse_lambda(r"\x. x x x")
+    ww = TRI  # w w
+    www = parse_lambda(  # the one contraction: (w w) w
+        r"(\x. x x x) (\x. x x x) (\x. x x x)")
     assert g == {ev(w, encode_lambda(w)), ev(ww, INF), ev(www, INF)}
 
 
@@ -101,5 +99,9 @@ def test_every_closure_term_gets_a_divergence_coaxiom():
 
 
 def test_open_terms_are_rejected():
-    with pytest.raises(ValueError):
-        gen_lambda(parse_lambda("x y"))
+    # The parser rejects them, so only hand-built terms can be open.
+    for term in (Var(0), Lam(Var(1)), App(Lam(Var(0)), Var(0))):
+        with pytest.raises(ValueError):
+            encode_lambda(term)
+        with pytest.raises(ValueError):
+            gen_lambda(term)

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import time
 
 import pytest
 
 from coaxiom import ParseError, num, sym
 from coaxiom.gen import (App, ConsBind, Lam, MalformedEquations, NilBind,
-                         TreeBind, Var, free_vars, parse_equations,
-                         parse_grammar, parse_graph, parse_lambda,
-                         render_lambda)
+                         TreeBind, Var, parse_equations, parse_grammar,
+                         parse_graph, parse_lambda, render_lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +127,7 @@ def test_lambda_application_is_left_associative():
     assert isinstance(e, Lam)
     body = e.body
     assert isinstance(body, App) and isinstance(body.fn, App)
-    assert render_lambda(e) == r"\x. x x x"
+    assert render_lambda(e) == r"\x0. x0 x0 x0"
 
 
 def test_lambda_trailing_abstraction_extends_right():
@@ -134,24 +135,25 @@ def test_lambda_trailing_abstraction_extends_right():
     assert isinstance(e.body, Lam)
     inner = e.body.body
     assert isinstance(inner, App)
-    assert inner.fn == Var("x") and inner.arg == Var("y")
+    assert inner.fn is Var(1) and inner.arg is Var(0)
+
+
+def test_lambda_variables_refer_to_the_innermost_binder():
+    assert parse_lambda(r"\x. \x. x") is Lam(Lam(Var(0)))
+    assert parse_lambda(r"\x. \y. (\x. x) x") is \
+        Lam(Lam(App(Lam(Var(0)), Var(1))))
 
 
 def test_lambda_parens_override_grouping():
-    grouped = parse_lambda(r"(\x. x) y")
+    grouped = parse_lambda(r"\y. (\x. x) y").body
     assert isinstance(grouped, App) and isinstance(grouped.fn, Lam)
 
 
 def test_lambda_render_parse_round_trip():
-    for src in (r"\x. x", r"(\x. x x) (\x. x x)", r"\f. \x. f (f x)",
-                r"x y (z w)"):
+    for src in (r"\x. x", r"(\x. x x) (\x. x x)", r"\f. \x. f (f x)"):
         e = parse_lambda(src)
-        assert parse_lambda(render_lambda(e)) == e
-
-
-def test_free_vars():
-    assert free_vars(parse_lambda(r"\x. x y")) == {"y"}
-    assert free_vars(parse_lambda(r"\x. \y. x y")) == set()
+        assert parse_lambda(render_lambda(e)) is e
+        assert pickle.loads(pickle.dumps(e)) is e and copy.deepcopy(e) is e
 
 
 def test_lambda_rejects_garbage():
@@ -217,7 +219,7 @@ INPUT_ERRORS = [
     ("lambda", "\\x. x < y", 1, 7, ("token",), "'<'"),
     ("lambda", "\\x.", 1, 4, ("variable", "(", "\\"), "end of input"),
     ("lambda", "\\x x", 1, 4, (".",), "x"),
-    ("lambda", "(\\x. x y", 1, 9, (")",), "end of input"),
+    ("lambda", "(\\x. x x", 1, 9, (")",), "end of input"),
     ("lambda", "\\x. x) y", 1, 6, ("end of input",), ")"),
     ("lambda", "\\1. x", 1, 2, ("variable",), "1"),
     ("lambda", "\\x. % c", 1, 5, ("variable", "(", "\\"), "end of input"),
@@ -230,6 +232,7 @@ INPUT_ERRORS = [
      ("case-distinct nonterminals",), "AB"),
     ("grammar", "Sx -> a | SX ;\nSX -> b ;\nSx -> c ;", 2, 1,
      ("case-distinct nonterminals",), "SX"),
+    ("lambda", "(\\y. y)\n  \\x. x y", 2, 9, ("bound variable",), "y"),
 ]
 
 

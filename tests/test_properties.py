@@ -15,8 +15,11 @@ from coaxiom import (INF, REGULAR_GENERATED, Rule, System, WF_EXTENDED,
                      parse_system,
                      prove_approx, prove_regular, prove_wf, render_system,
                      render_term, step, sym, term_key, validate)
+from coaxiom.gen import (App, GenError, Lam, Var, gen_lambda, parse_lambda,
+                         render_lambda)
+from coaxiom.gen.lambdas import _contract
 from corpus import CORPUS_SIZE, random_triples
-from oracles import (nested_term_key, read_coax_rules, read_coax_term,
+from oracles import (beta, nested_term_key, read_coax_rules, read_coax_term,
                      read_coax_terms)
 
 IDENTS = st.sampled_from(("p", "q", "r", "visit", "f", "g2", "k_a", "co"))
@@ -240,3 +243,75 @@ def test_approx_provability_is_antitone_in_the_level(sys_, j):
 def test_bcp_acceptance_is_sound_for_generated(sys_, candidate):
     if bounded_coinduction(sys_, candidate).accepted:
         assert candidate <= generated(sys_).judgments
+
+
+# ---------------------------------------------------------------------------
+# lambda terms
+
+# A lambda term as nested tuples: ("var", k), ("lam", body), ("app", fn, arg).
+lambda_shapes = st.recursive(
+    st.tuples(st.just("var"), st.integers(0, 3)),
+    lambda inner: st.one_of(st.tuples(st.just("lam"), inner),
+                            st.tuples(st.just("app"), inner, inner)),
+    max_leaves=8,
+)
+
+
+def closed(shape, depth=0):
+    """The closed term a shape stands for under ``depth`` binders: a
+    variable names binder k modulo the binders around it, and becomes
+    the identity where there is none."""
+    if shape[0] == "var":
+        return Var(shape[1] % depth) if depth else Lam(Var(0))
+    if shape[0] == "lam":
+        return Lam(closed(shape[1], depth + 1))
+    return App(closed(shape[1], depth), closed(shape[2], depth))
+
+
+def outer_binders(t, depth=0):
+    """The binders outside t that t refers to, 0 the innermost."""
+    if isinstance(t, Var):
+        return {t.index - depth} if t.index >= depth else set()
+    if isinstance(t, Lam):
+        return outer_binders(t.body, depth + 1)
+    return outer_binders(t.fn, depth) | outer_binders(t.arg, depth)
+
+
+def named(t, pick, scope=()):
+    """Fully parenthesised source text of t; ``pick(taken, depth)``
+    names each binder, avoiding the names it would capture."""
+    if isinstance(t, Var):
+        return scope[-1 - t.index]
+    if isinstance(t, Lam):
+        name = pick({scope[-1 - i] for i in outer_binders(t)}, len(scope))
+        return f"(\\{name}. {named(t.body, pick, scope + (name,))})"
+    return f"({named(t.fn, pick, scope)}) ({named(t.arg, pick, scope)})"
+
+
+def gen_lambda_text(source):
+    try:
+        return render_system(gen_lambda(parse_lambda(source), budget=200, cap=2000))
+    except GenError as e:
+        return type(e).__name__
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 3), lambda_shapes, lambda_shapes, lambda_shapes, st.data())
+def test_lambda_terms_are_read_up_to_alpha_equivalence(binders, shape, fn_body,
+                                                       arg_body, data):
+    e = closed(shape, binders)
+    for _ in range(binders):
+        e = Lam(e)
+    assert parse_lambda(render_lambda(e)) is e
+    # Few names, so that binders often shadow one another.
+    names = ("x", "y", "x0", "x1")
+
+    def pick(taken, depth):
+        return data.draw(st.sampled_from([n for n in names if n not in taken]
+                                         + [f"v{depth}"]))
+
+    text = named(e, pick)
+    assert parse_lambda(text) is e
+    assert gen_lambda_text(text) == gen_lambda_text(render_lambda(e))
+    fn, arg = Lam(closed(fn_body, 1)), Lam(closed(arg_body, 1))
+    assert _contract(fn, arg) is beta(fn.body, arg)

@@ -1,0 +1,47 @@
+"""Checks on the package source itself."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coaxiom"
+
+
+def self_calls(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) of each call a function makes to itself by name:
+    ``f(...)`` inside ``f``, or ``self.f(...)``/``cls.f(...)`` inside
+    the method ``f``.  Calls in nested functions count too."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                    and f.value.id in ("self", "cls"):
+                called = f.attr
+            else:
+                called = f.id if isinstance(f, ast.Name) else None
+            if called == fn.name:
+                out.append((fn.name, node.lineno))
+    return out
+
+
+def test_self_calls_are_found():
+    tree = ast.parse("def f(n):\n    return f(n - 1)\n\n"
+                     "class C:\n    def m(self):\n        return self.m()\n\n"
+                     "def g():\n    def go():\n        go()\n    return f(1)\n")
+    assert self_calls(tree) == [("f", 2), ("m", 6), ("go", 10)]
+
+
+def test_no_function_in_the_package_calls_itself():
+    # Nesting depth comes from the input, so a recursive walk would end
+    # in a RecursionError on deep enough input; every walk keeps its own
+    # stack instead.
+    found = [f"{path.relative_to(PACKAGE)}:{line}: {name}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for name, line in self_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
