@@ -372,11 +372,11 @@ def parse_equations(text: str) -> EquationSystem:
 # lambda terms
 
 class _Lambda(_Frozen):
-    """An interned lambda term, ``Var(index)``, ``Lam(body)`` or
-    ``App(fn, arg)``, with its node count ``size``.  One table holds
-    every node ever built, so ``==`` is identity."""
+    """An interned lambda term, ``Var(index)``, ``Lam(body)`` or ``App(fn, arg)``,
+    with its node count ``size`` and the bracket depth ``height`` of its
+    encoding.  One table holds every node ever built, so ``==`` is identity."""
 
-    __slots__ = ("size",)
+    __slots__ = ("size", "height")
     _table: dict[tuple, "_Lambda"] = {}
 
     def __new__(cls, *fields):
@@ -386,6 +386,7 @@ class _Lambda(_Frozen):
             for name, value in zip(cls.__slots__, fields, strict=True):
                 _set(t, name, value)
             _set(t, "size", 1 + sum(getattr(f, "size", 0) for f in fields))
+            _set(t, "height", 1 + max(getattr(f, "height", 0) for f in fields))
         return t
 
 
@@ -476,10 +477,8 @@ def _fold(e: LambdaTerm, visit):
     todo = [(e, 0)]
     while todo:
         key = t, depth = todo[-1]
-        if isinstance(t, Lam):
-            kids = [(t.body, depth + 1)]
-        else:
-            kids = [(t.fn, depth), (t.arg, depth)] if isinstance(t, App) else []
+        kids = ([(t.body, depth + 1)] if isinstance(t, Lam) else
+                [(t.fn, depth), (t.arg, depth)] if isinstance(t, App) else [])
         missing = [k for k in kids if k not in done]
         todo += missing
         if not missing:

@@ -15,6 +15,7 @@ closure budget instead.
 
 from __future__ import annotations
 
+from ..dsl import MAX_DEPTH
 from ..engine import Rule, System
 from ..terms import INF, Term, sym, term_key
 from .common import (DEFAULT_CAP, DEFAULT_CLOSURE_BUDGET,
@@ -58,9 +59,9 @@ def value_closure(root: LambdaTerm,
     which is cheap: the substituted value is shared, not copied.
     Self-applications that keep minting distinct abstractions double
     their size each round and hit the budget immediately; closures of
-    well-behaved programs stay tiny.  An open root is a ValueError.
+    well-behaved programs stay tiny.  An open root is a ValueError, and
+    so is a term whose eval judgments nest past ``dsl.MAX_DEPTH``.
     """
-    encode_lambda(root)  # only to reject an open root
     closure: list[LambdaTerm] = []
     seen: set[LambdaTerm] = set()
     total = 0
@@ -69,6 +70,8 @@ def value_closure(root: LambdaTerm,
         nonlocal total
         if t in seen:
             return
+        if t.height >= MAX_DEPTH:
+            raise ValueError(f"eval judgment nested {t.height + 1} deep, past {MAX_DEPTH}")
         total += t.size
         if total > budget:
             raise ClosureBudgetExceeded(budget)
@@ -118,8 +121,7 @@ def gen_lambda(e: LambdaTerm, budget: int = DEFAULT_CLOSURE_BUDGET,
     closure, values = value_closure(e, budget)
     apps = [t for t in closure if isinstance(t, App)]
     nv = len(values)
-    count = nv + len(apps) * (nv * nv * (nv + 1) + 1 + nv) + len(closure)
-    guard_cap(count, cap)
+    guard_cap(nv + len(apps) * (nv * nv * (nv + 1) + 1 + nv) + len(closure), cap)
 
     enc = {t: encode_lambda(t) for t in closure}
     results: list[Term] = [enc[v] for v in values] + [INF]

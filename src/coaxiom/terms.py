@@ -46,10 +46,34 @@ _set = object.__setattr__
 
 
 class _Frozen:
-    """Frozen, copied as itself, and pickled by the fields in its
-    ``__slots__``: the behaviour every interned value shares."""
+    """Frozen, copied as itself, and pickled and shown by the fields in
+    its ``__slots__``: the behaviour every interned value shares."""
 
     __slots__ = ()
+
+    def __repr__(self) -> str:
+        # Pieces of text and values still to show, next one last.
+        out: list[str] = []
+        todo: list = [self]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, str):
+                out.append(t)
+                continue
+            seq: list = [f"{type(t).__name__}("]
+            for n, f in enumerate(type(t).__slots__):
+                value = getattr(t, f)
+                seq.append(f"{', ' if n else ''}{f}=")
+                if isinstance(value, tuple):
+                    seq.append("(")
+                    for i, item in enumerate(value):
+                        seq += (", ", item) if i else (item,)
+                    seq.append(",)" if len(value) == 1 else ")")
+                else:
+                    seq.append(value if isinstance(value, _Frozen) else repr(value))
+            seq.append(")")
+            todo += reversed(seq)
+        return "".join(out)
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in type(self).__slots__)
@@ -68,34 +92,9 @@ class _Frozen:
 
 
 class _Interned(_Frozen):
-    """Shared behaviour of the four constructors, shown by the fields
-    in their ``__slots__``."""
+    """Shared behaviour of the four constructors."""
 
     __slots__ = ("_key", "_text")
-
-    def __repr__(self) -> str:
-        # Pieces of text and terms still to show, next one last.
-        out: list[str] = []
-        todo: list = [self]
-        while todo:
-            t = todo.pop()
-            if isinstance(t, str):
-                out.append(t)
-                continue
-            seq: list = [f"{type(t).__name__}("]
-            for n, f in enumerate(type(t).__slots__):
-                value = getattr(t, f)
-                seq.append(f"{', ' if n else ''}{f}=")
-                if isinstance(value, tuple):
-                    seq.append("(")
-                    for i, item in enumerate(value):
-                        seq += (", ", item) if i else (item,)
-                    seq.append(",)" if len(value) == 1 else ")")
-                else:
-                    seq.append(repr(value))
-            seq.append(")")
-            todo += reversed(seq)
-        return "".join(out)
 
 
 def _intern(cls, key: tuple, text, **fields):

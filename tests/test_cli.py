@@ -381,6 +381,37 @@ def test_gen_lambda_on_deep_binders(tmp_path, capsys):
     assert out.splitlines()[1:] == [f"eval({value},{value})"]
 
 
+@pytest.mark.parametrize("shape", ["binders", "spine"])
+@pytest.mark.parametrize("n", [MAX_DEPTH - 3, MAX_DEPTH - 2, MAX_DEPTH - 1, MAX_DEPTH])
+def test_gen_lambda_stops_at_max_depth(tmp_path, capsys, shape, n):
+    # n binders over x, or \x. applied to a spine of n x's: either way
+    # the eval judgment nests n + 2 deep, and gen lambda writes only
+    # rule files that generated can read back.
+    f, rules = tmp_path / "deep.lam", tmp_path / "deep.coax"
+    f.write_text("\\x. " * n + "x\n" if shape == "binders" else "\\x." + " x" * n + "\n")
+    code, out, err = run(capsys, "gen", "lambda", str(f), "-o", str(rules))
+    if n + 2 > MAX_DEPTH:
+        assert (code, out) == (2, "")
+        assert err == f"error: eval judgment nested {n + 2} deep, past {MAX_DEPTH}\n"
+        assert not rules.exists()
+    else:
+        assert (code, out, err) == (0, "", "")
+        code, out, err = run(capsys, "generated", str(rules))
+        assert (code, err) == (0, "") and len(out.splitlines()) == 2
+
+
+def test_recursion_error_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # Safety net for a walk that still recurses: no traceback, exit 2.
+    def deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("coaxiom.cli.gen_lambda", deep)
+    f = tmp_path / "id.lam"
+    f.write_text("\\x. x\n")
+    assert run(capsys, "gen", "lambda", str(f)) == (
+        2, "", "error: input nested too deeply: maximum recursion depth exceeded\n")
+
+
 def test_gen_dist_on_a_long_path_graph_reaches_the_cap(tmp_path, capsys):
     # 1100 nodes in a row: the simple paths are enumerated with an
     # explicit stack, so the generator gets as far as counting its rules.

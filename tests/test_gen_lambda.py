@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from coaxiom import INF, generated, sym
+from coaxiom.dsl import MAX_DEPTH
 from coaxiom.gen import (App, ClosureBudgetExceeded, Lam, Var, encode_lambda,
                          gen_lambda, parse_lambda, value_closure)
 from oracles import FuelOut, bigstep
@@ -105,3 +106,16 @@ def test_open_terms_are_rejected():
             encode_lambda(term)
         with pytest.raises(ValueError):
             gen_lambda(term)
+
+
+def test_contractions_nested_past_max_depth_are_rejected():
+    # The root nests 1003 deep in its eval judgment, but each value put
+    # under the 1000 binders of \f. \y1. ... f nests past what rule
+    # files may hold; fn applied to itself comes first, 2003 deep.
+    n = 1000
+    fn = parse_lambda(r"\f. " + r"\y. " * n + "f")
+    arg = parse_lambda(r"\z. " * n + "z")
+    assert (fn.height, arg.height) == (n + 2, n + 1)
+    value_closure(fn)
+    with pytest.raises(ValueError, match=f"nested {2 * n + 3} deep, past {MAX_DEPTH}"):
+        value_closure(App(fn, arg))

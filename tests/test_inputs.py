@@ -156,6 +156,11 @@ def test_lambda_render_parse_round_trip():
         assert pickle.loads(pickle.dumps(e)) is e and copy.deepcopy(e) is e
 
 
+def test_lambda_terms_show_their_fields():
+    assert repr(parse_lambda(r"\x. x x")) == \
+        "Lam(body=App(fn=Var(index=0), arg=Var(index=0)))"
+
+
 def test_lambda_rejects_garbage():
     with pytest.raises(ParseError):
         parse_lambda(r"\x.")
