@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", metavar="OUT",
                    help="write the rule file here instead of stdout")
     p.add_argument("--cap", type=_count, default=DEFAULT_CAP, metavar="N",
-                   help="maximum number of grounded rules")
+                   help="bound on the rules counted before grounding")
     p.add_argument("--target", metavar="NODE",
                    help="target node (dist, minpath)")
     p.add_argument("--pred", metavar="PRED", choices=LIST_PREDICATES,

@@ -12,17 +12,21 @@ computed in two phases:
   regular rules and contained in the bound, obtained by descending
   iteration from the bound.
 
-Each phase is one counter-driven pass in synchronous layers, linear in
-the total size of the rules:
+Both phases run one counting loop in synchronous layers, linear in the
+total size of the rules: a judgment that changes counts down the rules
+that watch it, and a rule whose count reaches zero counts down its
+conclusion, which changes in the next layer once its own count is zero.
 
-* ascending (``ind``, ``bound``): forward chaining over per-rule counts
-  of missing premises, as in Dowling and Gallier's linear-time Horn
-  satisfiability.  A judgment's *entry layer* is the number of rule
-  applications from the empty set after which it first holds.
-* descending (``coind``, ``kernel``): layered deletion over
-  per-judgment counts of live regular rules, as in Liu and Smolka's
-  linear-time fixed point algorithms.  A judgment's *drop layer* is the
-  number of descending rounds after which it no longer holds.
+* ascending (``ind``, ``bound``): a rule counts its premises still
+  missing and a judgment waits for one rule, as in Dowling and
+  Gallier's linear-time Horn satisfiability.  A judgment's *entry
+  layer* is the number of rule applications from the empty set after
+  which it first holds.
+* descending (``coind``, ``kernel``): a rule dies with its first
+  dropped premise and a judgment counts its live regular rules, as in
+  Liu and Smolka's linear-time fixed point algorithms.  A judgment's
+  *drop layer* is the number of descending rounds after which it no
+  longer holds.
 
 An :class:`Interpretation` keeps those layers.  Its ``trace``, the set
 after each productive round of the naive whole-set iteration, is
@@ -120,44 +124,23 @@ def rule_key(r: Rule):
 class System:
     """An inference system: regular rules plus co rules.
 
-    Duplicate rules are dropped on construction and an index from
-    conclusion to regular-rule positions is maintained.  Rule order is
-    preserved for reference purposes only; no operation's result depends
-    on it.
+    Duplicate rules are dropped on construction.  ``by_conclusion``
+    sends each conclusion to its ``(rule, position)`` pairs, the regular
+    rules first and then the co rules, a position being the rule's index
+    in its own tuple.  Rule order is preserved for reference purposes
+    only; no operation's result depends on it.
     """
 
-    __slots__ = ("regular_rules", "co_rules", "by_conclusion", "_co_by_conclusion",
-                 "_premise_sets")
+    __slots__ = ("regular_rules", "co_rules", "by_conclusion")
 
     def __init__(self, rules: Iterable[Rule] = ()):
-        regular: list[Rule] = []
-        co: list[Rule] = []
-        seen: set[Rule] = set()
-        for r in rules:
-            if r in seen:
-                continue
-            seen.add(r)
-            (co if r.co else regular).append(r)
-        self.regular_rules: tuple[Rule, ...] = tuple(regular)
-        self.co_rules: tuple[Rule, ...] = tuple(co)
-        index: dict[Term, list[int]] = {}
-        for i, r in enumerate(self.regular_rules):
-            index.setdefault(r.conclusion, []).append(i)
-        self.by_conclusion: dict[Term, tuple[int, ...]] = {
-            c: tuple(ix) for c, ix in index.items()
-        }
-        co_index: dict[Term, list[int]] = {}
-        for i, r in enumerate(self.co_rules):
-            co_index.setdefault(r.conclusion, []).append(i)
-        self._co_by_conclusion: dict[Term, tuple[int, ...]] = {
-            c: tuple(ix) for c, ix in co_index.items()
-        }
-        # Premise sets are consulted by every step() and every descending
-        # pass; precompute them once.
-        self._premise_sets = tuple(frozenset(r.premises) for r in self.regular_rules)
-
-    def co_rules_for(self, conclusion: Term) -> tuple[int, ...]:
-        return self._co_by_conclusion.get(conclusion, ())
+        unique = dict.fromkeys(rules)
+        self.regular_rules: tuple[Rule, ...] = tuple(r for r in unique if not r.co)
+        self.co_rules: tuple[Rule, ...] = tuple(r for r in unique if r.co)
+        self.by_conclusion: dict[Term, list[tuple[Rule, int]]] = {}
+        for rs in (self.regular_rules, self.co_rules):
+            for i, r in enumerate(rs):
+                self.by_conclusion.setdefault(r.conclusion, []).append((r, i))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, System):
@@ -235,49 +218,56 @@ def step(sys: System, s: frozenset[Term] | set[Term]) -> frozenset[Term]:
     premises all hold in s."""
     if not isinstance(s, (set, frozenset)):
         s = frozenset(s)
-    return frozenset(r.conclusion
-                     for r, ps in zip(sys.regular_rules, sys._premise_sets)
-                     if ps <= s)
+    return frozenset(r.conclusion for r in sys.regular_rules if s.issuperset(r.premises))
 
 
-def _check_budget(layer: int, budget: Optional[int]) -> None:
-    """Round ``layer + 1`` may only run within the budget; like the
-    whole-set iteration, a fixed point needs one unproductive round
-    after its last productive one."""
-    if budget is not None and layer >= budget:
-        raise BudgetExceeded(budget)
+def _propagate(rules: Sequence[Rule], watchers: Mapping[Term, list[int]],
+               rule_count: list[int], count: dict[Term, int],
+               frontier: list[Term], budget: Optional[int]) -> tuple[dict[Term, int], int]:
+    """The layer in which each judgment changes, and the number of
+    productive layers, counted as the module docstring describes: the
+    judgments in ``frontier`` change in layer 1, and a count already
+    below 0 changes nothing.  At most ``budget`` layers run, counting
+    the unproductive one that confirms the fixed point.
+    """
+    changed: dict[Term, int] = {}
+    layer = 0
+    while True:
+        if budget is not None and layer >= budget:
+            raise BudgetExceeded(budget)
+        if not frontier:
+            return changed, layer
+        layer += 1
+        after: list[Term] = []
+        for j in frontier:
+            changed[j] = layer
+            for i in watchers.get(j, ()):
+                rule_count[i] -= 1
+                if not rule_count[i]:
+                    c = rules[i].conclusion
+                    count[c] -= 1
+                    if not count[c]:
+                        after.append(c)
+        frontier = after
 
 
 def _ascend(rules: Sequence[Rule], budget: int) -> tuple[dict[Term, int], int]:
     """Entry layer of every judgment derivable from ``rules``, and the
     number of productive layers.
 
-    Each rule counts its premises not derived yet; it fires once the
-    count reaches zero, and its conclusion (if new) enters in the layer
-    after the one in which the last premise entered.
+    A rule counts its premises not derived yet and fires once the count
+    reaches 0; a judgment enters in the layer after the first rule
+    concluding it fired.
     """
-    missing = [len(r.premises) for r in rules]
-    waiting: dict[Term, list[int]] = {}
+    watchers: dict[Term, list[int]] = {}
     for i, r in enumerate(rules):
         for p in r.premises:
-            waiting.setdefault(p, []).append(i)
-    entry: dict[Term, int] = {}
-    frontier = {r.conclusion for r in rules if not r.premises}
-    layer = 0
-    while True:
-        _check_budget(layer, budget)
-        if not frontier:
-            return entry, layer
-        layer += 1
-        for j in frontier:
-            entry[j] = layer
-        fired: set[Term] = set()
-        for j in frontier:
-            for i in waiting.get(j, ()):
-                missing[i] -= 1
-                if not missing[i] and rules[i].conclusion not in entry:
-                    fired.add(rules[i].conclusion)
-        frontier = fired
+            watchers.setdefault(p, []).append(i)
+    count = dict.fromkeys([r.conclusion for r in rules], 1)
+    facts = dict.fromkeys([r.conclusion for r in rules if not r.premises], 0)
+    count.update(facts)
+    return _propagate(rules, watchers, [len(r.premises) for r in rules],
+                      count, list(facts), budget)
 
 
 def _descend(sys: System, start: frozenset[Term],
@@ -293,40 +283,20 @@ def _descend(sys: System, start: frozenset[Term],
     """
     rules = sys.regular_rules
     live = dict.fromkeys(start, 0)
-    watching: dict[Term, list[int]] = {}
+    watchers: dict[Term, list[int]] = {}
     escaped: list[Term] = []
-    for i, (r, ps) in enumerate(zip(rules, sys._premise_sets)):
-        if ps <= start:
+    for i, r in enumerate(rules):
+        if start.issuperset(r.premises):
             if r.conclusion not in live:
                 escaped.append(r.conclusion)
                 continue
             live[r.conclusion] += 1
             for p in r.premises:
-                watching.setdefault(p, []).append(i)
+                watchers.setdefault(p, []).append(i)
     if escaped:
         raise NotPreFixed(min(escaped, key=term_key))
-    dead = bytearray(len(rules))
-    drop: dict[Term, int] = {}
-    frontier = [j for j, n in live.items() if not n]
-    layer = 0
-    while True:
-        _check_budget(layer, budget)
-        if not frontier:
-            return drop, layer
-        layer += 1
-        for j in frontier:
-            drop[j] = layer
-        unsupported: list[Term] = []
-        for j in frontier:
-            for i in watching.get(j, ()):
-                if dead[i]:
-                    continue
-                dead[i] = 1
-                c = rules[i].conclusion
-                live[c] -= 1
-                if not live[c]:
-                    unsupported.append(c)
-        frontier = unsupported
+    return _propagate(rules, watchers, [1] * len(rules), live,
+                      [j for j, n in live.items() if not n], budget)
 
 
 def ind(sys: System, budget: int = DEFAULT_BUDGET) -> Interpretation:

@@ -3,8 +3,10 @@
 Every generator instantiates a meta-rule family over a finite universe,
 and most of those families are exponential in some input measure.  Each
 generator therefore *counts before it builds*: the number of rule
-instances is computed arithmetically and checked against a cap, so a
-hopeless instantiation fails fast instead of eating memory.
+instances, or an upper bound on it, is computed arithmetically and
+checked against a cap, so a hopeless instantiation fails fast instead
+of eating memory.  A cap can thus refuse an instantiation whose
+grounding would stay under it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ class GenError(Exception):
 
 
 class InstantiationTooLarge(GenError):
-    """The instantiation would emit more rules than the cap allows."""
+    """The counted rules (exact or an upper bound) exceed the cap."""
 
     def __init__(self, needed: int, cap: int):
         super().__init__(f"instantiation needs {needed} rules, cap is {cap}")

@@ -11,6 +11,7 @@ standing for unreachability.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable
 
 from ..engine import Rule, System
@@ -125,10 +126,8 @@ def _plus(weight: int, d: Term) -> Term:
     return INF if isinstance(d, Inf) else Num(weight + d.value)
 
 
-def _le(a: Term, b: Term) -> bool:
-    if isinstance(a, Inf):
-        return isinstance(b, Inf)
-    return isinstance(b, Inf) or a.value <= b.value
+def _weight(d: Term) -> float:
+    return math.inf if isinstance(d, Inf) else d.value
 
 
 def gen_dist(g: Graph, target: str, cap: int = DEFAULT_CAP) -> System:
@@ -163,11 +162,7 @@ def gen_dist(g: Graph, target: str, cap: int = DEFAULT_CAP) -> System:
             rules.append(Rule(sym("dist", sym(v), u, INF)))
             continue
         for combo in itertools.product(universe, repeat=len(succs)):
-            options = [_plus(w[(v, e.dst)], d) for e, d in zip(succs, combo)]
-            best = options[0]
-            for o in options[1:]:
-                if _le(o, best):
-                    best = o
+            best = min((_plus(w[(v, e.dst)], d) for e, d in zip(succs, combo)), key=_weight)
             premises = tuple(sym("dist", sym(e.dst), u, d)
                              for e, d in zip(succs, combo))
             rules.append(Rule(sym("dist", sym(v), u, best), premises))
@@ -227,10 +222,7 @@ def gen_minpath(g: Graph, target: str, cap: int = DEFAULT_CAP) -> System:
             per_succ.append(opts)
         for combo in itertools.product(*per_succ):
             costs = [_plus(w[(v, e.dst)], d) for e, (_, d) in zip(succs, combo)]
-            best = costs[0]
-            for c in costs[1:]:
-                if _le(c, best):
-                    best = c
+            best = min(costs, key=_weight)
             premises = tuple(sym("minPath", sym(e.dst), u, a, d)
                              for e, (a, d) in zip(succs, combo))
             for e, (a, _), c in zip(succs, combo, costs):

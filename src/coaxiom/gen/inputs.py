@@ -23,8 +23,11 @@ an integer ``-?[0-9]+`` in ASCII digits.
 
 from __future__ import annotations
 
+import gc
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from ..dsl import Cursor, Lexicon, ParseError, Token
@@ -236,14 +239,19 @@ class EquationSystem:
 
     bindings: tuple[tuple[str, Binding], ...]
 
+    @cached_property
+    def _by_name(self) -> dict[str, Binding]:
+        # The first binding of a name wins, as in a scan of ``bindings``.
+        return dict(reversed(self.bindings))
+
     def binding(self, var: str) -> Binding:
-        for name, b in self.bindings:
-            if name == var:
-                return b
-        raise MalformedEquations(f"unbound variable: {var}")
+        b = self._by_name.get(var)
+        if b is None:
+            raise MalformedEquations(f"unbound variable: {var}")
+        return b
 
     def has(self, var: str) -> bool:
-        return any(name == var for name, _ in self.bindings)
+        return var in self._by_name
 
 
 def _check_equations(bindings: list[tuple[str, Binding]]) -> None:
@@ -321,17 +329,19 @@ def parse_equations(text: str) -> EquationSystem:
         cur.expect(";")
         raw.append((var, chain, line, column))
 
-    names = [v for v, _, _, _ in raw]
+    names = Counter(v for v, _, _, _ in raw)
     for v, _, line, column in raw:
-        if names.count(v) > 1:
+        if names[v] > 1:
             raise ParseError(line, column, ("fresh variable",), v)
 
     used = set(names)
+    last: dict[str, int] = {}  # the suffix fresh(base) returned last
 
     def fresh(base: str) -> str:
-        k = 1
+        k = last.get(base, 0) + 1
         while f"{base}_{k}" in used:
             k += 1
+        last[base] = k
         used.add(f"{base}_{k}")
         return f"{base}_{k}"
 
@@ -374,19 +384,18 @@ def parse_equations(text: str) -> EquationSystem:
 class _Lambda(_Frozen):
     """An interned lambda term, ``Var(index)``, ``Lam(body)`` or ``App(fn, arg)``,
     with its node count ``size`` and the bracket depth ``height`` of its
-    encoding.  One table holds every node ever built, so ``==`` is identity."""
+    encoding.  Each class keeps a table of every node it ever built,
+    keyed by the node's fields, so ``==`` is identity."""
 
     __slots__ = ("size", "height")
-    _table: dict[tuple, "_Lambda"] = {}
 
-    def __new__(cls, *fields):
-        t = cls._table.get((cls, *fields))
-        if t is None:
-            t = cls._table[cls, *fields] = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields, strict=True):
-                _set(t, name, value)
-            _set(t, "size", 1 + sum(getattr(f, "size", 0) for f in fields))
-            _set(t, "height", 1 + max(getattr(f, "height", 0) for f in fields))
+    @classmethod
+    def _new(cls, key, size: int, height: int, *fields):
+        t = cls._table[key] = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            _set(t, name, value)
+        _set(t, "size", size)
+        _set(t, "height", height)
         return t
 
 
@@ -394,14 +403,27 @@ class Var(_Lambda):
     """The variable of the index-th enclosing binder, 0 the innermost."""
 
     __slots__ = ("index",)
+    _table: dict[int, "Var"] = {}
+
+    def __new__(cls, index: int):
+        return cls._table.get(index) or cls._new(index, 1, 1, index)
 
 
 class Lam(_Lambda):
     __slots__ = ("body",)
+    _table: dict["LambdaTerm", "Lam"] = {}
+
+    def __new__(cls, body: "LambdaTerm"):
+        return cls._table.get(body) or cls._new(body, body.size + 1, body.height + 1, body)
 
 
 class App(_Lambda):
     __slots__ = ("fn", "arg")
+    _table: dict[tuple, "App"] = {}
+
+    def __new__(cls, fn: "LambdaTerm", arg: "LambdaTerm"):
+        return cls._table.get((fn, arg)) or cls._new(
+            (fn, arg), fn.size + arg.size + 1, max(fn.height, arg.height) + 1, fn, arg)
 
 
 LambdaTerm = Union[Var, Lam, App]
@@ -412,6 +434,18 @@ def parse_lambda(text: str) -> LambdaTerm:
     associates to the left, and an abstraction extends as far right as
     possible.  The parser keeps its own stack, so nesting depth is not
     limited by the interpreter stack."""
+    # Pause the collector: reading makes a long-lived node per token and
+    # no reference cycles, and each collection would walk the whole heap.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_lambda(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_lambda(text: str) -> LambdaTerm:
     cur = Cursor(text, _LAMBDA)
     # The binding depths of each variable name in scope, innermost last.
     scope: dict[str, list[int]] = {}

@@ -30,31 +30,26 @@ DEFAULT_CARRIES = (-1, 0, 1, 2)
 
 def _list_closure(eqs: EquationSystem, root: str) -> list[str]:
     """Variables reachable from root by following cons tails, root first."""
-    out = [root]
-    seen = {root}
-    i = 0
-    while i < len(out):
-        b = eqs.binding(out[i])
-        i += 1
-        if isinstance(b, ConsBind) and b.tail not in seen:
-            seen.add(b.tail)
-            out.append(b.tail)
-    return out
+    out = {root: None}
+    b = eqs.binding(root)
+    while isinstance(b, ConsBind) and b.tail not in out:
+        out[b.tail] = None
+        b = eqs.binding(b.tail)
+    return list(out)
 
 
-def _require_list(eqs: EquationSystem, root: str, pred: str) -> None:
+def _require_root(eqs: EquationSystem, root: str, pred: str) -> None:
     if not eqs.has(root):
         raise MalformedEquations(f"unbound root variable: {root}")
-    if not isinstance(eqs.binding(root), (NilBind, ConsBind)):
+    tree = isinstance(eqs.binding(root), TreeBind)
+    if pred == "path0" and not tree:
+        raise MalformedEquations(f"path0 needs a tree root: {root}")
+    if pred != "path0" and tree:
         raise MalformedEquations(f"{pred} needs a list root, got a tree: {root}")
 
 
 def _elements(eqs: EquationSystem, lists: list[str]) -> list[Term]:
-    heads: list[Term] = []
-    for name in lists:
-        b = eqs.binding(name)
-        if isinstance(b, ConsBind) and b.head not in heads:
-            heads.append(b.head)
+    heads = dict.fromkeys(b.head for b in map(eqs.binding, lists) if isinstance(b, ConsBind))
     return sorted(heads, key=term_key)
 
 
@@ -166,11 +161,6 @@ def _tree_ref(eqs: EquationSystem, head: Term) -> tuple[Term, int, str]:
 
 
 def _gen_path0(eqs: EquationSystem, root: str, cap: int) -> System:
-    if not eqs.has(root):
-        raise MalformedEquations(f"unbound root variable: {root}")
-    if not isinstance(eqs.binding(root), TreeBind):
-        raise MalformedEquations(f"path0 needs a tree root: {root}")
-
     trees: list[tuple[Term, int, str]] = []
     lists: list[str] = []
     seen_trees: set[Term] = set()
@@ -237,26 +227,18 @@ def gen_listpred(eqs: EquationSystem, pred: str, root: str,
     explicit true/false verdict argument so that both outcomes are
     judgments.
     """
-    if pred == "member":
-        if x is None:
-            raise ValueError("member needs the element to look for")
-        _require_list(eqs, root, pred)
-        return _gen_member(eqs, root, x, cap)
-    if x is not None:
+    if pred == "member" and x is None:
+        raise ValueError("member needs the element to look for")
+    if pred != "member" and x is not None:
         raise ValueError(f"{pred} does not take an element argument")
-    if pred == "allPos":
-        _require_list(eqs, root, pred)
-        return _gen_allpos(eqs, root, cap)
-    if pred == "elems":
-        _require_list(eqs, root, pred)
-        return _gen_elems(eqs, root, cap)
-    if pred == "maxElem":
-        _require_list(eqs, root, pred)
-        return _gen_maxelem(eqs, root, cap)
-    if pred == "path0":
-        return _gen_path0(eqs, root, cap)
-    raise ValueError(f"unknown predicate {pred!r}; "
-                     f"pick one of {', '.join(LIST_PREDICATES)}")
+    gens = {"member": lambda e, r, c: _gen_member(e, r, x, c),
+            "allPos": _gen_allpos, "elems": _gen_elems, "maxElem": _gen_maxelem,
+            "path0": _gen_path0}
+    if pred not in gens:
+        raise ValueError(f"unknown predicate {pred!r}; "
+                         f"pick one of {', '.join(LIST_PREDICATES)}")
+    _require_root(eqs, root, pred)
+    return gens[pred](eqs, root, cap)
 
 
 def _stream_closure(eqs: EquationSystem, roots: tuple[str, str, str]

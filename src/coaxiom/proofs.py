@@ -133,12 +133,8 @@ def _least(sys: System, j: Term, admissible: Callable[[Term], bool],
     pass ``admissible``, with its index in its list.  Regular rules come
     before co rules at a tie, and co rules compete only when ``co`` is
     set."""
-    rules = sys.regular_rules
-    ok = [(rules[i], i) for i in sys.by_conclusion.get(j, ())
-          if all(map(admissible, rules[i].premises))]
-    if co:
-        ok += [(sys.co_rules[i], i) for i in sys.co_rules_for(j)
-               if all(map(admissible, sys.co_rules[i].premises))]
+    ok = [(r, i) for r, i in sys.by_conclusion.get(j, ())
+          if (co or not r.co) and all(map(admissible, r.premises))]
     if not ok:
         raise AssertionError(f"no admissible rule for {render_term(j)}")
     return min(ok, key=lambda pair: rule_key(pair[0]))

@@ -7,13 +7,16 @@ is checked separately in test_agreement.py.
 
 from __future__ import annotations
 
+import gc
 import time
+import tracemalloc
 
 import pytest
 
 from coaxiom import (BOUND, BudgetExceeded, COINDUCTIVE, DropsAtLevel,
                      GENERATED, INDUCTIVE, NotPreFixed, Rule, System, bound,
                      coind, generated, ind, kernel, level_witness, step, sym)
+from coaxiom.gen import gen_visit, parse_graph
 
 P, Q, R, S = sym("p"), sym("q"), sym("r"), sym("s")
 
@@ -42,6 +45,32 @@ def test_system_deduplicates_rules():
 
 def test_rule_premises_are_sorted_and_deduplicated():
     assert Rule(P, (R, Q, R)).premises == (Q, R)
+
+
+def test_by_conclusion_lists_regular_rules_then_co_rules():
+    rules = (Rule(R, co=True), Rule(R, (R,)), Rule(P), Rule(R, (P,)))
+    assert mk(*rules).by_conclusion == {
+        R: [(rules[1], 0), (rules[3], 2), (rules[0], 0)], P: [(rules[2], 1)]}
+
+
+def test_system_of_a_grounded_ring_retains_little_memory():
+    # gen visit on a 7-node ring plus a chord: 17,159 rules, whose terms
+    # exist before the system does.
+    k = 7
+    graph = parse_graph(" ".join(f"node n{i}" for i in range(k))
+                        + "".join(f" edge n{i} n{(i + 1) % k}" for i in range(k))
+                        + " edge n0 n3")
+    grounded = gen_visit(graph, cap=10**6)
+    rules = [*grounded.regular_rules, *grounded.co_rules]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sys_ = System(rules)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rules) == 17_159 and sys_ == grounded
+    assert retained < 3 * 2**20, f"{retained / 2**20:.2f} MiB"
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ expected judgment sets on it are small enough to fix by hand.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from coaxiom import generated, ind, num, parse_judgment, sym
@@ -192,3 +194,21 @@ def test_add_requires_infinite_digit_streams():
     big = parse_equations("z = 12 : z;")
     with pytest.raises(MalformedEquations):
         gen_add(big, "z", "z", "z")
+
+
+# ---------------------------------------------------------------------------
+# scale
+
+def test_equations_are_linear_in_their_variables():
+    # x0 = 0 : x1; ... x19999 = 9 : x20000; x20000 = nil;  A duplicate
+    # check or a binding lookup that scans every variable needs well
+    # over 10 s here.
+    n = 20_000
+    text = "".join(f"x{i} = {i % 10} : x{i + 1};\n" for i in range(n)) + f"x{n} = nil;\n"
+    t0 = time.perf_counter()
+    eqs = parse_equations(text)
+    rules = gen_listpred(eqs, "member", "x0", x=num(7), cap=10**6).regular_rules
+    elapsed = time.perf_counter() - t0
+    assert eqs.has(f"x{n}") and not eqs.has(f"x{n + 1}")
+    assert len(rules) == 2 * n - n // 10 + 1
+    assert elapsed < 5.0, f"{elapsed:.2f} s"

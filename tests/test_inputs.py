@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import gc
 import pickle
 import time
 
@@ -119,6 +121,13 @@ def test_binding_unknown_variable_raises():
         eqs.binding("nope")
 
 
+def test_equations_fresh_names_skip_bound_ones():
+    eqs = parse_equations("l = 1 : 2 : 3 : 4 : l; l_2 = nil; m = 5 : 6 : l_2;")
+    assert [name for name, _ in eqs.bindings] == \
+        ["l", "l_1", "l_3", "l_4", "l_2", "m", "m_1"]
+    assert eqs.binding("l_4").tail == "l" and eqs.binding("m_1").tail == "l_2"
+
+
 # ---------------------------------------------------------------------------
 # lambda terms
 
@@ -168,6 +177,18 @@ def test_lambda_rejects_garbage():
         parse_lambda("")
     with pytest.raises(ParseError):
         parse_lambda(r"\x. x) y")
+
+
+def test_lambda_parsing_leaves_the_collector_as_it_was():
+    for text in ("\\x. x", "\\x. y"):
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            try:
+                with contextlib.suppress(ParseError):
+                    parse_lambda(text)
+                assert gc.isenabled() == enabled
+            finally:
+                gc.enable()
 
 
 def test_lambda_tokenizing_is_linear():
@@ -238,6 +259,7 @@ INPUT_ERRORS = [
     ("grammar", "Sx -> a | SX ;\nSX -> b ;\nSx -> c ;", 2, 1,
      ("case-distinct nonterminals",), "SX"),
     ("lambda", "(\\y. y)\n  \\x. x y", 2, 9, ("bound variable",), "y"),
+    ("equations", "l = nil;\nk = nil;\n  l = 1 : k;", 1, 1, ("fresh variable",), "l"),
 ]
 
 
