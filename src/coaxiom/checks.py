@@ -14,12 +14,11 @@ It is a lookup in the entry and drop layers of one two-phase pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .engine import (DEFAULT_BUDGET, Interpretation, System, analyse, bound,
                      step)
-from .terms import Term, term_key
+from .terms import Term, _Record, term_key
 
 __all__ = [
     "Verdict",
@@ -36,12 +35,14 @@ NOT_IN_BOUND = "not-in-bound"
 NOT_CONSISTENT = "not-consistent"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Outcome of bounded coinduction; failures pair a judgment with why."""
 
-    accepted: bool
-    failures: tuple[tuple[Term, str], ...] = ()
+    __slots__ = ("accepted", "failures")
+
+    def __init__(self, accepted: bool,
+                 failures: tuple[tuple[Term, str], ...] = ()) -> None:
+        self._init(accepted, failures)
 
 
 def is_closed(sys: System, s: Iterable[Term]) -> bool:
@@ -78,20 +79,22 @@ def bounded_coinduction(sys: System, candidate: Iterable[Term],
     return Verdict(not failures, tuple(failures))
 
 
-@dataclass(frozen=True)
-class NotInBound:
+class NotInBound(_Record):
     """The judgment is not even in the bound."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class DropsAtLevel:
+
+class DropsAtLevel(_Record):
     """Least number of descending rounds that refutes the judgment."""
 
-    level: int
+    __slots__ = ("level",)
+
+    def __init__(self, level: int) -> None:
+        self._init(level)
 
 
-@dataclass(frozen=True)
-class SurvivesTo:
+class SurvivesTo(_Record):
     """The judgment is still present after ``level`` descending rounds.
 
     ``at_fixpoint`` records that the descent stabilised on the way, in
@@ -99,8 +102,10 @@ class SurvivesTo:
     bounded fixed point, not merely to an unexplored tail.
     """
 
-    level: int
-    at_fixpoint: bool = False
+    __slots__ = ("level", "at_fixpoint")
+
+    def __init__(self, level: int, at_fixpoint: bool = False) -> None:
+        self._init(level, at_fixpoint)
 
 
 LevelWitness = Union[NotInBound, DropsAtLevel, SurvivesTo]

@@ -45,16 +45,25 @@ from .dsl import ParseError, parse_judgment, parse_judgments, parse_system, \
     render_system
 from .engine import (DEFAULT_BUDGET, BudgetExceeded, Interpretation, System,
                      analyse, coind, generated, ind, sort_judgments)
+from . import gen
 from .gen import (ClosureBudgetExceeded, DEFAULT_CAP, DEFAULT_CARRIES,
                   DEFAULT_CLOSURE_BUDGET, InstantiationTooLarge,
-                  LIST_PREDICATES, MalformedEquations, gen_add, gen_dist,
-                  gen_first, gen_lambda, gen_listpred, gen_minpath, gen_visit,
-                  parse_equations, parse_grammar, parse_graph, parse_lambda)
+                  LIST_PREDICATES, MalformedEquations)
 from .proofs import (RegularProof, RuleRef, WfProof, proof_to_dict,
                      prove_approx, prove_regular, prove_wf)
 from .terms import render_term
 
 __all__ = ["main"]
+
+
+def __getattr__(name: str):
+    """The ``gen_*`` and ``parse_*`` names of :mod:`.gen`, loaded when
+    ``gen`` first runs.  ``_cmd_gen`` reads them as attributes of this
+    module, so that replacing one here takes effect."""
+    if name.startswith(("gen_", "parse_")) and name in gen.__all__:
+        return getattr(gen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -354,31 +363,32 @@ def _cmd_gen(args: argparse.Namespace) -> Result:
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     kind = args.kind
+    cli = sys.modules[__name__]
     if kind == "visit":
-        system = gen_visit(parse_graph(text), cap=args.cap)
+        system = cli.gen_visit(cli.parse_graph(text), cap=args.cap)
     elif kind in ("dist", "minpath"):
         if not args.target:
             raise ValueError(f"gen {kind} needs --target NODE")
-        fn = gen_dist if kind == "dist" else gen_minpath
-        system = fn(parse_graph(text), args.target, cap=args.cap)
+        fn = cli.gen_dist if kind == "dist" else cli.gen_minpath
+        system = fn(cli.parse_graph(text), args.target, cap=args.cap)
     elif kind == "first":
-        system = gen_first(parse_grammar(text), cap=args.cap)
+        system = cli.gen_first(cli.parse_grammar(text), cap=args.cap)
     elif kind == "list":
         if not args.pred or not args.root:
             raise ValueError("gen list needs --pred PREDICATE and --root VAR")
         x = parse_judgment(args.element) if args.element else None
-        system = gen_listpred(parse_equations(text), args.pred, args.root,
-                              x=x, cap=args.cap)
+        system = cli.gen_listpred(cli.parse_equations(text), args.pred,
+                                  args.root, x=x, cap=args.cap)
     elif kind == "add":
         if not args.roots:
             raise ValueError("gen add needs --roots X Y Z")
         carries = _parse_carries(args.carries) if args.carries \
             else DEFAULT_CARRIES
-        system = gen_add(parse_equations(text), *args.roots,
-                         carries=carries, cap=args.cap)
+        system = cli.gen_add(cli.parse_equations(text), *args.roots,
+                             carries=carries, cap=args.cap)
     else:  # lambda
-        system = gen_lambda(parse_lambda(text), budget=args.budget,
-                            cap=args.cap)
+        system = cli.gen_lambda(cli.parse_lambda(text), budget=args.budget,
+                                cap=args.cap)
     rendered = render_system(system)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

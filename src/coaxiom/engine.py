@@ -36,11 +36,9 @@ layers directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .terms import Term, term_key
+from .terms import Term, _Record, _set, term_key
 
 __all__ = [
     "Rule",
@@ -99,21 +97,27 @@ class NotPreFixed(EngineError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(_Record):
     """One ground rule.  Premises are deduplicated and canonically sorted.
 
     ``co=False`` marks a regular rule, ``co=True`` a co rule (a coaxiom
     when the premise tuple is empty).
     """
 
-    conclusion: Term
-    premises: tuple[Term, ...] = ()
-    co: bool = False
+    __slots__ = ("conclusion", "premises", "co")
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(set(self.premises), key=term_key))
-        object.__setattr__(self, "premises", ordered)
+    def __init__(self, conclusion: Term, premises: tuple[Term, ...] = (),
+                 co: bool = False) -> None:
+        premises = tuple(premises)
+        if len(premises) > 1:
+            premises = tuple(sorted(set(premises), key=term_key))
+        # Field by field: every parsed or grounded rule is built and hashed.
+        _set(self, "conclusion", conclusion)
+        _set(self, "premises", premises)
+        _set(self, "co", co)
+
+    def __hash__(self) -> int:
+        return hash((self.conclusion, self.premises, self.co))
 
 
 def rule_key(r: Rule):
@@ -156,15 +160,15 @@ class System:
                 f"{len(self.co_rules)} co)")
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(_Record):
     """A computed judgment set together with how it was reached.
 
     ``levels`` records when each judgment changed: for the ascending
     phases (``ind``, ``bound``) the entry layer of every member, for the
     descending ones (``coind``, ``kernel``, ``generated``) the drop
     layer of every judgment of the starting set that did not survive.
-    ``layers`` counts the productive rounds.
+    ``layers`` counts the productive rounds.  ``levels`` is compared
+    but neither hashed nor shown.
 
     ``trace`` lists the judgment set after each productive round —
     ascending for the inductive phases, descending for the coinductive
@@ -174,11 +178,20 @@ class Interpretation:
     retrievable.
     """
 
-    judgments: frozenset[Term]
-    phase: str
-    levels: Mapping[Term, int] = field(default_factory=dict, hash=False, repr=False)
-    layers: int = 0
-    phase1: Optional["Interpretation"] = None
+    __slots__ = ("judgments", "phase", "levels", "layers", "phase1", "_trace")
+
+    def __init__(self, judgments: frozenset[Term], phase: str,
+                 levels: Optional[Mapping[Term, int]] = None, layers: int = 0,
+                 phase1: Optional["Interpretation"] = None) -> None:
+        self._init(judgments, phase, {} if levels is None else levels, layers, phase1)
+        _set(self, "_trace", None)
+
+    def __hash__(self) -> int:
+        return hash((self.judgments, self.phase, self.layers, self.phase1))
+
+    def __repr__(self) -> str:
+        return (f"Interpretation(judgments={self.judgments!r}, phase={self.phase!r}, "
+                f"layers={self.layers!r}, phase1={self.phase1!r})")
 
     def __contains__(self, j: Term) -> bool:
         return j in self.judgments
@@ -186,10 +199,10 @@ class Interpretation:
     def sorted_judgments(self) -> list[Term]:
         return sort_judgments(self.judgments)
 
-    @cached_property
+    @property
     def trace(self) -> tuple[frozenset[Term], ...]:
-        if not self.layers:
-            return (self.judgments,)
+        if self._trace is not None:
+            return self._trace
         by_layer: list[list[Term]] = [[] for _ in range(self.layers)]
         for j, k in self.levels.items():
             by_layer[k - 1].append(j)
@@ -202,7 +215,8 @@ class Interpretation:
             else:
                 current.difference_update(js)
             out.append(frozenset(current))
-        return tuple(out)
+        _set(self, "_trace", tuple(out) or (self.judgments,))
+        return self._trace
 
 
 def sort_judgments(js: Iterable[Term]) -> list[Term]:

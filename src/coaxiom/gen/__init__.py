@@ -6,55 +6,39 @@ whose bounded fixed point is the intended semantics of the
 corresponding predicate.  The generators pre-count their output
 against a cap and refuse oversized instantiations instead of
 thrashing.
+
+The constants and exceptions of :mod:`.common` load with the package.
+Every other name loads its submodule on first use (PEP 562), so that a
+program that never runs a generator never loads one.
 """
 
-from .common import (DEFAULT_CAP, DEFAULT_CLOSURE_BUDGET,
-                     ClosureBudgetExceeded, GenError, InstantiationTooLarge,
-                     MalformedEquations, guard_cap)
-from .graphs import gen_dist, gen_minpath, gen_visit, simple_paths_to
-from .grammars import encode_string, gen_first, nullable_nonterminals
-from .inputs import (App, ConsBind, Edge, EquationSystem, Grammar, Graph, Lam,
-                     LambdaTerm, NilBind, TreeBind, Var, parse_equations,
-                     parse_grammar, parse_graph, parse_lambda, render_lambda)
-from .lambdas import encode_lambda, gen_lambda, value_closure
-from .lists import DEFAULT_CARRIES, LIST_PREDICATES, gen_add, gen_listpred
+import importlib
 
-__all__ = [
-    "DEFAULT_CAP",
-    "DEFAULT_CLOSURE_BUDGET",
-    "DEFAULT_CARRIES",
-    "LIST_PREDICATES",
-    "GenError",
-    "InstantiationTooLarge",
-    "ClosureBudgetExceeded",
-    "MalformedEquations",
-    "guard_cap",
-    "Edge",
-    "Graph",
-    "Grammar",
-    "NilBind",
-    "ConsBind",
-    "TreeBind",
-    "EquationSystem",
-    "Var",
-    "Lam",
-    "App",
-    "LambdaTerm",
-    "parse_graph",
-    "parse_grammar",
-    "parse_equations",
-    "parse_lambda",
-    "render_lambda",
-    "gen_visit",
-    "gen_dist",
-    "gen_minpath",
-    "simple_paths_to",
-    "gen_first",
-    "encode_string",
-    "nullable_nonterminals",
-    "gen_listpred",
-    "gen_add",
-    "gen_lambda",
-    "encode_lambda",
-    "value_closure",
-]
+from . import common
+from .common import *  # noqa: F401,F403
+
+# The submodule that defines each name loaded on first use.
+_LAZY = {name: module for module, names in (
+    ("graphs", ("gen_visit", "gen_dist", "gen_minpath", "simple_paths_to")),
+    ("grammars", ("gen_first", "encode_string", "nullable_nonterminals")),
+    ("inputs", ("Edge", "Graph", "Grammar", "NilBind", "ConsBind", "TreeBind",
+                "EquationSystem", "Var", "Lam", "App", "LambdaTerm",
+                "parse_graph", "parse_grammar", "parse_equations",
+                "parse_lambda", "render_lambda")),
+    ("lists", ("gen_listpred", "gen_add")),
+    ("lambdas", ("gen_lambda", "encode_lambda", "value_closure")),
+) for name in names}
+
+__all__ = [*common.__all__, *_LAZY]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -7,6 +7,9 @@ instances, or an upper bound on it, is computed arithmetically and
 checked against a cap, so a hopeless instantiation fails fast instead
 of eating memory.  A cap can thus refuse an instantiation whose
 grounding would stay under it.
+
+This module also holds the constants and exceptions that the CLI needs
+before it runs a generator, so that loading it loads no generator.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 __all__ = [
     "DEFAULT_CAP",
     "DEFAULT_CLOSURE_BUDGET",
+    "DEFAULT_CARRIES",
+    "LIST_PREDICATES",
     "GenError",
     "InstantiationTooLarge",
     "ClosureBudgetExceeded",
@@ -23,6 +28,11 @@ __all__ = [
 
 DEFAULT_CAP = 1_000_000
 DEFAULT_CLOSURE_BUDGET = 10_000
+
+LIST_PREDICATES = ("member", "allPos", "elems", "maxElem", "path0")
+
+# Carry values a digit-stream sum is allowed to thread, unless overridden.
+DEFAULT_CARRIES = (-1, 0, 1, 2)
 
 
 class GenError(Exception):

@@ -392,8 +392,7 @@ class _Lambda(_Frozen):
     @classmethod
     def _new(cls, key, size: int, height: int, *fields):
         t = cls._table[key] = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
-            _set(t, name, value)
+        t._init(*fields)
         _set(t, "size", size)
         _set(t, "height", height)
         return t

@@ -14,18 +14,14 @@ from typing import Iterable, Optional
 
 from ..engine import Rule, System
 from ..terms import FinSet, Num, Sym, Term, sym, term_key
-from .common import DEFAULT_CAP, MalformedEquations, guard_cap
+from .common import (DEFAULT_CAP, DEFAULT_CARRIES, LIST_PREDICATES,
+                     MalformedEquations, guard_cap)
 from .inputs import Binding, ConsBind, EquationSystem, NilBind, TreeBind
 
 __all__ = ["gen_listpred", "gen_add", "DEFAULT_CARRIES", "LIST_PREDICATES"]
 
 TRUE = sym("true")
 FALSE = sym("false")
-
-LIST_PREDICATES = ("member", "allPos", "elems", "maxElem", "path0")
-
-# Carry values a digit-stream sum is allowed to thread, unless overridden.
-DEFAULT_CARRIES = (-1, 0, 1, 2)
 
 
 def _list_closure(eqs: EquationSystem, root: str) -> list[str]:

@@ -20,12 +20,11 @@ system, reporting every offending node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Union
 
 from .engine import (DEFAULT_BUDGET, Interpretation, Rule, System, analyse,
                      bound, generated, rule_key)
-from .terms import Term, _Frozen, _set, render_term, term_key
+from .terms import Term, _Frozen, _Record, render_term, term_key
 
 __all__ = [
     "RuleRef",
@@ -45,12 +44,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RuleRef:
+class RuleRef(_Record):
     """Position of a rule in its system: ``co`` selects the co-rule list."""
 
-    index: int
-    co: bool = False
+    __slots__ = ("index", "co")
+
+    def __init__(self, index: int, co: bool = False) -> None:
+        self._init(index, co)
 
 
 # One table for every proof node ever built, keyed by judgment, rule
@@ -82,9 +82,7 @@ class WfProof(_Frozen):
         node = _NODES.get(key)
         if node is None:
             node = _NODES[key] = object.__new__(cls)
-            _set(node, "judgment", judgment)
-            _set(node, "rule", rule)
-            _set(node, "children", children)
+            node._init(judgment, rule, children)
         return node
 
     def __repr__(self) -> str:
@@ -96,27 +94,29 @@ class WfProof(_Frozen):
                 f"children=({shown}))")
 
 
-@dataclass(frozen=True, eq=True)
-class RegularProof:
+class RegularProof(_Record):
     """Cyclic proof: one regular rule per judgment, closed under premises."""
 
-    root: Term
-    choice: dict[Term, int] = field(default_factory=dict)
+    __slots__ = ("root", "choice")
+
+    def __init__(self, root: Term, choice: Optional[dict[Term, int]] = None) -> None:
+        self._init(root, {} if choice is None else choice)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One offending proof node: its path from the root and the reason code."""
 
-    path: tuple[int, ...]
-    judgment: Term
-    reason: str
+    __slots__ = ("path", "judgment", "reason")
+
+    def __init__(self, path: tuple[int, ...], judgment: Term, reason: str) -> None:
+        self._init(path, judgment, reason)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    mode: str
-    violations: tuple[Violation, ...] = ()
+class ValidationReport(_Record):
+    __slots__ = ("mode", "violations")
+
+    def __init__(self, mode: str, violations: tuple[Violation, ...] = ()) -> None:
+        self._init(mode, violations)
 
     @property
     def ok(self) -> bool:

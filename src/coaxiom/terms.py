@@ -46,13 +46,20 @@ _set = object.__setattr__
 
 
 class _Frozen:
-    """Frozen, copied as itself, and pickled and shown by the fields in
-    its ``__slots__``: the behaviour every interned value shares."""
+    """Frozen, copied as itself, and pickled and shown by its fields, the
+    ``__slots__`` its class declares but for names starting with an
+    underscore (``_fields``): what interned values and records share."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(f for f in vars(cls).get("__slots__", ())
+                            if not f.startswith("_"))
+
     def __repr__(self) -> str:
-        # Pieces of text and values still to show, next one last.
+        # Pieces of text and values still to show, next one last.  A
+        # tuple, or a value this method shows, is laid out here; any
+        # other value is shown by its own repr.
         out: list[str] = []
         todo: list = [self]
         while todo:
@@ -60,23 +67,23 @@ class _Frozen:
             if isinstance(t, str):
                 out.append(t)
                 continue
-            seq: list = [f"{type(t).__name__}("]
-            for n, f in enumerate(type(t).__slots__):
-                value = getattr(t, f)
-                seq.append(f"{', ' if n else ''}{f}=")
-                if isinstance(value, tuple):
-                    seq.append("(")
-                    for i, item in enumerate(value):
-                        seq += (", ", item) if i else (item,)
-                    seq.append(",)" if len(value) == 1 else ")")
-                else:
-                    seq.append(value if isinstance(value, _Frozen) else repr(value))
-            seq.append(")")
+            tup = type(t) is tuple
+            seq = ["(" if tup else f"{type(t).__name__}("]
+            items = ([("", v) for v in t] if tup
+                     else [(f"{f}=", getattr(t, f)) for f in t._fields])
+            for n, (label, v) in enumerate(items):
+                seq += (f"{', ' if n else ''}{label}", v if type(v) is tuple
+                        or type(v).__repr__ is _Frozen.__repr__ else repr(v))
+            seq.append(",)" if tup and len(t) == 1 else ")")
             todo += reversed(seq)
         return "".join(out)
 
+    def _init(self, *values) -> None:
+        for f, v in zip(self._fields, values):
+            _set(self, f, v)
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in type(self).__slots__)
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -89,6 +96,26 @@ class _Frozen:
 
     def __deepcopy__(self, memo):
         return self
+
+
+class _Record(_Frozen):
+    """A frozen value that is not interned: equal to a value of its own
+    class with equal fields, hashed by its fields, and copied as a
+    frozen dataclass is, into a new record of copies of its fields."""
+
+    __slots__ = ()
+    __copy__ = __deepcopy__ = None  # so that copy falls back on __reduce__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 class _Interned(_Frozen):
