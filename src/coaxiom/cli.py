@@ -418,6 +418,8 @@ def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the command line; :func:`main` builds one on its
+    first call and keeps it for the rest of the process."""
     parser = argparse.ArgumentParser(
         prog="coaxiom",
         description="Inference systems with coaxioms: interpretations, "
@@ -501,8 +503,15 @@ _ERRORS = (
 )
 
 
+# The parser main builds on its first call, not at import.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         status, render = args.fn(args)
         if render is not None:

@@ -202,6 +202,14 @@ class _Parser:
     stack, so nesting depth is not limited by the interpreter stack.
     Each method takes the index of its first token and returns the
     index after its last.
+
+    A rule file repeats each judgment in many rules, so the parser keeps
+    one table, ``flat``, for the parse: every bare identifier and flat
+    term it has read, by its token text, with the term and the most
+    brackets the term can nest.  A token found there that no ``(``
+    follows is taken with one lookup.  A flat term enters the table
+    only once it has passed the ``MAX_DEPTH`` check where it was read,
+    so at the top level of a statement no entry is too deep.
     """
 
     __slots__ = ("toks", "tokens", "flat")
@@ -210,8 +218,7 @@ class _Parser:
         self.toks = toks
         toks.append("")  # so that a lookahead of one never runs off the end
         self.tokens = tokens
-        # Flat terms already read, by their text: see flat_term().
-        self.flat: dict[str, tuple[Term, int]] = {}
+        self.flat: dict[str, tuple[Term, int]] = {"inf": (INF, 0)}
 
     def fail(self, pos: int, *expected: str) -> NoReturn:
         """Raise :class:`ParseError` at the ``pos``-th token."""
@@ -220,12 +227,13 @@ class _Parser:
         kind, _, line, column = self.tokens[pos]
         raise ParseError(line, column, expected, "end of input" if kind == "EOF" else kind)
 
-    def flat_term(self, tok: str) -> tuple[Term, int]:
-        """The flat term spelled by the token text ``tok``, and the most
-        brackets it can nest: its ``(`` and each ``{``.
+    def flat_term(self, tok: str, height: int) -> Term:
+        """The flat term spelled by the token text ``tok``, read inside
+        ``height`` open brackets.
 
-        A rule file repeats each judgment in many rules, so each text
-        is read once per parse, as the tokens between its parentheses.
+        Each text is read once per parse, as the tokens between its
+        parentheses; the most brackets it can nest are its ``(`` and
+        each ``{``.
         """
         hit = self.flat.get(tok)
         if hit is None:
@@ -234,28 +242,36 @@ class _Parser:
             t, pos = self.term(toks, 0)
             if pos != len(toks) - 1:  # as in inf(a)
                 raise _Reread
-            hit = self.flat[tok] = t, 1 + tok.count("{")
-        return hit
+            hit = t, 1 + tok.count("{")
+        if height + hit[1] > MAX_DEPTH:
+            # Too deep, or its sets only side by side: the token-by-token
+            # reading tells.
+            raise _Reread
+        self.flat[tok] = hit
+        return hit[0]
 
     def term(self, toks: list[str], pos: int) -> tuple[Term, int]:
         """The term that starts at ``toks[pos]``, and the index after it."""
+        flat = self.flat
         # Open brackets, innermost last: (symbol name, or None for a
         # set; the closing token; the finished items so far).
         stack: list[tuple[Optional[str], str, list[Term]]] = []
         while True:
             tok = toks[pos]
             pos += 1
-            if "a" <= tok[:1] <= "z":
+            hit = flat.get(tok)
+            if hit is not None and toks[pos] != "(":
+                t, depth = hit
+                if len(stack) + depth > MAX_DEPTH:  # as in flat_term
+                    raise _Reread
+            elif "a" <= tok[:1] <= "z":
                 if tok[-1] == ")":
-                    t, depth = self.flat_term(tok)
-                    if len(stack) + depth > MAX_DEPTH:
-                        # Too deep, or its sets only side by side: the
-                        # token-by-token reading tells.
-                        raise _Reread
-                elif tok == "inf":
+                    t = self.flat_term(tok, len(stack))
+                elif tok == "inf":  # followed by (
                     t = INF
                 elif toks[pos] != "(":
                     t = Sym(tok)
+                    flat[tok] = t, 0
                 elif len(stack) < MAX_DEPTH:
                     stack.append((tok, ")", []))
                     pos += 1
@@ -294,21 +310,37 @@ class _Parser:
 
     def statements(self) -> list[Rule]:
         toks = self.toks
+        get = self.flat.get
+        term = self.term
         out: list[Rule] = []
         pos = 0
         while toks[pos]:
             # "co" is the co marker only when a term follows.
             co = toks[pos] == "co" and _starts_term(toks[pos + 1])
-            conclusion, pos = self.term(toks, pos + co)
+            pos += co
+            # A term token read before is one lookup, unless a "("
+            # follows it: see the class docstring.
+            hit = get(toks[pos])
+            if hit is not None and toks[pos + 1] != "(":
+                conclusion = hit[0]
+                pos += 1
+            else:
+                conclusion, pos = term(toks, pos)
             premises: list[Term] = []
             sep = "<-"
             while toks[pos] == sep:
-                t, pos = self.term(toks, pos + 1)
-                premises.append(t)
+                pos += 1
+                hit = get(toks[pos])
+                if hit is not None and toks[pos + 1] != "(":
+                    premises.append(hit[0])
+                    pos += 1
+                else:
+                    t, pos = term(toks, pos)
+                    premises.append(t)
                 sep = ","
             if toks[pos] != ".":
                 self.fail(pos, ".")
-            out.append(Rule(conclusion, tuple(premises), co))
+            out.append(Rule(conclusion, premises, co))
             pos += 1
         return out
 

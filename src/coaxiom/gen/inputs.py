@@ -26,12 +26,10 @@ from __future__ import annotations
 import gc
 import re
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Union
 
 from ..dsl import Cursor, Lexicon, ParseError, Token
-from ..terms import Num, Sym, Term, _Frozen, _set
+from ..terms import Num, Sym, Term, _Frozen, _Record, _set
 from .common import MalformedEquations
 
 __all__ = [
@@ -81,17 +79,18 @@ def _word(cur: Cursor, pattern: re.Pattern, expected: str) -> Token:
 # ---------------------------------------------------------------------------
 # graphs
 
-@dataclass(frozen=True)
-class Edge:
-    src: str
-    dst: str
-    weight: Optional[int] = None
+class Edge(_Record):
+    __slots__ = ("src", "dst", "weight")
+
+    def __init__(self, src: str, dst: str, weight: Optional[int] = None) -> None:
+        self._init(src, dst, weight)
 
 
-@dataclass(frozen=True)
-class Graph:
-    nodes: tuple[str, ...]
-    edges: tuple[Edge, ...]
+class Graph(_Record):
+    __slots__ = ("nodes", "edges")
+
+    def __init__(self, nodes: tuple[str, ...], edges: tuple[Edge, ...]) -> None:
+        self._init(nodes, edges)
 
     def successors(self, v: str) -> tuple[Edge, ...]:
         return tuple(sorted((e for e in self.edges if e.src == v),
@@ -142,13 +141,14 @@ def parse_graph(text: str) -> Graph:
 # ---------------------------------------------------------------------------
 # grammars
 
-@dataclass(frozen=True)
-class Grammar:
+class Grammar(_Record):
     """Context-free grammar; bodies are symbol tuples, () is the empty string."""
 
-    terminals: tuple[str, ...]
-    nonterminals: tuple[str, ...]
-    productions: tuple[tuple[str, tuple[tuple[str, ...], ...]], ...]
+    __slots__ = ("terminals", "nonterminals", "productions")
+
+    def __init__(self, terminals: tuple[str, ...], nonterminals: tuple[str, ...],
+                 productions: tuple[tuple[str, tuple[tuple[str, ...], ...]], ...]) -> None:
+        self._init(terminals, nonterminals, productions)
 
     def bodies(self, nt: str) -> tuple[tuple[str, ...], ...]:
         for head, bs in self.productions:
@@ -207,28 +207,28 @@ def parse_grammar(text: str) -> Grammar:
 # ---------------------------------------------------------------------------
 # equation systems
 
-@dataclass(frozen=True)
-class NilBind:
-    pass
+class NilBind(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConsBind:
-    head: Term
-    tail: str
+class ConsBind(_Record):
+    __slots__ = ("head", "tail")
+
+    def __init__(self, head: Term, tail: str) -> None:
+        self._init(head, tail)
 
 
-@dataclass(frozen=True)
-class TreeBind:
-    label: int
-    kids: str
+class TreeBind(_Record):
+    __slots__ = ("label", "kids")
+
+    def __init__(self, label: int, kids: str) -> None:
+        self._init(label, kids)
 
 
 Binding = Union[NilBind, ConsBind, TreeBind]
 
 
-@dataclass(frozen=True)
-class EquationSystem:
+class EquationSystem(_Record):
     """Guarded recursive equations over lists, trees and digit streams.
 
     Every binding starts with one constructor (``nil``, a cons, or a
@@ -237,12 +237,12 @@ class EquationSystem:
     exactly one head and a tail variable.
     """
 
-    bindings: tuple[tuple[str, Binding], ...]
+    __slots__ = ("bindings", "_by_name")
 
-    @cached_property
-    def _by_name(self) -> dict[str, Binding]:
+    def __init__(self, bindings: tuple[tuple[str, Binding], ...]) -> None:
+        self._init(bindings)
         # The first binding of a name wins, as in a scan of ``bindings``.
-        return dict(reversed(self.bindings))
+        _set(self, "_by_name", dict(reversed(bindings)))
 
     def binding(self, var: str) -> Binding:
         b = self._by_name.get(var)

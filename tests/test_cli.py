@@ -17,7 +17,8 @@ import cli_golden
 from coaxiom import (RegularProof, parse_judgment, parse_system,
                      proof_from_dict, proof_to_dict, prove_approx,
                      prove_regular, prove_wf, render_term, sort_judgments)
-from coaxiom.cli import _dot_escape, _json_text, _rule_id, main
+import coaxiom.cli as cli
+from coaxiom.cli import _dot_escape, _json_text, _rule_id, build_parser, main
 from coaxiom.dsl import MAX_DEPTH
 from coaxiom.gen import gen_visit, parse_graph
 
@@ -649,6 +650,63 @@ def test_judgments_print_in_canonical_order(cycle, capsys):
     body = out.splitlines()[1:]
     parsed = [parse_judgment(s) for s in body]
     assert parsed == sort_judgments(parsed)
+
+
+# ---------------------------------------------------------------------------
+# one parser for the process
+
+def _printed(parse, argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_follows_columns_on_every_call(capsys, monkeypatch):
+    tops = []
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        tops.append(_printed(main, ["--help"], capsys))
+        assert tops[-1] == build_parser().format_help()
+        assert _printed(main, ["prove", "--help"], capsys) == \
+            _printed(build_parser().parse_args, ["prove", "--help"], capsys)
+    assert tops[0] != tops[1]
+
+
+def test_a_usage_error_leaves_the_next_call_intact(cycle, capsys):
+    for argv in (["prove", str(cycle)], ["prove", str(cycle), "p", "--level", "1", "--regular"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, "ind", str(cycle))
+    assert (code, out, err) == (0, "ind (1 judgments):\nvisit(c,{c})\n", "")
+
+
+def test_options_of_one_call_do_not_reach_the_next(cycle, capsys):
+    code, out, _ = run(capsys, "prove", str(cycle), "visit(c,{c})", "--level", "2")
+    assert code == 0 and out.startswith("approx(2) proof of visit(c,{c}):")
+    code, out, _ = run(capsys, "prove", str(cycle), "visit(c,{c})")
+    assert code == 0 and out.startswith("wf proof of visit(c,{c}):")
+
+
+def test_build_parser_gives_a_new_parser_each_time():
+    assert build_parser() is not build_parser()
+
+
+def test_main_builds_its_parser_once(cycle, capsys, monkeypatch):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv in (["ind", str(cycle)], ["coind", str(cycle)], ["generated", str(cycle)],
+                 ["check", str(cycle), "visit(c,{c})"], ["prove", str(cycle), "visit(c,{c})"]):
+        assert main(argv) == 0
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from coaxiom import (INF, ParseError, Rule, System, finset, num,
                      parse_judgment, parse_judgments, parse_system,
                      render_rule, render_system, sym)
+from coaxiom.dsl import MAX_DEPTH
+from oracles import read_coax_rules
 
 P, Q = sym("p"), sym("q")
 
@@ -243,3 +247,61 @@ def test_integers_are_ascii_digits(text, column, found):
     assert error_fields(parse_system, text + ".") == \
         (1, column, ("statement", "term"), found)
 
+
+# ---------------------------------------------------------------------------
+# the table of tokens already read
+
+def top_then_nested(flat, brackets):
+    """``flat`` as a whole statement, then inside ``brackets`` applications."""
+    return f"{flat}.\n" + "f(" * brackets + flat + ")" * brackets + "."
+
+
+TABLE_TEXTS = {
+    # p is read bare, then applied: its tokens are p, (, f(a), ).
+    "applied": "p. q <- p(f(a)). p(f(a)) <- p, q.",
+    "co-symbol": "co. co co. co <- co. co (a) <- co. co co(a) <- co, co.",
+    "bare-inf": "inf. p(inf). q <- inf, p(inf). co inf <- inf.",
+    "flat-at-max-depth": top_then_nested("p({a})", MAX_DEPTH - 2),
+}
+
+
+@pytest.mark.parametrize("text", TABLE_TEXTS.values(), ids=TABLE_TEXTS)
+def test_tokens_read_again_parse_as_read_token_by_token(text):
+    parsed = parse_system(text)
+    # The reference reader recurses once per bracket.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4 * MAX_DEPTH))
+    try:
+        triples = read_coax_rules(text)
+    finally:
+        sys.setrecursionlimit(limit)
+    reference = System(Rule(c, tuple(ps), co=co) for c, ps, co in triples)
+    assert parsed.regular_rules == reference.regular_rules
+    assert parsed.co_rules == reference.co_rules
+
+
+def test_judgments_read_a_symbol_bare_and_then_applied():
+    assert parse_judgments("p. p (a). p.") == (P, sym("p", sym("a")), P)
+
+
+# (text, line, column, expected, found), recorded from the parser that
+# read every token through the stack machine.
+TABLE_ERRORS = [
+    ("p. p q.", 1, 6, (".",), "IDENT"),
+    ("p(a). q <- p(a) p(a).", 1, 17, (".",), "IDENT"),
+    ("p. q <- p, .", 1, 12, ("term",), "."),
+    ("p(a). p(a)(b).", 1, 11, (".",), "("),
+    ("p. q <- p(.", 1, 11, ("term",), "."),
+    ("inf. inf(a).", 1, 9, (".",), "("),
+    ("co. co co(", 1, 11, ("term",), "end of input"),
+    ("p. q <- p(f(a)", 1, 15, (")",), "end of input"),
+    (top_then_nested("p({a})", MAX_DEPTH - 1), 2, 4001,
+     (f"terms nested at most {MAX_DEPTH} deep",), "{"),
+]
+
+
+@pytest.mark.parametrize("text, line, column, expected, found", TABLE_ERRORS,
+                         ids=[t[:24] for t, *_ in TABLE_ERRORS])
+def test_errors_after_a_token_read_again_keep_their_positions(text, line, column,
+                                                               expected, found):
+    assert error_fields(parse_system, text) == (line, column, expected, found)

@@ -10,6 +10,8 @@ import pytest
 from coaxiom import (INF, DropsAtLevel, Interpretation, NotInBound,
                      RegularProof, Rule, RuleRef, SurvivesTo, ValidationReport,
                      Verdict, Violation, finset, num, sym)
+from coaxiom.gen.inputs import (ConsBind, Edge, EquationSystem, Grammar, Graph,
+                                NilBind, TreeBind)
 
 P = sym("p")
 Q = sym("q", num(1))
@@ -42,6 +44,19 @@ BUILT = [
     (DropsAtLevel, (2,), {}, {"level": 2}),
     (SurvivesTo, (3,), {}, {"level": 3, "at_fixpoint": False}),
     (SurvivesTo, (), {"level": 4, "at_fixpoint": True}, {"level": 4, "at_fixpoint": True}),
+    # The input types of the generators.
+    (Edge, ("a", "b"), {}, {"src": "a", "dst": "b", "weight": None}),
+    (Edge, ("a", "b", 3), {}, {"src": "a", "dst": "b", "weight": 3}),
+    (Graph, (("a", "b"), (Edge("a", "b"),)), {},
+     {"nodes": ("a", "b"), "edges": (Edge("a", "b"),)}),
+    (Grammar, (("a",), ("S",), (("S", (("a", "S"), ())),)), {},
+     {"terminals": ("a",), "nonterminals": ("S",),
+      "productions": (("S", (("a", "S"), ())),)}),
+    (NilBind, (), {}, {}),
+    (ConsBind, (Q, "l"), {}, {"head": Q, "tail": "l"}),
+    (TreeBind, (0, "l"), {}, {"label": 0, "kids": "l"}),
+    (EquationSystem, ((("l", ConsBind(Q, "l")), ("m", NilBind())),), {},
+     {"bindings": (("l", ConsBind(Q, "l")), ("m", NilBind()))}),
 ]
 IDS = [f"{cls.__name__}-{i}" for i, (cls, *_) in enumerate(BUILT)]
 
@@ -99,6 +114,13 @@ def test_records_differ_from_tuples_and_from_sibling_classes():
     assert Rule(P, (Q,)) != Rule(P, (Q,), True)
 
 
+def test_an_equation_system_finds_the_first_binding_of_a_name():
+    eqs = EquationSystem((("l", NilBind()), ("m", TreeBind(0, "l")), ("l", ConsBind(Q, "l"))))
+    assert eqs.binding("l") == NilBind() and eqs.has("m") and not eqs.has("n")
+    twin = pickle.loads(pickle.dumps(eqs))
+    assert twin == eqs and twin.binding("m") == TreeBind(0, "l")
+
+
 def test_interpretations_compare_levels_but_do_not_hash_them():
     a = Interpretation(frozenset({P}), "bound", {P: 1}, 1)
     b = Interpretation(frozenset({P}), "bound", {P: 2}, 1)
@@ -148,6 +170,17 @@ REPRS = [
     (DropsAtLevel(2), "DropsAtLevel(level=2)"),
     (SurvivesTo(3), "SurvivesTo(level=3, at_fixpoint=False)"),
     (SurvivesTo(4, at_fixpoint=True), "SurvivesTo(level=4, at_fixpoint=True)"),
+    (Graph(("a", "b"), (Edge("a", "b", 3), Edge("b", "a"))),
+     "Graph(nodes=('a', 'b'), edges=(Edge(src='a', dst='b', weight=3), "
+     "Edge(src='b', dst='a', weight=None)))"),
+    (Grammar(("a", "b"), ("S", "A"), (("S", (("A", "S"), ("b",))), ("A", (("a",), ())))),
+     "Grammar(terminals=('a', 'b'), nonterminals=('S', 'A'), productions=(('S', "
+     "(('A', 'S'), ('b',))), ('A', (('a',), ()))))"),
+    (EquationSystem((("l", ConsBind(num(1), "l_1")), ("l_1", ConsBind(P, "l")),
+                     ("m", NilBind()), ("t", TreeBind(0, "l")))),
+     "EquationSystem(bindings=(('l', ConsBind(head=Num(value=1), tail='l_1')), "
+     "('l_1', ConsBind(head=Sym(name='p', args=()), tail='l')), ('m', NilBind()), "
+     "('t', TreeBind(label=0, kids='l'))))"),
 ]
 
 
