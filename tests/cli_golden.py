@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 DATA = Path(__file__).resolve().parent / "data"
+DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 GOLDEN = DATA / "cli_golden.json"
 
 
@@ -40,6 +41,14 @@ FILES = {
     "accept.spec": "visit(a,{a,b}). visit(b,{a,b}). visit(c,{c}).\n",
     "reject.spec": "visit(a,{a}). visit(c,{c}). visit(a,{a,b,c}).\n",
     "bad.coax": "p <- .",
+    "ring.graph": "node a  node b  node c\nedge a b\nedge b c\nedge c a\n",
+    "toll.graph": (DEMO_DATA / "toll.graph").read_text(),
+    "greeting.grammar": (DEMO_DATA / "greeting.grammar").read_text(),
+    "lists.eqs": "l = 1 : 2 : l;\nf = 3 : 0 : 3 : k;\nk = nil;\n"
+                 "t1 = tree(0, l1);\nl1 = t2 : t1 : l1;\n"
+                 "t2 = tree(0, l2);\nl2 = tree(1, l1) : l2;\n",
+    "streams.eqs": "z = 0 : z;\nn = 9 : n;\no = 1 : 8 : o;\n",
+    "delta.lam": "(\\x. x x) (\\y. y y)\n",
 }
 
 # (file, member, non-member)
@@ -72,6 +81,35 @@ def cases() -> list[list[str]]:
             ["generated", "bad.coax"],
             ["check", "missing.coax", "p"],
             ["generated", "cycle.coax", "--max-iters", "1"]]
+    # generators: one run per kind and list predicate, then refusals
+    out += [["gen", "visit", "ring.graph"],
+            ["gen", "dist", "toll.graph", "--target", "e"],
+            ["gen", "minpath", "toll.graph", "--target", "e"],
+            ["gen", "dist", "toll.graph", "--target", "a"],
+            ["gen", "first", "greeting.grammar"]]
+    for root in ("l", "f"):
+        out += [["gen", "list", "lists.eqs", "--pred", "member", "--root", root,
+                 "--element", "2"],
+                ["gen", "list", "lists.eqs", "--pred", "member", "--root", root,
+                 "--element", "3"]]
+        for pred in ("allPos", "elems", "maxElem"):
+            out.append(["gen", "list", "lists.eqs", "--pred", pred, "--root", root])
+    out += [["gen", "list", "lists.eqs", "--pred", "path0", "--root", "t1"],
+            ["gen", "add", "streams.eqs", "--roots", "z", "z", "n"],
+            ["gen", "add", "streams.eqs", "--roots", "o", "o", "n",
+             "--carries=0,1"],
+            ["gen", "lambda", "delta.lam"],
+            ["gen", "visit", "ring.graph", "--cap", "26"],
+            ["gen", "dist", "toll.graph", "--target", "e", "--cap", "2"],
+            ["gen", "dist", "toll.graph", "--target", "e", "--cap", "20"],
+            ["gen", "minpath", "toll.graph", "--target", "e", "--cap", "200"],
+            ["gen", "first", "greeting.grammar", "--cap", "10"],
+            ["gen", "list", "lists.eqs", "--pred", "elems", "--root", "l",
+             "--cap", "9"],
+            ["gen", "visit", "toll.graph"],
+            ["gen", "dist", "ring.graph", "--target", "a"],
+            ["gen", "minpath", "toll.graph", "--target", "z"],
+            ["gen", "list", "lists.eqs", "--pred", "allPos", "--root", "t1"]]
     return out
 
 
