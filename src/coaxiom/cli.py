@@ -376,13 +376,13 @@ def _cmd_gen(args: argparse.Namespace) -> Result:
     elif kind == "list":
         if not args.pred or not args.root:
             raise ValueError("gen list needs --pred PREDICATE and --root VAR")
-        x = parse_judgment(args.element) if args.element else None
+        x = parse_judgment(args.element) if args.element is not None else None
         system = cli.gen_listpred(cli.parse_equations(text), args.pred,
                                   args.root, x=x, cap=args.cap)
     elif kind == "add":
         if not args.roots:
             raise ValueError("gen add needs --roots X Y Z")
-        carries = _parse_carries(args.carries) if args.carries \
+        carries = _parse_carries(args.carries) if args.carries is not None \
             else DEFAULT_CARRIES
         system = cli.gen_add(cli.parse_equations(text), *args.roots,
                              carries=carries, cap=args.cap)

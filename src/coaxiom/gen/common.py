@@ -14,6 +14,9 @@ before it runs a generator, so that loading it loads no generator.
 
 from __future__ import annotations
 
+import itertools
+from typing import Sequence
+
 __all__ = [
     "DEFAULT_CAP",
     "DEFAULT_CLOSURE_BUDGET",
@@ -64,3 +67,9 @@ class MalformedEquations(GenError):
 def guard_cap(needed: int, cap: int) -> None:
     if needed > cap:
         raise InstantiationTooLarge(needed, cap)
+
+
+def _powerset(items: Sequence) -> list[tuple]:
+    """Every subset of items: by size, then in itertools.combinations order."""
+    return [c for k in range(len(items) + 1)
+            for c in itertools.combinations(items, k)]

@@ -9,10 +9,11 @@ sets range over the powerset of the grammar's terminals.
 from __future__ import annotations
 
 import itertools
+from typing import Iterable
 
 from ..engine import Rule, System
 from ..terms import FinSet, Term, sym
-from .common import DEFAULT_CAP, guard_cap
+from .common import DEFAULT_CAP, _powerset, guard_cap
 from .inputs import Grammar
 
 __all__ = ["gen_first", "encode_string", "nullable_nonterminals"]
@@ -50,14 +51,7 @@ def encode_string(s: tuple[str, ...], g: Grammar) -> Term:
     return sym("str", *(_encode_symbol(x, g) for x in s))
 
 
-def _terminal_subsets(g: Grammar) -> list[tuple[str, ...]]:
-    out = []
-    for k in range(len(g.terminals) + 1):
-        out.extend(itertools.combinations(g.terminals, k))
-    return out
-
-
-def _to_set(ts: tuple[str, ...]) -> FinSet:
+def _to_set(ts: Iterable[str]) -> FinSet:
     return FinSet(tuple(sym(t) for t in ts))
 
 
@@ -80,54 +74,32 @@ def gen_first(g: Grammar, cap: int = DEFAULT_CAP) -> System:
                 strings.add(body[i:])
     for a in g.nonterminals:
         strings.add((a,))
-    ordered = sorted(strings)
+    # A site (s, T, (p1, ..., pk)) grounds first(s, T | F1 | ... | Fk)
+    # <- first(p1, F1), ..., first(pk, Fk) for every choice of terminal
+    # sets F1..Fk: T holds the terminal s starts with, if any, and the
+    # parts p1..pk are the strings whose first sets s unites.
+    sites: list[tuple[tuple[str, ...], tuple[str, ...], tuple]] = []
+    for s in sorted(strings):
+        if not s or s[0] not in g.nonterminals:
+            sites.append((s, s[:1], ()))
+        elif len(s) >= 2:
+            sites.append((s, (), (s[:1], s[1:]) if s[0] in nullable else (s[:1],)))
+    sites += [((head,), (), bodies) for head, bodies in g.productions]
 
     nsub = 2 ** len(g.terminals)
-    count = 1 + len(g.nonterminals)  # eps axiom + coaxioms
-    for s in ordered:
-        if not s:
-            continue
-        if s[0] not in g.nonterminals:
-            count += 1
-        elif len(s) >= 2:
-            count += nsub * nsub if s[0] in nullable else nsub
-    for _, bodies in g.productions:
-        count += nsub ** len(bodies)
-    guard_cap(count, cap)
+    guard_cap(sum(nsub ** len(parts) for _, _, parts in sites)
+              + len(g.nonterminals), cap)
 
-    subsets = _terminal_subsets(g)
-    rules: list[Rule] = [Rule(sym("first", sym("eps"), FinSet()))]
-    for s in ordered:
-        if not s:
-            continue
+    subsets = _powerset(g.terminals)
+    rules: list[Rule] = []
+    for s, fixed, parts in sites:
         enc = encode_string(s, g)
-        head = s[0]
-        if head not in g.nonterminals:
-            rules.append(Rule(sym("first", enc, _to_set((head,)))))
-            continue
-        if len(s) < 2:
-            continue
-        head_enc = _encode_symbol(head, g)
-        tail_enc = encode_string(s[1:], g)
-        if head not in nullable:
-            for f in subsets:
-                rules.append(Rule(sym("first", enc, _to_set(f)),
-                                  (sym("first", head_enc, _to_set(f)),)))
-        else:
-            for f in subsets:
-                for f2 in subsets:
-                    union = tuple(sorted(set(f) | set(f2)))
-                    rules.append(Rule(
-                        sym("first", enc, _to_set(union)),
-                        (sym("first", head_enc, _to_set(f)),
-                         sym("first", tail_enc, _to_set(f2)))))
-    for head, bodies in g.productions:
-        head_enc = _encode_symbol(head, g)
-        for combo in itertools.product(subsets, repeat=len(bodies)):
-            union = tuple(sorted(set().union(*map(set, combo)))) if combo else ()
-            premises = tuple(sym("first", encode_string(b, g), _to_set(f))
-                             for b, f in zip(bodies, combo))
-            rules.append(Rule(sym("first", head_enc, _to_set(union)), premises))
+        part_encs = [encode_string(p, g) for p in parts]
+        for combo in itertools.product(subsets, repeat=len(parts)):
+            premises = tuple(sym("first", e, _to_set(f))
+                             for e, f in zip(part_encs, combo))
+            rules.append(Rule(sym("first", enc, _to_set(set(fixed).union(*combo))),
+                              premises))
     for a in g.nonterminals:
         rules.append(Rule(sym("first", _encode_symbol(a, g), FinSet()), co=True))
     return System(rules)

@@ -12,24 +12,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable
 
 from ..engine import Rule, System
-from ..terms import INF, FinSet, Inf, Num, Sym, Term, sym, term_key
-from .common import DEFAULT_CAP, guard_cap
-from .inputs import Graph
+from ..terms import INF, FinSet, Inf, Num, Term, sym
+from .common import DEFAULT_CAP, _powerset, guard_cap
+from .inputs import Edge, Graph
 
 __all__ = ["gen_visit", "gen_dist", "gen_minpath", "simple_paths_to"]
 
 BOT = sym("bot")
-
-
-def _node_subsets(nodes: tuple[str, ...]) -> list[FinSet]:
-    out = []
-    for k in range(len(nodes) + 1):
-        for combo in itertools.combinations(sorted(nodes), k):
-            out.append(FinSet(tuple(sym(n) for n in combo)))
-    return out
 
 
 def gen_visit(g: Graph, cap: int = DEFAULT_CAP) -> System:
@@ -41,29 +32,25 @@ def gen_visit(g: Graph, cap: int = DEFAULT_CAP) -> System:
     """
     if g.weighted:
         raise ValueError("visit systems are generated from unweighted graphs")
-    n = len(g.nodes)
-    count = n  # coaxioms
-    degs = {v: len(g.successors(v)) for v in g.nodes}
-    for v in g.nodes:
-        count += (2 ** n) ** degs[v] if degs[v] else 1
-    guard_cap(count, cap)
+    succs = {v: [e.dst for e in g.successors(v)] for v in sorted(g.nodes)}
+    nsub = 2 ** len(g.nodes)
+    guard_cap(len(g.nodes) + sum(nsub ** len(ss) for ss in succs.values()), cap)
 
-    subsets = _node_subsets(g.nodes)
+    subsets = [FinSet(tuple(map(sym, c))) for c in _powerset(tuple(succs))]
     rules: list[Rule] = []
-    for v in sorted(g.nodes):
-        succs = [e.dst for e in g.successors(v)]
-        if not succs:
+    for v, ss in succs.items():
+        if not ss:
             rules.append(Rule(sym("visit", sym(v), FinSet((sym(v),)))))
             continue
-        for combo in itertools.product(subsets, repeat=len(succs)):
+        for combo in itertools.product(subsets, repeat=len(ss)):
             premises = tuple(sym("visit", sym(s), ns)
-                             for s, ns in zip(succs, combo))
+                             for s, ns in zip(ss, combo))
             seen = {sym(v)}
             for ns in combo:
                 seen.update(ns.elements)
             rules.append(Rule(sym("visit", sym(v), FinSet(tuple(seen))),
                               premises))
-    for v in sorted(g.nodes):
+    for v in succs:
         rules.append(Rule(sym("visit", sym(v), FinSet()), co=True))
     return System(rules)
 
@@ -101,7 +88,12 @@ def simple_paths_to(g: Graph, target: str,
     return out
 
 
-def _check_weighted(g: Graph, target: str) -> dict[tuple[str, str], int]:
+def _distance_setup(g: Graph, target: str, cap: int
+                    ) -> tuple[dict[str, list[tuple[str, ...]]], list[Term],
+                               dict[str, tuple[Edge, ...]]]:
+    """What dist and minpath share: the simple paths to the target, the
+    distance universe (their weights, then infinity), and the successor
+    edges of every other node, in node order."""
     if target not in g.nodes:
         raise ValueError(f"target {target!r} is not a node")
     w: dict[tuple[str, str], int] = {}
@@ -109,17 +101,11 @@ def _check_weighted(g: Graph, target: str) -> dict[tuple[str, str], int]:
         if e.weight is None:
             raise ValueError("distance systems need a fully weighted graph")
         w[(e.src, e.dst)] = e.weight
-    return w
-
-
-def _path_weight(path: tuple[str, ...], w: dict[tuple[str, str], int]) -> int:
-    return sum(w[(path[i], path[i + 1])] for i in range(len(path) - 1))
-
-
-def _delta_universe(paths: dict[str, list[tuple[str, ...]]],
-                    w: dict[tuple[str, str], int]) -> list[Term]:
-    weights = sorted({_path_weight(p, w) for ps in paths.values() for p in ps})
-    return [Num(x) for x in weights] + [INF]
+    paths = simple_paths_to(g, target, cap)
+    weights = {sum(w[(p[i], p[i + 1])] for i in range(len(p) - 1))
+               for ps in paths.values() for p in ps}
+    succs = {v: g.successors(v) for v in sorted(g.nodes) if v != target}
+    return paths, [Num(x) for x in sorted(weights)] + [INF], succs
 
 
 def _plus(weight: int, d: Term) -> Term:
@@ -138,37 +124,25 @@ def gen_dist(g: Graph, target: str, cap: int = DEFAULT_CAP) -> System:
     conclusion takes the minimum of weight-plus-premise over all
     successors.  Coaxioms dist(v, u, inf) for v != u.
     """
-    w = _check_weighted(g, target)
-    paths = simple_paths_to(g, target, cap)
-    universe = _delta_universe(paths, w)
-    m = len(universe)
-
-    count = 0
-    for v in g.nodes:
-        if v == target:
-            continue
-        k = len(g.successors(v))
-        count += m ** k if k else 1
-    count += 1 + (len(g.nodes) - 1)
-    guard_cap(count, cap)
+    _, universe, succs = _distance_setup(g, target, cap)
+    # The target's axiom and one coaxiom per other node, then the rules
+    # of each other node: one per premise combination, or one axiom.
+    guard_cap(len(g.nodes) + sum(len(universe) ** len(es)
+                                 for es in succs.values()), cap)
 
     u = sym(target)
     rules: list[Rule] = [Rule(sym("dist", u, u, Num(0)))]
-    for v in sorted(g.nodes):
-        if v == target:
-            continue
-        succs = g.successors(v)
-        if not succs:
+    for v, es in succs.items():
+        if not es:
             rules.append(Rule(sym("dist", sym(v), u, INF)))
             continue
-        for combo in itertools.product(universe, repeat=len(succs)):
-            best = min((_plus(w[(v, e.dst)], d) for e, d in zip(succs, combo)), key=_weight)
+        for combo in itertools.product(universe, repeat=len(es)):
+            best = min((_plus(e.weight, d) for e, d in zip(es, combo)), key=_weight)
             premises = tuple(sym("dist", sym(e.dst), u, d)
-                             for e, d in zip(succs, combo))
+                             for e, d in zip(es, combo))
             rules.append(Rule(sym("dist", sym(v), u, best), premises))
-    for v in sorted(g.nodes):
-        if v != target:
-            rules.append(Rule(sym("dist", sym(v), u, INF), co=True))
+    for v in succs:
+        rules.append(Rule(sym("dist", sym(v), u, INF), co=True))
     return System(rules)
 
 
@@ -186,46 +160,31 @@ def gen_minpath(g: Graph, target: str, cap: int = DEFAULT_CAP) -> System:
     (bottom absorbs: v.bot = bot).  Coaxioms minPath(v, u, bot, inf)
     for v != u.
     """
-    w = _check_weighted(g, target)
-    paths = simple_paths_to(g, target, cap)
-    universe = _delta_universe(paths, w)
-    m = len(universe)
-
-    count = 1 + (len(g.nodes) - 1)
-    for v in g.nodes:
-        if v == target:
-            continue
-        succs = g.successors(v)
-        if not succs:
-            count += 1
-            continue
-        combos = 1
-        for e in succs:
-            combos *= (len(paths[e.dst]) + 1) * m
-        count += combos * len(succs)
-    guard_cap(count, cap)
+    paths, universe, succs = _distance_setup(g, target, cap)
+    # As for dist, but a combination grounds up to one rule per
+    # successor.
+    guard_cap(len(g.nodes) + sum(
+        len(es) * math.prod((len(paths[e.dst]) + 1) * len(universe) for e in es)
+        or 1 for es in succs.values()), cap)
 
     u = sym(target)
     rules: list[Rule] = [Rule(sym("minPath", u, u, _path_term((target,)), Num(0)))]
-    for v in sorted(g.nodes):
-        if v == target:
-            continue
-        succs = g.successors(v)
-        if not succs:
+    for v, es in succs.items():
+        if not es:
             rules.append(Rule(sym("minPath", sym(v), u, BOT, INF)))
             continue
         per_succ = []
-        for e in succs:
+        for e in es:
             opts = [(_path_term(p), d) for p in sorted(paths[e.dst])
                     for d in universe]
             opts += [(BOT, d) for d in universe]
             per_succ.append(opts)
         for combo in itertools.product(*per_succ):
-            costs = [_plus(w[(v, e.dst)], d) for e, (_, d) in zip(succs, combo)]
+            costs = [_plus(e.weight, d) for e, (_, d) in zip(es, combo)]
             best = min(costs, key=_weight)
             premises = tuple(sym("minPath", sym(e.dst), u, a, d)
-                             for e, (a, d) in zip(succs, combo))
-            for e, (a, _), c in zip(succs, combo, costs):
+                             for e, (a, d) in zip(es, combo))
+            for (a, _), c in zip(combo, costs):
                 if c == best:
                     if a == BOT:
                         concl_path: Term = BOT
@@ -233,7 +192,6 @@ def gen_minpath(g: Graph, target: str, cap: int = DEFAULT_CAP) -> System:
                         concl_path = sym("p", sym(v), *a.args)
                     rules.append(Rule(sym("minPath", sym(v), u, concl_path, best),
                                       premises))
-    for v in sorted(g.nodes):
-        if v != target:
-            rules.append(Rule(sym("minPath", sym(v), u, BOT, INF), co=True))
+    for v in succs:
+        rules.append(Rule(sym("minPath", sym(v), u, BOT, INF), co=True))
     return System(rules)

@@ -9,13 +9,12 @@ reachable from the requested root.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from ..engine import Rule, System
 from ..terms import FinSet, Num, Sym, Term, sym, term_key
 from .common import (DEFAULT_CAP, DEFAULT_CARRIES, LIST_PREDICATES,
-                     MalformedEquations, guard_cap)
+                     MalformedEquations, _powerset, guard_cap)
 from .inputs import Binding, ConsBind, EquationSystem, NilBind, TreeBind
 
 __all__ = ["gen_listpred", "gen_add", "DEFAULT_CARRIES", "LIST_PREDICATES"]
@@ -57,91 +56,39 @@ def _numeric_heads(eqs: EquationSystem, lists: list[str], pred: str) -> None:
                                      f"got {b.head!r} in {name}")
 
 
-def _gen_member(eqs: EquationSystem, root: str, x: Term,
-                cap: int) -> System:
-    lists = _list_closure(eqs, root)
-    guard_cap(3 * len(lists), cap)
+def _ground_cells(eqs: EquationSystem, lists: list[str], pred: str,
+                  args: tuple[Term, ...], axiom: Callable[[Binding], Optional[Term]],
+                  universe: Iterable[Term], step: Callable[[Term, Term], Term],
+                  coaxiom: Callable[[Binding], Optional[Term]]) -> System:
+    """The base / step / coaxiom schema the value-carrying list
+    predicates share, with judgments pred(*args, l, v).
+
+    A cell whose ``axiom`` is a value v gets the axiom pred(l, v); every
+    other cons cell gets pred(l, step(head, v)) <- pred(tail, v) for
+    each v in the universe.  Then each cell whose ``coaxiom`` is a value
+    gets that coaxiom.
+    """
+    def judge(name: str, v: Term) -> Term:
+        return sym(pred, *args, sym(name), v)
+
     rules: list[Rule] = []
     for name in lists:
         b = eqs.binding(name)
-        if isinstance(b, NilBind):
-            rules.append(Rule(sym("member", x, sym(name), FALSE)))
-        elif b.head == x:
-            rules.append(Rule(sym("member", x, sym(name), TRUE)))
-        else:
-            for verdict in (TRUE, FALSE):
-                rules.append(Rule(sym("member", x, sym(name), verdict),
-                                  (sym("member", x, sym(b.tail), verdict),)))
+        v = axiom(b)
+        if v is not None:
+            rules.append(Rule(judge(name, v)))
+        elif isinstance(b, ConsBind):
+            rules.extend(Rule(judge(name, step(b.head, u)), (judge(b.tail, u),))
+                         for u in universe)
     for name in lists:
-        rules.append(Rule(sym("member", x, sym(name), FALSE), co=True))
+        v = coaxiom(eqs.binding(name))
+        if v is not None:
+            rules.append(Rule(judge(name, v), co=True))
     return System(rules)
 
 
-def _gen_allpos(eqs: EquationSystem, root: str, cap: int) -> System:
-    lists = _list_closure(eqs, root)
-    _numeric_heads(eqs, lists, "allPos")
-    guard_cap(3 * len(lists), cap)
-    rules: list[Rule] = []
-    for name in lists:
-        b = eqs.binding(name)
-        if isinstance(b, NilBind):
-            rules.append(Rule(sym("allPos", sym(name), TRUE)))
-        elif b.head.value <= 0:
-            rules.append(Rule(sym("allPos", sym(name), FALSE)))
-        else:
-            for verdict in (TRUE, FALSE):
-                rules.append(Rule(sym("allPos", sym(name), verdict),
-                                  (sym("allPos", sym(b.tail), verdict),)))
-    for name in lists:
-        rules.append(Rule(sym("allPos", sym(name), TRUE), co=True))
-    return System(rules)
-
-
-def _gen_elems(eqs: EquationSystem, root: str, cap: int) -> System:
-    lists = _list_closure(eqs, root)
-    elements = _elements(eqs, lists)
-    guard_cap(len(lists) * (2 ** len(elements)) + len(lists), cap)
-    subsets = []
-    for k in range(len(elements) + 1):
-        subsets.extend(itertools.combinations(elements, k))
-    rules: list[Rule] = []
-    for name in lists:
-        b = eqs.binding(name)
-        if isinstance(b, NilBind):
-            rules.append(Rule(sym("elems", sym(name), FinSet())))
-        else:
-            for xs in subsets:
-                rules.append(Rule(
-                    sym("elems", sym(name), FinSet((b.head,) + xs)),
-                    (sym("elems", sym(b.tail), FinSet(xs)),)))
-    for name in lists:
-        rules.append(Rule(sym("elems", sym(name), FinSet()), co=True))
-    return System(rules)
-
-
-def _gen_maxelem(eqs: EquationSystem, root: str, cap: int) -> System:
-    lists = _list_closure(eqs, root)
-    _numeric_heads(eqs, lists, "maxElem")
-    elements = _elements(eqs, lists)
-    guard_cap(len(lists) * (len(elements) + 2), cap)
-    rules: list[Rule] = []
-    for name in lists:
-        b = eqs.binding(name)
-        if not isinstance(b, ConsBind):
-            continue
-        tail = eqs.binding(b.tail)
-        if isinstance(tail, NilBind):
-            rules.append(Rule(sym("maxElem", sym(name), b.head)))
-        else:
-            for y in elements:
-                best = Num(max(b.head.value, y.value))
-                rules.append(Rule(sym("maxElem", sym(name), best),
-                                  (sym("maxElem", sym(b.tail), y),)))
-    for name in lists:
-        b = eqs.binding(name)
-        if isinstance(b, ConsBind):
-            rules.append(Rule(sym("maxElem", sym(name), b.head), co=True))
-    return System(rules)
+def _keep(head: Term, verdict: Term) -> Term:
+    return verdict
 
 
 def _tree_ref(eqs: EquationSystem, head: Term) -> tuple[Term, int, str]:
@@ -227,14 +174,45 @@ def gen_listpred(eqs: EquationSystem, pred: str, root: str,
         raise ValueError("member needs the element to look for")
     if pred != "member" and x is not None:
         raise ValueError(f"{pred} does not take an element argument")
-    gens = {"member": lambda e, r, c: _gen_member(e, r, x, c),
-            "allPos": _gen_allpos, "elems": _gen_elems, "maxElem": _gen_maxelem,
-            "path0": _gen_path0}
-    if pred not in gens:
+    if pred not in LIST_PREDICATES:
         raise ValueError(f"unknown predicate {pred!r}; "
                          f"pick one of {', '.join(LIST_PREDICATES)}")
     _require_root(eqs, root, pred)
-    return gens[pred](eqs, root, cap)
+    if pred == "path0":
+        return _gen_path0(eqs, root, cap)
+    lists = _list_closure(eqs, root)
+    if pred in ("allPos", "maxElem"):
+        _numeric_heads(eqs, lists, pred)
+    # One row of the schema per predicate: its cap count, then the
+    # axiom value of a cell, the universe and step, and the coaxiom
+    # value of a cell.
+    if pred == "member":
+        guard_cap(3 * len(lists), cap)
+        return _ground_cells(
+            eqs, lists, pred, (x,),
+            lambda b: FALSE if isinstance(b, NilBind) else TRUE if b.head == x else None,
+            (TRUE, FALSE), _keep, lambda b: FALSE)
+    if pred == "allPos":
+        guard_cap(3 * len(lists), cap)
+        return _ground_cells(
+            eqs, lists, pred, (),
+            lambda b: TRUE if isinstance(b, NilBind) else FALSE if b.head.value <= 0 else None,
+            (TRUE, FALSE), _keep, lambda b: TRUE)
+    elements = _elements(eqs, lists)
+    if pred == "elems":
+        guard_cap(len(lists) * (2 ** len(elements)) + len(lists), cap)
+        return _ground_cells(
+            eqs, lists, pred, (), lambda b: FinSet() if isinstance(b, NilBind) else None,
+            [FinSet(xs) for xs in _powerset(elements)],
+            lambda head, xs: FinSet((head, *xs.elements)), lambda b: FinSet())
+    # maxElem: a nil cell has no maximum, so it gets no rule at all.
+    guard_cap(len(lists) * (len(elements) + 2), cap)
+    return _ground_cells(
+        eqs, lists, pred, (),
+        lambda b: (b.head if isinstance(b, ConsBind)
+                   and isinstance(eqs.binding(b.tail), NilBind) else None),
+        elements, lambda head, y: Num(max(head.value, y.value)),
+        lambda b: b.head if isinstance(b, ConsBind) else None)
 
 
 def _stream_closure(eqs: EquationSystem, roots: tuple[str, str, str]

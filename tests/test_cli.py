@@ -508,12 +508,25 @@ def test_gen_add_carries_flag(tmp_path, capsys):
     assert "co add(z,z,z,-1)." not in out
 
 
+def test_gen_list_parses_an_empty_element(tmp_path, capsys):
+    # An empty --element is a term to parse, not a missing element.
+    lists = tmp_path / "l.eqs"
+    lists.write_text("l = 1 : l;\n")
+    flags = ("gen", "list", str(lists), "--root", "l")
+    assert run(capsys, *flags, "--pred", "allPos", "--element", "1") == (
+        2, "", "error: allPos does not take an element argument\n")
+    for pred in ("allPos", "member"):
+        code, out, err = run(capsys, *flags, "--pred", pred, "--element", "")
+        assert (code, out) == (2, "") and err.startswith("parse error: "), err
+
+
 # --carries TEXT -> exit status and the carries grounded (one coaxiom each)
 CARRIES = {
     "0,1": (0, {0, 1}),
     "-1,0,1,2": (0, {-1, 0, 1, 2}),
     " 1 , ,2,": (0, {1, 2}),
     ",": (0, set()),
+    "": (0, set()),  # given but empty: no carries, not the default ones
     "\u0663,0": (2, None),  # Arabic-Indic three
     "\u00b2": (2, None),  # superscript two
     "+1,1_0": (2, None),

@@ -45,3 +45,40 @@ def test_no_function_in_the_package_calls_itself():
              for path in sorted(PACKAGE.rglob("*.py"))
              for name, line in self_calls(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
+
+
+def unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each name the module imports but neither uses as
+    a name nor lists in its ``__all__``.  ``from __future__`` and ``*``
+    imports are exempt; ``import a.b`` binds ``a``."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [((a.asname or a.name).split(".")[0], node.lineno)
+                         for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(a.asname or a.name, node.lineno)
+                         for a in node.names if a.name != "*"]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(e.value for e in ast.walk(node.value)
+                        if isinstance(e, ast.Constant) and isinstance(e.value, str))
+    return [(name, line) for name, line in imported if name not in used]
+
+
+def test_unused_imports_are_found():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\nimport sys as system\n"
+                     "from typing import Any, Optional\nfrom x import *\n"
+                     "from y import Exported\n__all__ = ['Exported']\n"
+                     "def f(a: Optional[int]) -> None:\n    return system.exit(a)\n")
+    assert unused_imports(tree) == [("os", 2), ("Any", 4)]
+
+
+def test_every_import_in_the_package_is_used():
+    found = [f"{path.relative_to(PACKAGE)}:{line}: {name}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for name, line in unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
