@@ -196,7 +196,8 @@ def gen_listpred(eqs: EquationSystem, pred: str, root: str,
         guard_cap(3 * len(lists), cap)
         return _ground_cells(
             eqs, lists, pred, (),
-            lambda b: TRUE if isinstance(b, NilBind) else FALSE if b.head.value <= 0 else None,
+            lambda b: (TRUE if isinstance(b, NilBind)
+                       else FALSE if b.head.value <= 0 else None),
             (TRUE, FALSE), _keep, lambda b: TRUE)
     elements = _elements(eqs, lists)
     if pred == "elems":
