@@ -34,6 +34,12 @@ def ladder(k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def ring(n: int) -> str:
+    """A directed ring of n nodes, v0 -> v1 -> ... -> v(n-1) -> v0."""
+    return "".join(f"node v{i}\n" for i in range(n)) + "".join(
+        f"edge v{i} v{(i + 1) % n}\n" for i in range(n))
+
+
 # Input files, written into the working directory of the replay.
 FILES = {
     "cycle.coax": (DATA / "cycle.coax").read_text(),
@@ -49,6 +55,7 @@ FILES = {
                  "t2 = tree(0, l2);\nl2 = tree(1, l1) : l2;\n",
     "streams.eqs": "z = 0 : z;\nn = 9 : n;\no = 1 : 8 : o;\n",
     "delta.lam": "(\\x. x x) (\\y. y y)\n",
+    "ring70.graph": ring(70),
 }
 
 # (file, member, non-member)
@@ -105,7 +112,21 @@ def cases() -> list[list[str]]:
             ["gen", "minpath", "toll.graph", "--target", "e", "--cap", "200"],
             ["gen", "first", "greeting.grammar", "--cap", "10"],
             ["gen", "list", "lists.eqs", "--pred", "elems", "--root", "l",
-             "--cap", "9"],
+             "--cap", "9"]]
+    # Each list predicate's count, and N - 1 / N pairs at the exact N
+    # of path0 (24) and add (8).
+    for pred in (["member", "--element", "1"], ["allPos"], ["maxElem"]):
+        out.append(["gen", "list", "lists.eqs", "--pred", *pred, "--root", "l",
+                    "--cap", "2"])
+    for cap in ("23", "24"):
+        out.append(["gen", "list", "lists.eqs", "--pred", "path0", "--root", "t1",
+                    "--cap", cap])
+    for cap in ("7", "8"):
+        out.append(["gen", "add", "streams.eqs", "--roots", "z", "z", "n",
+                    "--cap", cap])
+    out += [["gen", "lambda", "delta.lam", "--cap", "2"],
+            # a count past 2**63: 70 * (2**70 + 1) rules
+            ["gen", "visit", "ring70.graph"],
             ["gen", "visit", "toll.graph"],
             ["gen", "dist", "ring.graph", "--target", "a"],
             ["gen", "minpath", "toll.graph", "--target", "z"],
