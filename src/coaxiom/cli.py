@@ -367,20 +367,20 @@ def _cmd_gen(args: argparse.Namespace) -> Result:
     if kind == "visit":
         system = cli.gen_visit(cli.parse_graph(text), cap=args.cap)
     elif kind in ("dist", "minpath"):
-        if not args.target:
+        if args.target is None:
             raise ValueError(f"gen {kind} needs --target NODE")
         fn = cli.gen_dist if kind == "dist" else cli.gen_minpath
         system = fn(cli.parse_graph(text), args.target, cap=args.cap)
     elif kind == "first":
         system = cli.gen_first(cli.parse_grammar(text), cap=args.cap)
     elif kind == "list":
-        if not args.pred or not args.root:
+        if args.pred is None or args.root is None:
             raise ValueError("gen list needs --pred PREDICATE and --root VAR")
         x = parse_judgment(args.element) if args.element is not None else None
         system = cli.gen_listpred(cli.parse_equations(text), args.pred,
                                   args.root, x=x, cap=args.cap)
     elif kind == "add":
-        if not args.roots:
+        if args.roots is None:
             raise ValueError("gen add needs --roots X Y Z")
         carries = _parse_carries(args.carries) if args.carries is not None \
             else DEFAULT_CARRIES

@@ -8,12 +8,9 @@ sets range over the powerset of the grammar's terminals.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable
-
-from ..engine import Rule, System
+from ..engine import System
 from ..terms import FinSet, Term, sym
-from .common import DEFAULT_CAP, _powerset, guard_cap
+from .common import DEFAULT_CAP, _ground, _premise, _subsets
 from .inputs import Grammar
 
 __all__ = ["gen_first", "encode_string", "nullable_nonterminals"]
@@ -51,10 +48,6 @@ def encode_string(s: tuple[str, ...], g: Grammar) -> Term:
     return sym("str", *(_encode_symbol(x, g) for x in s))
 
 
-def _to_set(ts: Iterable[str]) -> FinSet:
-    return FinSet(tuple(sym(t) for t in ts))
-
-
 def gen_first(g: Grammar, cap: int = DEFAULT_CAP) -> System:
     """Ground the first-set rules of the grammar over its terminals.
 
@@ -67,39 +60,29 @@ def gen_first(g: Grammar, cap: int = DEFAULT_CAP) -> System:
     """
     nullable = nullable_nonterminals(g)
 
-    strings: set[tuple[str, ...]] = {()}
-    for _, bodies in g.productions:
-        for body in bodies:
-            for i in range(len(body) + 1):
-                strings.add(body[i:])
-    for a in g.nonterminals:
-        strings.add((a,))
-    # A site (s, T, (p1, ..., pk)) grounds first(s, T | F1 | ... | Fk)
-    # <- first(p1, F1), ..., first(pk, Fk) for every choice of terminal
-    # sets F1..Fk: T holds the terminal s starts with, if any, and the
-    # parts p1..pk are the strings whose first sets s unites.
-    sites: list[tuple[tuple[str, ...], tuple[str, ...], tuple]] = []
+    # Every suffix of every body, each nonterminal alone, and eps.
+    strings = {(), *((a,) for a in g.nonterminals), *(
+        body[i:] for _, bodies in g.productions
+        for body in bodies for i in range(len(body) + 1))}
+    subsets = _subsets([sym(t) for t in g.terminals])
+
+    def site(s: tuple[str, ...], fixed: tuple[str, ...], parts: tuple) -> tuple:
+        """first(s, T | F1 | ... | Fk) <- first(p1, F1), ..., first(pk, Fk)
+        for every choice of terminal sets F1..Fk: T holds the terminal s
+        starts with, if any, and the parts p1..pk are the strings whose
+        first sets s unites."""
+        enc, head = encode_string(s, g), set(map(sym, fixed))
+        return [(_premise("first", encode_string(p, g)), subsets) for p in parts], \
+            lambda *fs: (sym("first", enc, FinSet(
+                tuple(head.union(*(f.elements for f in fs))))),), 1
+
+    sites = []
     for s in sorted(strings):
         if not s or s[0] not in g.nonterminals:
-            sites.append((s, s[:1], ()))
+            sites.append(site(s, s[:1], ()))
         elif len(s) >= 2:
-            sites.append((s, (), (s[:1], s[1:]) if s[0] in nullable else (s[:1],)))
-    sites += [((head,), (), bodies) for head, bodies in g.productions]
-
-    nsub = 2 ** len(g.terminals)
-    guard_cap(sum(nsub ** len(parts) for _, _, parts in sites)
-              + len(g.nonterminals), cap)
-
-    subsets = _powerset(g.terminals)
-    rules: list[Rule] = []
-    for s, fixed, parts in sites:
-        enc = encode_string(s, g)
-        part_encs = [encode_string(p, g) for p in parts]
-        for combo in itertools.product(subsets, repeat=len(parts)):
-            premises = tuple(sym("first", e, _to_set(f))
-                             for e, f in zip(part_encs, combo))
-            rules.append(Rule(sym("first", enc, _to_set(set(fixed).union(*combo))),
-                              premises))
-    for a in g.nonterminals:
-        rules.append(Rule(sym("first", _encode_symbol(a, g), FinSet()), co=True))
-    return System(rules)
+            sites.append(site(s, (), (s[:1], s[1:]) if s[0] in nullable else (s[:1],)))
+    sites += [site((head,), (), bodies) for head, bodies in g.productions]
+    return _ground(sites,
+                   [sym("first", _encode_symbol(a, g), FinSet()) for a in g.nonterminals],
+                   cap)

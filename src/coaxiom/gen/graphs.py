@@ -10,12 +10,12 @@ standing for unreachability.
 
 from __future__ import annotations
 
-import itertools
 import math
 
-from ..engine import Rule, System
+from ..engine import System
 from ..terms import INF, FinSet, Inf, Num, Term, sym
-from .common import DEFAULT_CAP, _powerset, guard_cap
+from .common import (DEFAULT_CAP, _axiom, _ground, _premise, _subsets, _Universe,
+                     guard_cap)
 from .inputs import Edge, Graph
 
 __all__ = ["gen_visit", "gen_dist", "gen_minpath", "simple_paths_to"]
@@ -32,27 +32,16 @@ def gen_visit(g: Graph, cap: int = DEFAULT_CAP) -> System:
     """
     if g.weighted:
         raise ValueError("visit systems are generated from unweighted graphs")
-    succs = {v: [e.dst for e in g.successors(v)] for v in sorted(g.nodes)}
-    nsub = 2 ** len(g.nodes)
-    guard_cap(len(g.nodes) + sum(nsub ** len(ss) for ss in succs.values()), cap)
+    nodes = [sym(v) for v in sorted(g.nodes)]
+    subsets = _subsets(nodes)
 
-    subsets = [FinSet(tuple(map(sym, c))) for c in _powerset(tuple(succs))]
-    rules: list[Rule] = []
-    for v, ss in succs.items():
-        if not ss:
-            rules.append(Rule(sym("visit", sym(v), FinSet((sym(v),)))))
-            continue
-        for combo in itertools.product(subsets, repeat=len(ss)):
-            premises = tuple(sym("visit", sym(s), ns)
-                             for s, ns in zip(ss, combo))
-            seen = {sym(v)}
-            for ns in combo:
-                seen.update(ns.elements)
-            rules.append(Rule(sym("visit", sym(v), FinSet(tuple(seen))),
-                              premises))
-    for v in succs:
-        rules.append(Rule(sym("visit", sym(v), FinSet()), co=True))
-    return System(rules)
+    def site(v: Term) -> tuple:
+        slots = [(_premise("visit", sym(e.dst)), subsets) for e in g.successors(v.name)]
+        return slots, lambda *nss: (sym("visit", v, FinSet(
+            tuple({v}.union(*(ns.elements for ns in nss))))),), 1
+
+    return _ground([site(v) for v in nodes],
+                   [sym("visit", v, FinSet()) for v in nodes], cap)
 
 
 def simple_paths_to(g: Graph, target: str,
@@ -88,9 +77,7 @@ def simple_paths_to(g: Graph, target: str,
     return out
 
 
-def _distance_setup(g: Graph, target: str, cap: int
-                    ) -> tuple[dict[str, list[tuple[str, ...]]], list[Term],
-                               dict[str, tuple[Edge, ...]]]:
+def _distance_setup(g: Graph, target: str, cap: int) -> tuple:
     """What dist and minpath share: the simple paths to the target, the
     distance universe (their weights, then infinity), and the successor
     edges of every other node, in node order."""
@@ -122,28 +109,21 @@ def gen_dist(g: Graph, target: str, cap: int = DEFAULT_CAP) -> System:
     Premise distances range over the weights of simple paths to the
     target plus infinity; each combination yields the rule whose
     conclusion takes the minimum of weight-plus-premise over all
-    successors.  Coaxioms dist(v, u, inf) for v != u.
+    successors (infinity when there are none).  Coaxioms
+    dist(v, u, inf) for v != u.
     """
     _, universe, succs = _distance_setup(g, target, cap)
-    # The target's axiom and one coaxiom per other node, then the rules
-    # of each other node: one per premise combination, or one axiom.
-    guard_cap(len(g.nodes) + sum(len(universe) ** len(es)
-                                 for es in succs.values()), cap)
-
     u = sym(target)
-    rules: list[Rule] = [Rule(sym("dist", u, u, Num(0)))]
-    for v, es in succs.items():
-        if not es:
-            rules.append(Rule(sym("dist", sym(v), u, INF)))
-            continue
-        for combo in itertools.product(universe, repeat=len(es)):
-            best = min((_plus(e.weight, d) for e, d in zip(es, combo)), key=_weight)
-            premises = tuple(sym("dist", sym(e.dst), u, d)
-                             for e, d in zip(es, combo))
-            rules.append(Rule(sym("dist", sym(v), u, best), premises))
-    for v in succs:
-        rules.append(Rule(sym("dist", sym(v), u, INF), co=True))
-    return System(rules)
+
+    def site(v: str, es: tuple[Edge, ...]) -> tuple:
+        ws = [e.weight for e in es]
+        return [(_premise("dist", sym(e.dst), u), universe) for e in es], \
+            lambda *ds: (sym("dist", sym(v), u, min(
+                map(_plus, ws, ds), key=_weight, default=INF)),), 1
+
+    return _ground([_axiom(sym("dist", u, u, Num(0)))]
+                   + [site(v, es) for v, es in succs.items()],
+                   [sym("dist", sym(v), u, INF) for v in succs], cap)
 
 
 def _path_term(path: tuple[str, ...]) -> Term:
@@ -161,37 +141,27 @@ def gen_minpath(g: Graph, target: str, cap: int = DEFAULT_CAP) -> System:
     for v != u.
     """
     paths, universe, succs = _distance_setup(g, target, cap)
-    # As for dist, but a combination grounds up to one rule per
-    # successor.
-    guard_cap(len(g.nodes) + sum(
-        len(es) * math.prod((len(paths[e.dst]) + 1) * len(universe) for e in es)
-        or 1 for es in succs.values()), cap)
-
     u = sym(target)
-    rules: list[Rule] = [Rule(sym("minPath", u, u, _path_term((target,)), Num(0)))]
-    for v, es in succs.items():
+
+    def slot(e: Edge) -> tuple:
+        ps = paths[e.dst]
+        return (lambda ad: (sym("minPath", sym(e.dst), u, *ad),),
+                _Universe((len(ps) + 1) * len(universe), lambda: [
+                    (a, d) for a in [*map(_path_term, sorted(ps)), BOT]
+                    for d in universe]))
+
+    def site(v: str, es: tuple[Edge, ...]) -> tuple:
         if not es:
-            rules.append(Rule(sym("minPath", sym(v), u, BOT, INF)))
-            continue
-        per_succ = []
-        for e in es:
-            opts = [(_path_term(p), d) for p in sorted(paths[e.dst])
-                    for d in universe]
-            opts += [(BOT, d) for d in universe]
-            per_succ.append(opts)
-        for combo in itertools.product(*per_succ):
-            costs = [_plus(e.weight, d) for e, (_, d) in zip(es, combo)]
+            return _axiom(sym("minPath", sym(v), u, BOT, INF))
+
+        def conclude(*ads: tuple[Term, Term]) -> list[Term]:
+            costs = [_plus(e.weight, d) for e, (_, d) in zip(es, ads)]
             best = min(costs, key=_weight)
-            premises = tuple(sym("minPath", sym(e.dst), u, a, d)
-                             for e, (a, d) in zip(es, combo))
-            for (a, _), c in zip(combo, costs):
-                if c == best:
-                    if a == BOT:
-                        concl_path: Term = BOT
-                    else:
-                        concl_path = sym("p", sym(v), *a.args)
-                    rules.append(Rule(sym("minPath", sym(v), u, concl_path, best),
-                                      premises))
-    for v in succs:
-        rules.append(Rule(sym("minPath", sym(v), u, BOT, INF), co=True))
-    return System(rules)
+            return [sym("minPath", sym(v), u,
+                        BOT if a == BOT else sym("p", sym(v), *a.args), best)
+                    for (a, _), c in zip(ads, costs) if c == best]
+        return [slot(e) for e in es], conclude, len(es)
+
+    return _ground([_axiom(sym("minPath", u, u, _path_term((target,)), Num(0)))]
+                   + [site(v, es) for v, es in succs.items()],
+                   [sym("minPath", sym(v), u, BOT, INF) for v in succs], cap)

@@ -87,14 +87,19 @@ class Edge(_Record):
 
 
 class Graph(_Record):
-    __slots__ = ("nodes", "edges")
+    __slots__ = ("nodes", "edges", "_succ")
 
     def __init__(self, nodes: tuple[str, ...], edges: tuple[Edge, ...]) -> None:
         self._init(nodes, edges)
+        # Each node's out-edges sorted by destination, from one pass.
+        succ: dict[str, list[Edge]] = {}
+        for e in edges:
+            succ.setdefault(e.src, []).append(e)
+        _set(self, "_succ", {v: tuple(sorted(es, key=lambda e: e.dst))
+                             for v, es in succ.items()})
 
     def successors(self, v: str) -> tuple[Edge, ...]:
-        return tuple(sorted((e for e in self.edges if e.src == v),
-                            key=lambda e: e.dst))
+        return self._succ.get(v, ())
 
     @property
     def weighted(self) -> bool:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-from ..engine import Rule, System
+from ..engine import System
 from ..terms import FinSet, Num, Sym, Term, sym, term_key
 from .common import (DEFAULT_CAP, DEFAULT_CARRIES, LIST_PREDICATES,
-                     MalformedEquations, _powerset, guard_cap)
+                     MalformedEquations, _axiom, _ground, _premise, _subsets,
+                     guard_cap)
 from .inputs import Binding, ConsBind, EquationSystem, NilBind, TreeBind
 
 __all__ = ["gen_listpred", "gen_add", "DEFAULT_CARRIES", "LIST_PREDICATES"]
@@ -59,7 +60,7 @@ def _numeric_heads(eqs: EquationSystem, lists: list[str], pred: str) -> None:
 def _ground_cells(eqs: EquationSystem, lists: list[str], pred: str,
                   args: tuple[Term, ...], axiom: Callable[[Binding], Optional[Term]],
                   universe: Iterable[Term], step: Callable[[Term, Term], Term],
-                  coaxiom: Callable[[Binding], Optional[Term]]) -> System:
+                  coaxiom: Callable[[Binding], Optional[Term]], cap: int) -> System:
     """The base / step / coaxiom schema the value-carrying list
     predicates share, with judgments pred(*args, l, v).
 
@@ -71,24 +72,20 @@ def _ground_cells(eqs: EquationSystem, lists: list[str], pred: str,
     def judge(name: str, v: Term) -> Term:
         return sym(pred, *args, sym(name), v)
 
-    rules: list[Rule] = []
+    def step_site(name: str, b: ConsBind) -> tuple:
+        return [(_premise(pred, *args, sym(b.tail)), universe)], \
+            lambda u: (judge(name, step(b.head, u)),), 1
+
+    sites = []
     for name in lists:
         b = eqs.binding(name)
         v = axiom(b)
         if v is not None:
-            rules.append(Rule(judge(name, v)))
+            sites.append(_axiom(judge(name, v)))
         elif isinstance(b, ConsBind):
-            rules.extend(Rule(judge(name, step(b.head, u)), (judge(b.tail, u),))
-                         for u in universe)
-    for name in lists:
-        v = coaxiom(eqs.binding(name))
-        if v is not None:
-            rules.append(Rule(judge(name, v), co=True))
-    return System(rules)
-
-
-def _keep(head: Term, verdict: Term) -> Term:
-    return verdict
+            sites.append(step_site(name, b))
+    return _ground(sites, [judge(name, v) for name in lists
+                           if (v := coaxiom(eqs.binding(name))) is not None], cap)
 
 
 def _tree_ref(eqs: EquationSystem, head: Term) -> tuple[Term, int, str]:
@@ -136,29 +133,24 @@ def _gen_path0(eqs: EquationSystem, root: str, cap: int) -> System:
 
     trees.sort(key=lambda r: term_key(r[0]))
     lists.sort()
-    nt = len(trees)
-    guard_cap(nt * nt + len(lists) * (1 + nt) + nt, cap)
+    refs = [t for t, _, _ in trees]
 
-    rules: list[Rule] = []
-    for t, label, kids in trees:
-        if label != 0:
-            continue
-        for t2, _, _ in trees:
-            rules.append(Rule(sym("path0", t),
-                              (sym("is_in", t2, sym(kids)),
-                               sym("path0", t2))))
-    for name in lists:
+    def tree_site(t: Term, label: int, kids: str) -> tuple:
+        return [(lambda t2: (sym("is_in", t2, sym(kids)), sym("path0", t2)), refs)], \
+            lambda t2: (sym("path0", t),) if label == 0 else (), 1
+
+    def cell_sites(name: str) -> list[tuple]:
+        # A nil cell's two sites ground nothing, but they are counted.
         b = eqs.binding(name)
-        if isinstance(b, NilBind):
-            continue
-        head_term = _tree_ref(eqs, b.head)[0]
-        rules.append(Rule(sym("is_in", head_term, sym(name))))
-        for t2, _, _ in trees:
-            rules.append(Rule(sym("is_in", t2, sym(name)),
-                              (sym("is_in", t2, sym(b.tail)),)))
-    for t, _, _ in trees:
-        rules.append(Rule(sym("path0", t), co=True))
-    return System(rules)
+        cons = isinstance(b, ConsBind)
+        return [((), lambda: (sym("is_in", _tree_ref(eqs, b.head)[0], sym(name)),)
+                 if cons else (), 1),
+                ([(lambda t2: (sym("is_in", t2, sym(b.tail)),), refs)],
+                 lambda t2: (sym("is_in", t2, sym(name)),) if cons else (), 1)]
+
+    return _ground([tree_site(*r) for r in trees]
+                   + [s for name in lists for s in cell_sites(name)],
+                   [sym("path0", t) for t in refs], cap)
 
 
 def gen_listpred(eqs: EquationSystem, pred: str, root: str,
@@ -191,21 +183,21 @@ def gen_listpred(eqs: EquationSystem, pred: str, root: str,
         return _ground_cells(
             eqs, lists, pred, (x,),
             lambda b: FALSE if isinstance(b, NilBind) else TRUE if b.head == x else None,
-            (TRUE, FALSE), _keep, lambda b: FALSE)
+            (TRUE, FALSE), lambda head, v: v, lambda b: FALSE, cap)
     if pred == "allPos":
         guard_cap(3 * len(lists), cap)
         return _ground_cells(
             eqs, lists, pred, (),
             lambda b: (TRUE if isinstance(b, NilBind)
                        else FALSE if b.head.value <= 0 else None),
-            (TRUE, FALSE), _keep, lambda b: TRUE)
+            (TRUE, FALSE), lambda head, v: v, lambda b: TRUE, cap)
     elements = _elements(eqs, lists)
     if pred == "elems":
         guard_cap(len(lists) * (2 ** len(elements)) + len(lists), cap)
         return _ground_cells(
             eqs, lists, pred, (), lambda b: FinSet() if isinstance(b, NilBind) else None,
-            [FinSet(xs) for xs in _powerset(elements)],
-            lambda head, xs: FinSet((head, *xs.elements)), lambda b: FinSet())
+            _subsets(elements), lambda head, xs: FinSet((head, *xs.elements)),
+            lambda b: FinSet(), cap)
     # maxElem: a nil cell has no maximum, so it gets no rule at all.
     guard_cap(len(lists) * (len(elements) + 2), cap)
     return _ground_cells(
@@ -213,7 +205,7 @@ def gen_listpred(eqs: EquationSystem, pred: str, root: str,
         lambda b: (b.head if isinstance(b, ConsBind)
                    and isinstance(eqs.binding(b.tail), NilBind) else None),
         elements, lambda head, y: Num(max(head.value, y.value)),
-        lambda b: b.head if isinstance(b, ConsBind) else None)
+        lambda b: b.head if isinstance(b, ConsBind) else None, cap)
 
 
 def _stream_closure(eqs: EquationSystem, roots: tuple[str, str, str]
@@ -257,27 +249,18 @@ def gen_add(eqs: EquationSystem, r1: str, r2: str, r3: str,
     head(z) and the outgoing carry s div 10 must be an allowed carry.
     One coaxiom per judgment.
     """
-    allowed = tuple(sorted(set(carries)))
+    allowed = [Num(c) for c in sorted(set(carries))]
     triples = _stream_closure(eqs, (r1, r2, r3))
-    guard_cap(2 * len(triples) * len(allowed), cap)
+    digit = {name: eqs.binding(name).head.value for t in triples for name in t}
 
-    def head(name: str) -> int:
-        return eqs.binding(name).head.value
+    def site(x: str, y: str, z: str) -> tuple:
+        def conclude(c: Num) -> tuple[Term, ...]:
+            s = digit[x] + digit[y] + c.value
+            out = Num(s // 10)
+            return (sym("add", sym(x), sym(y), sym(z), out),) \
+                if s % 10 == digit[z] and out in allowed else ()
+        tails = (sym(eqs.binding(v).tail) for v in (x, y, z))
+        return [(_premise("add", *tails), allowed)], conclude, 1
 
-    def tail(name: str) -> str:
-        return eqs.binding(name).tail
-
-    rules: list[Rule] = []
-    for x, y, z in triples:
-        for c in allowed:
-            s = head(x) + head(y) + c
-            if s % 10 == head(z) and s // 10 in allowed:
-                rules.append(Rule(
-                    sym("add", sym(x), sym(y), sym(z), Num(s // 10)),
-                    (sym("add", sym(tail(x)), sym(tail(y)), sym(tail(z)),
-                         Num(c)),)))
-    for x, y, z in triples:
-        for c in allowed:
-            rules.append(Rule(sym("add", sym(x), sym(y), sym(z), Num(c)),
-                              co=True))
-    return System(rules)
+    return _ground([site(*t) for t in triples],
+                   [sym("add", *map(sym, t), c) for t in triples for c in allowed], cap)

@@ -520,6 +520,24 @@ def test_gen_list_parses_an_empty_element(tmp_path, capsys):
         assert (code, out) == (2, "") and err.startswith("parse error: "), err
 
 
+def test_gen_passes_an_empty_target_or_root_to_the_generator(tmp_path, capsys):
+    # An empty value is given, so the generator names it; only an
+    # omitted option is missing.
+    graph = tmp_path / "toll.graph"
+    graph.write_text(cli_golden.FILES["toll.graph"])
+    lists = tmp_path / "l.eqs"
+    lists.write_text("l = 1 : l;\n")
+    for kind in ("dist", "minpath"):
+        assert run(capsys, "gen", kind, str(graph), "--target", "") == (
+            2, "", "error: target '' is not a node\n")
+        assert run(capsys, "gen", kind, str(graph)) == (
+            2, "", f"error: gen {kind} needs --target NODE\n")
+    assert run(capsys, "gen", "list", str(lists), "--pred", "allPos", "--root", "") == (
+        2, "", "malformed equations: unbound root variable: \n")
+    assert run(capsys, "gen", "list", str(lists), "--pred", "allPos") == (
+        2, "", "error: gen list needs --pred PREDICATE and --root VAR\n")
+
+
 # --carries TEXT -> exit status and the carries grounded (one coaxiom each)
 CARRIES = {
     "0,1": (0, {0, 1}),

@@ -12,7 +12,7 @@ import pytest
 
 from coaxiom import (coind, generated, ind, parse_judgment, parse_system,
                      render_system, sym)
-from coaxiom.gen import (InstantiationTooLarge, gen_dist, gen_minpath,
+from coaxiom.gen import (Edge, Graph, InstantiationTooLarge, gen_dist, gen_minpath,
                          gen_visit, parse_graph, simple_paths_to)
 from oracles import dijkstra_to, reachable_from
 
@@ -90,6 +90,37 @@ def test_visit_cap_guard():
     with pytest.raises(InstantiationTooLarge) as exc:
         gen_visit(CYCLE, cap=5)
     assert exc.value.needed == 20 and exc.value.cap == 5
+
+
+class CountedEdges(tuple):
+    """An edge tuple that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def edge_passes(gen, n: int) -> int:
+    """Passes over the edges of the path v0 -> ... -> v(n-1) that one
+    gen call makes (visit on the unweighted path, dist and minpath
+    towards v(n-1) on the weighted one)."""
+    weight = None if gen is gen_visit else 1
+    edges = CountedEdges(Edge(f"v{i}", f"v{i + 1}", weight) for i in range(n - 1))
+    g = Graph(tuple(f"v{i}" for i in range(n)), edges)
+    edges.passes = 0
+    try:
+        gen(g) if gen is gen_visit else gen(g, f"v{n - 1}")
+    except InstantiationTooLarge:  # visit counts 2^n rules per node
+        pass
+    return edges.passes
+
+
+@pytest.mark.parametrize("gen", [gen_visit, gen_dist, gen_minpath])
+def test_graph_generators_read_the_edges_a_fixed_number_of_times(gen):
+    # Graph sorts each node's successors once, when it is built.
+    assert edge_passes(gen, 3) == edge_passes(gen, 30)
 
 
 # ---------------------------------------------------------------------------

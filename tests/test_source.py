@@ -82,3 +82,48 @@ def test_every_import_in_the_package_is_used():
              for path in sorted(PACKAGE.rglob("*.py"))
              for name, line in unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
+
+
+def product_uses(tree: ast.Module) -> list[int]:
+    """Lines that name ``itertools.product``: as an attribute of the
+    module under any alias, or imported from it."""
+    aliases = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names
+               if a.name == "itertools"}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "product"
+            and isinstance(node.value, ast.Name) and node.value.id in aliases
+            or isinstance(node, ast.ImportFrom) and node.module == "itertools"
+            and any(a.name == "product" for a in node.names)]
+
+
+def powerset_sites(tree: ast.Module) -> list[int]:
+    """Lines that define, assign or import a name ``_powerset``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "_powerset"
+            or isinstance(node, ast.Name) and node.id == "_powerset"
+            and isinstance(node.ctx, ast.Store)
+            or isinstance(node, ast.ImportFrom)
+            and any(a.name == "_powerset" for a in node.names)]
+
+
+def test_product_and_powerset_uses_are_found():
+    tree = ast.parse("import itertools as it\nfrom itertools import product\n"
+                     "from .common import _powerset\ndef _powerset(): pass\n"
+                     "x = it.product(a, b)\n_powerset = 1\ny = other.product\n")
+    assert product_uses(tree) == [2, 5]
+    assert powerset_sites(tree) == [3, 4, 6]
+
+
+def test_only_the_site_grounding_takes_a_product():
+    # Every generator but lambda grounds through gen/common.py's site
+    # table, whose count is the only count of its instances.
+    found = [f"{path.relative_to(PACKAGE)}:{line}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             if path.relative_to(PACKAGE).as_posix() != "gen/common.py"
+             for line in product_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+    found = [f"{path.relative_to(PACKAGE)}:{line}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for line in powerset_sites(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
