@@ -55,6 +55,8 @@ FILES = {
                  "t2 = tree(0, l2);\nl2 = tree(1, l1) : l2;\n",
     "streams.eqs": "z = 0 : z;\nn = 9 : n;\no = 1 : 8 : o;\n",
     "delta.lam": "(\\x. x x) (\\y. y y)\n",
+    "two.lam": "(\\x. x (\\y. y)) (\\z. z)\n",
+    "church.lam": "(\\f. \\x. f (f x)) (\\f. \\x. f (f x)) (\\y. y)\n",
     "ring70.graph": ring(70),
 }
 
@@ -131,6 +133,14 @@ def cases() -> list[list[str]]:
             ["gen", "dist", "ring.graph", "--target", "a"],
             ["gen", "minpath", "toll.graph", "--target", "z"],
             ["gen", "list", "lists.eqs", "--pred", "allPos", "--root", "t1"]]
+    # lambda: two values, their exact count N = 36 as an N - 1 / N pair,
+    # a budget one node short of delta's closure, and a closure past the
+    # default budget
+    out += [["gen", "lambda", "two.lam"],
+            ["gen", "lambda", "two.lam", "--cap", "35"],
+            ["gen", "lambda", "two.lam", "--cap", "36"],
+            ["gen", "lambda", "delta.lam", "--budget", "21"],
+            ["gen", "lambda", "church.lam"]]
     return out
 
 
