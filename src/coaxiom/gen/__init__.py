@@ -3,9 +3,9 @@
 Each ``gen_*`` function reads a small input description (graph,
 grammar, equation system, or lambda term) and emits a finite System
 whose bounded fixed point is the intended semantics of the
-corresponding predicate.  The generators pre-count their output
-against a cap and refuse oversized instantiations instead of
-thrashing.
+corresponding predicate.  Each states its rules as a site table that
+:func:`.common._ground` counts against a cap before it builds a rule,
+so an oversized instantiation is refused instead of thrashing.
 
 The constants and exceptions of :mod:`.common` load with the package.
 Every other name loads its submodule on first use (PEP 562), so that a

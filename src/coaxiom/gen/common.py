@@ -1,11 +1,11 @@
 """Shared plumbing for the system generators.
 
-Every generator but ``lambda`` states its meta-rule family as a *site
-table* and grounds it with :func:`_ground`.  A site is ``(slots,
-conclude, fan)``: each slot pairs a premise maker (value -> premises)
-with a universe of values, and for each choice of one value per slot
-``conclude(*values)`` gives the conclusions that choice grounds, at most
-``fan`` and possibly none, each with the premises the makers give.
+Every generator states its meta-rule family as a *site table* and
+grounds it with :func:`_ground`.  A site is ``(slots, conclude, fan)``:
+each slot pairs a premise maker (value -> premises) with a universe of
+values, and for each choice of one value per slot ``conclude(*values)``
+gives the conclusions that choice grounds, at most ``fan`` and possibly
+none, each with the premises the makers give.
 
 Most families are exponential in some input measure, so ``_ground``
 *counts before it builds*: ``len(coaxioms)`` plus, per site, ``fan``

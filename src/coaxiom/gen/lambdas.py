@@ -16,10 +16,10 @@ closure budget instead.
 from __future__ import annotations
 
 from ..dsl import MAX_DEPTH
-from ..engine import Rule, System
+from ..engine import System
 from ..terms import INF, Term, sym, term_key
-from .common import (DEFAULT_CAP, DEFAULT_CLOSURE_BUDGET,
-                     ClosureBudgetExceeded, guard_cap)
+from .common import (DEFAULT_CAP, DEFAULT_CLOSURE_BUDGET, ClosureBudgetExceeded,
+                     _axiom, _ground, _premise, _Universe)
 from .inputs import App, Lam, LambdaTerm, Var, _fold
 
 __all__ = ["gen_lambda", "encode_lambda", "value_closure"]
@@ -79,9 +79,9 @@ def value_closure(root: LambdaTerm,
         closure.append(t)
 
     add(root)
-    decomposed = 0
-    contracted: set[tuple[Lam, LambdaTerm]] = set()
-    while True:
+    # Each round contracts only the value pairs new since values[:paired].
+    decomposed = paired = 0
+    while isinstance(root, App):
         while decomposed < len(closure):
             t = closure[decomposed]
             decomposed += 1
@@ -89,19 +89,15 @@ def value_closure(root: LambdaTerm,
                 add(t.fn)
                 add(t.arg)
         values = [t for t in closure if isinstance(t, Lam)]
-        if not any(isinstance(t, App) for t in closure):
-            break
         before = len(closure)
-        for fn in values:
-            for arg in values:
-                if (fn, arg) in contracted:
-                    continue
-                contracted.add((fn, arg))
+        for i, fn in enumerate(values):
+            for arg in values[paired if i < paired else 0:]:
                 red = _contract(fn, arg)
                 if total + red.size > budget:
                     raise ClosureBudgetExceeded(budget)
                 add(red)
-        if len(closure) == before and decomposed == len(closure):
+        paired = len(values)
+        if len(closure) == before:
             break
 
     out = sorted(closure, key=lambda t: term_key(encode_lambda(t)))
@@ -119,32 +115,26 @@ def gen_lambda(e: LambdaTerm, budget: int = DEFAULT_CLOSURE_BUDGET,
     a under a converging f.  One coaxiom eval(t, inf) per closure term.
     """
     closure, values = value_closure(e, budget)
-    apps = [t for t in closure if isinstance(t, App)]
-    nv = len(values)
-    guard_cap(nv + len(apps) * (nv * nv * (nv + 1) + 1 + nv) + len(closure), cap)
-
     enc = {t: encode_lambda(t) for t in closure}
-    results: list[Term] = [enc[v] for v in values] + [INF]
+    vals = [enc[v] for v in values]
+    results = [*vals, INF]
+    # (fn, arg, contract(fn, arg), r), shared by every application, so
+    # that each contraction is built once
+    evals = _Universe(len(vals) * len(vals) * len(results), lambda: [
+        (*pair, r) for pair in [(enc[fn], enc[arg], enc[_contract(fn, arg)])
+                                for fn in values for arg in values]
+        for r in results])
 
-    rules: list[Rule] = []
-    for v in values:
-        rules.append(Rule(sym("eval", enc[v], enc[v])))
-    for t in apps:
-        for fn in values:
-            for arg in values:
-                red = _contract(fn, arg)
-                for r in results:
-                    rules.append(Rule(
-                        sym("eval", enc[t], r),
-                        (sym("eval", enc[t.fn], enc[fn]),
-                         sym("eval", enc[t.arg], enc[arg]),
-                         sym("eval", enc[red], r))))
-        rules.append(Rule(sym("eval", enc[t], INF),
-                          (sym("eval", enc[t.fn], INF),)))
-        for fn in values:
-            rules.append(Rule(sym("eval", enc[t], INF),
-                              (sym("eval", enc[t.fn], enc[fn]),
-                               sym("eval", enc[t.arg], INF))))
-    for t in closure:
-        rules.append(Rule(sym("eval", enc[t], INF), co=True))
-    return System(rules)
+    def sites(t: App) -> list[tuple]:
+        tt, ft, at = enc[t], enc[t.fn], enc[t.arg]
+        diverges = (sym("eval", tt, INF),)
+        return [([(lambda q: (sym("eval", ft, q[0]), sym("eval", at, q[1]),
+                              sym("eval", q[2], q[3])), evals)],
+                  lambda q: (sym("eval", tt, q[3]),), 1),
+                 ([(_premise("eval", ft), [INF])], lambda _: diverges, 1),
+                 ([(lambda v: (sym("eval", ft, v), sym("eval", at, INF)), vals)],
+                  lambda _: diverges, 1)]
+
+    return _ground([_axiom(sym("eval", v, v)) for v in vals]
+                   + [s for t in closure if isinstance(t, App) for s in sites(t)],
+                   [sym("eval", enc[t], INF) for t in closure], cap)

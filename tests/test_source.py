@@ -116,8 +116,8 @@ def test_product_and_powerset_uses_are_found():
 
 
 def test_only_the_site_grounding_takes_a_product():
-    # Every generator but lambda grounds through gen/common.py's site
-    # table, whose count is the only count of its instances.
+    # Every generator grounds through gen/common.py's site table, whose
+    # product loop is the only one of the package.
     found = [f"{path.relative_to(PACKAGE)}:{line}"
              for path in sorted(PACKAGE.rglob("*.py"))
              if path.relative_to(PACKAGE).as_posix() != "gen/common.py"
@@ -126,4 +126,32 @@ def test_only_the_site_grounding_takes_a_product():
     found = [f"{path.relative_to(PACKAGE)}:{line}"
              for path in sorted(PACKAGE.rglob("*.py"))
              for line in powerset_sites(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def rule_builds(tree: ast.Module) -> list[int]:
+    """Lines that name ``Rule`` (as a name, an attribute or an import)
+    or call ``System``, in order."""
+    return sorted(node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "Rule"
+            or isinstance(node, ast.Attribute) and node.attr == "Rule"
+            or isinstance(node, ast.ImportFrom) and any(a.name == "Rule" for a in node.names)
+            or isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "System"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "System"))
+
+
+def test_rule_builds_are_found():
+    tree = ast.parse("from ..engine import Rule, System\nimport coaxiom.engine as e\n"
+                     "def f() -> System:\n    return System([e.Rule(x)])\n"
+                     "r: list[Rule] = []\ns = e.System(r)\n")
+    assert rule_builds(tree) == [1, 4, 4, 5, 6]
+
+
+def test_only_the_site_grounding_builds_rules():
+    # A generator states its sites; _ground alone makes them rules.
+    found = [f"{path.relative_to(PACKAGE)}:{line}"
+             for path in sorted((PACKAGE / "gen").glob("*.py"))
+             if path.name != "common.py"
+             for line in rule_builds(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
