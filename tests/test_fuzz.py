@@ -1,0 +1,83 @@
+"""A seeded fuzz of the command line, run in-process.
+
+Each run takes one command line of the golden replay (``cli_golden``)
+and runs it on the replay's input files, with the files it names either
+left as they are or mutated a few characters at a time.  Whatever the
+input, ``main`` must answer with an exit status that README gives, and
+with exactly the stderr that status promises.
+"""
+
+from __future__ import annotations
+
+import collections
+import random
+
+import cli_golden
+
+from coaxiom.cli import _ERRORS
+
+RUNS = 500
+SEED = 20180417
+LABELS = tuple(f"{label}: " for _, label, _ in _ERRORS)
+# Characters a mutation may insert, besides those of the file itself.
+NOISE = "(){},.;:<-\\ \n0123456789abxyz"
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """Apply one to three character-level edits: delete, insert,
+    replace, or repeat a short span."""
+    pool = text + NOISE
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:i] + text[i + 1:]
+        elif op == 1:
+            text = text[:i] + rng.choice(pool) + text[i:]
+        elif op == 2:
+            text = text[:i] + rng.choice(pool) + text[i + 1:]
+        else:
+            text = text[:i] + text[i:i + rng.randint(1, 8)] + text[i:]
+    return text
+
+
+def verdict(run: dict) -> str | None:
+    """What is wrong with one run's status and stderr, if anything."""
+    code, err = run["code"], run["stderr"]
+    if code in (0, 1):
+        return None if err == "" else "stderr is not empty"
+    if code in (2, 3):
+        if err.count("\n") == 1 and err.endswith("\n") and err.startswith(LABELS):
+            return None
+        return "stderr is not one labelled line"
+    return f"status {code!r} is not 0-3"
+
+
+def test_no_input_breaks_the_command_line(tmp_path, monkeypatch):
+    cli_golden.write_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(SEED)
+    cases = cli_golden.cases()
+    statuses: collections.Counter = collections.Counter()
+    failures = []
+    for _ in range(RUNS):
+        argv = rng.choice(cases)
+        inputs = {name: mutate(text, rng) if rng.random() < 0.8 else text
+                  for name, text in cli_golden.FILES.items() if name in argv}
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        try:
+            run = cli_golden.invoke(argv)
+            problem = verdict(run)
+        except SystemExit as e:  # argparse refusing the command line
+            run, problem = {"code": e.code, "stderr": ""}, None
+        except Exception as e:  # any other escape is what the fuzz looks for
+            run, problem = {"code": None, "stderr": ""}, f"raised {e!r}"
+        statuses[run["code"]] += 1
+        if problem:
+            failures.append((argv, inputs, run["code"], run["stderr"], problem))
+        for name in inputs:
+            (tmp_path / name).write_text(cli_golden.FILES[name])
+    assert failures == []
+    # The runs reach every status, not only the parse errors.
+    assert set(statuses) == {0, 1, 2, 3}
