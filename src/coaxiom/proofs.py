@@ -423,10 +423,13 @@ def proof_from_dict(d: dict) -> Union[WfProof, RegularProof]:
 
     A tree without back-references loads as a :class:`WfProof`; one
     with back-references loads as the :class:`RegularProof` whose choice
-    map collects the expanded nodes.  Each distinct judgment string is
-    parsed once, and each distinct node dict is built once; nodes are
-    interned, so equal subtrees load as one shared :class:`WfProof`
-    node, whether or not their dicts are shared in ``d``.
+    map collects the expanded nodes, and interns no :class:`WfProof`.
+    Each distinct judgment string is parsed once; nodes are interned, so
+    equal subtrees load as one shared node.  A node dict ``==`` (in C)
+    to the last one read with its judgment string takes that one's node
+    unwalked, so an unshared JSON tree costs Python work in its distinct
+    subproofs; the first such comparison that fails or overflows the
+    stack turns this off for the rest of ``d``.
     """
     from .dsl import parse_judgment
 
@@ -438,32 +441,51 @@ def proof_from_dict(d: dict) -> Union[WfProof, RegularProof]:
             t = parsed[text] = parse_judgment(text)
         return t
 
-    # Depth-first over the distinct node dicts; a node is built when the
-    # None pushed above its children comes back up, so after them.
+    # Depth-first over the distinct node dicts; a node is read when the
+    # None pushed above its children comes back up, so after them.  The
+    # nodes are built only once no back-reference has turned up.
     refs: dict[tuple, RuleRef] = {}
-    built: dict[int, WfProof] = {}
+    at: dict[int, int] = {}  # id of a node dict -> its index in read
+    read: list[tuple[Term, RuleRef, list[int]]] = []
+    last: Optional[dict] = {}  # judgment string -> last dict read
     todo: list = [d]
     while todo:
         nd = todo.pop()
         if nd is None:
             nd = todo.pop()
-        elif id(nd) in built:
+        elif id(nd) in at:
             continue
         elif nd.get("back"):
             break
-        elif nd.get("children"):
-            todo += (nd, None)
-            todo += nd["children"]
-            continue
+        else:
+            if last is not None:
+                try:
+                    twin = last.get(nd.get("judgment"))
+                    if twin is not None:
+                        if twin == nd:
+                            at[id(nd)] = at[id(twin)]
+                            continue
+                        last = None
+                except (TypeError, RecursionError):  # unhashable; too deep
+                    last = None
+            if nd.get("children"):
+                todo += (nd, None)
+                todo += nd["children"]
+                continue
         kids = nd.get("children", ())
         ref_key = (nd["rule"], nd.get("co"))
         ref = refs.get(ref_key)
         if ref is None:
             ref = refs[ref_key] = RuleRef(ref_key[0], bool(ref_key[1]))
-        built[id(nd)] = WfProof(judgment(nd["judgment"]), ref,
-                                tuple([built[id(c)] for c in kids]))
+        at[id(nd)] = len(read)
+        read.append((judgment(nd["judgment"]), ref, [at[id(c)] for c in kids]))
+        if last is not None:
+            last[nd["judgment"]] = nd
     else:
-        return built[id(d)]
+        built: list[WfProof] = []
+        for j, ref, kids in read:
+            built.append(WfProof(j, ref, tuple([built[k] for k in kids])))
+        return built[-1]
     nodes = list(_postorder(
         d, lambda nd: () if nd.get("back") else nd.get("children", ())))
     # Filled in pre-order: a judgment expanded twice keeps the rule of

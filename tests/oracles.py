@@ -471,3 +471,70 @@ def read_coax_terms(text: str) -> list:
         out.append(r.term())
         r.take(".")
     return out
+
+
+# ---------------------------------------------------------------------------
+# the proof loader that walks every node dict
+
+def walking_proof_from_dict(d: dict):
+    """``proofs.proof_from_dict`` as it was before it compared repeated
+    subtrees: every node dict not shared by identity is walked and
+    built, and a back-reference is only noticed when the walk reaches
+    it, after the nodes finished before it are built.
+    """
+    from coaxiom.dsl import parse_judgment
+    from coaxiom.proofs import RegularProof, RuleRef, WfProof
+
+    parsed = {}
+
+    def judgment(text):
+        t = parsed.get(text)
+        if t is None:
+            t = parsed[text] = parse_judgment(text)
+        return t
+
+    refs = {}
+    built = {}
+    todo = [d]
+    while todo:
+        nd = todo.pop()
+        if nd is None:
+            nd = todo.pop()
+        elif id(nd) in built:
+            continue
+        elif nd.get("back"):
+            break
+        elif nd.get("children"):
+            todo += (nd, None)
+            todo += nd["children"]
+            continue
+        kids = nd.get("children", ())
+        ref_key = (nd["rule"], nd.get("co"))
+        ref = refs.get(ref_key)
+        if ref is None:
+            ref = refs[ref_key] = RuleRef(ref_key[0], bool(ref_key[1]))
+        built[id(nd)] = WfProof(judgment(nd["judgment"]), ref,
+                                tuple([built[id(c)] for c in kids]))
+    else:
+        return built[id(d)]
+    # Each distinct dict once, children before parents, children taken
+    # last to first.
+    nodes, done, todo = [], set(), [d]
+    while todo:
+        nd = todo[-1]
+        if id(nd) in done:
+            todo.pop()
+            continue
+        below = () if nd.get("back") else nd.get("children", ())
+        pending = [c for c in below if id(c) not in done]
+        if pending:
+            todo.extend(pending)
+            continue
+        todo.pop()
+        done.add(id(nd))
+        nodes.append(nd)
+    choice = {}
+    for nd in reversed(nodes):
+        if not nd.get("back"):
+            choice[judgment(nd["judgment"])] = nd["rule"]
+    return RegularProof(judgment(d["judgment"]), choice)

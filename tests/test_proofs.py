@@ -17,10 +17,12 @@ import pytest
 
 import cli_golden
 from coaxiom import (APPROX, REGULAR_GENERATED, RegularProof, Rule, RuleRef,
-                     System, WF_EXTENDED, WfProof, bound, generated,
-                     parse_system, proof_from_dict, proof_to_dict,
+                     System, WF_EXTENDED, WfProof, analyse, bound, generated,
+                     parse_system, proof_from_dict, proof_to_dict, proofs,
                      prove_approx, prove_regular, prove_wf, sym, validate)
 from coaxiom.terms import term_key
+from corpus import as_system, corpus
+from oracles import walking_proof_from_dict
 
 P, Q, R = sym("p"), sym("q"), sym("r")
 
@@ -257,12 +259,16 @@ def _random_shared_proof(rng, size=8):
     return pool[-1]
 
 
+def _shared_proofs(seed):
+    """150 seeded random shared proofs of 1 to 9 nodes each."""
+    rng = random.Random(seed)
+    return [_random_shared_proof(rng, rng.randrange(1, 10)) for _ in range(150)]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_validate_matches_the_recursive_check_on_shared_proofs(seed):
-    rng = random.Random(seed)
     modes = [(WF_EXTENDED, None)] + [(APPROX, n) for n in range(5)]
-    for _ in range(150):
-        proof = _random_shared_proof(rng, rng.randrange(1, 10))
+    for proof in _shared_proofs(seed):
         for mode, level in modes:
             got = [(v.path, v.judgment, v.reason)
                    for v in validate(CHAIN, proof, mode, level=level).violations]
@@ -402,3 +408,165 @@ def test_deep_wf_proof_round_trips_through_a_dict():
 def test_serialising_regular_proof_without_system_fails():
     with pytest.raises(ValueError):
         proof_to_dict(prove_regular(CYCLE, P))
+
+
+# ---------------------------------------------------------------------------
+# loading a JSON tree, against the loader that walks every node dict
+
+def _json(proof, sys_=None):
+    """A proof's dict as JSON gives it back: no dict is shared."""
+    return json.loads(json.dumps(proof_to_dict(proof, sys_)))
+
+
+def _outcome(load, d):
+    try:
+        return load(d)
+    except Exception as e:
+        return type(e)
+
+
+def _loads_alike(d):
+    """The loader and the walking one give the identical node for a
+    tree, the same root and choice map, in the same order, for a
+    regular proof, and otherwise raise the same exception type."""
+    got, want = _outcome(proof_from_dict, d), _outcome(walking_proof_from_dict, d)
+    if isinstance(want, RegularProof):
+        assert type(got) is RegularProof and got.root is want.root
+        assert list(got.choice.items()) == list(want.choice.items())
+    else:
+        assert got is want
+    return want
+
+
+class _Compared(dict):
+    """A node dict that notes the outcome of each ``==`` it takes part in."""
+
+    outcomes: list = []
+
+    def __eq__(self, other):
+        same = dict.__eq__(self, other)
+        _Compared.outcomes.append(same)
+        return same
+
+    __hash__ = None
+
+
+def _chain(n, leaf=None):
+    """An n-deep chain c(n-1) -> ... -> c0 whose leaf is a co rule,
+    with ``leaf`` merged into the leaf's dict."""
+    d = {"judgment": "c0", "rule": 0, "co": True, "children": [], **(leaf or {})}
+    for i in range(1, n):
+        d = {"judgment": f"c{i}", "rule": i, "co": False, "children": [d]}
+    return d
+
+
+def _over(*children):
+    return {"judgment": "top", "rule": 0, "co": False, "children": list(children)}
+
+
+def test_loading_a_regular_proof_interns_no_tree_node():
+    # The walk finishes loadz and loady before it meets the
+    # back-reference to loadp; neither may be left in the node table.
+    sys_ = parse_system("loadp <- loadq, loadz. loadq <- loadp. "
+                        "loadz <- loady. loady. co loadp.")
+    d = proof_to_dict(prove_regular(sys_, sym("loadp")), sys_)
+    before = len(proofs._NODES)
+    again = proof_from_dict(d)
+    assert isinstance(again, RegularProof)
+    assert len(proofs._NODES) == before
+
+
+def test_the_ladder_json_tree_loads_in_its_distinct_nodes(tmp_path, monkeypatch):
+    # prove --format json prints the k = 12 ladder's wf proof as
+    # 2^14 - 3 unshared dicts over 3k + 1 = 37 distinct subproofs.
+    path = tmp_path / "ladder12.coax"
+    path.write_text(cli_golden.ladder(12))
+    run = cli_golden.invoke(["prove", str(path), "x12", "--format", "json"])
+    assert run["code"] == 0
+    assert run["stdout"].count('"judgment":') == 1 + 16381
+    d = json.loads(run["stdout"])["proof"]
+    calls, real = [], proofs.WfProof
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(proofs, "WfProof", counting)
+    proof = proof_from_dict(d)
+    monkeypatch.undo()
+    assert len(calls) <= 2 * 37
+    assert proof is prove_wf(*_ladder(12))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_loading_agrees_with_the_walk_on_random_shared_proofs(seed):
+    for proof in _shared_proofs(seed):
+        assert _loads_alike(_json(proof)) is proof
+        assert _loads_alike(proof_to_dict(proof)) is proof
+
+
+def test_loading_agrees_with_the_walk_on_corpus_approx_proofs():
+    # A judgment proved at two levels prints as two unequal dicts with
+    # one judgment string; some of them are compared, which turns the
+    # comparisons off for the rest of their document.
+    _Compared.outcomes = []
+    for _, triples in corpus():
+        sys_ = as_system(triples)
+        interp = analyse(sys_)
+        for j in sorted(sys_.by_conclusion, key=term_key):
+            for n in range(4):
+                proof = prove_approx(sys_, j, n, interp=interp)
+                if proof is not None:
+                    text = json.dumps(proof_to_dict(proof))
+                    assert _loads_alike(json.loads(text, object_hook=_Compared)) is proof
+    assert False in _Compared.outcomes and True in _Compared.outcomes
+
+
+@pytest.mark.parametrize("leaf", [{"rule": 1}, {"co": False}, {"judgment": "c9"},
+                                  {"extra": 0}, {"rule": True}, {"rule": 0.0}],
+                         ids=repr)
+def test_loading_agrees_with_the_walk_on_near_duplicates(leaf):
+    # Twins that differ only at their 40-deep leaf, in either order,
+    # and again after the shortcut is off; rule 0.0 and True are == to
+    # 0 and 1, so those twins load as one node.
+    plain, odd = _chain(40), _chain(40, leaf)
+    for d in (_over(plain, odd), _over(odd, plain), _over(plain, odd, _chain(40)),
+              _over(_chain(3), plain, _chain(3, leaf), odd, _chain(3))):
+        assert isinstance(_loads_alike(d), WfProof)
+
+
+def test_loading_agrees_with_the_walk_on_deep_equal_twins():
+    # On CPython 3.11, comparing the two 1,500-deep chains overflows
+    # the stack, and the walk of every node dict takes over.
+    assert isinstance(_loads_alike(_over(_chain(1500), _chain(1500))), WfProof)
+
+
+def _leaf_dict(text, **fields):
+    return {"judgment": text, "rule": 0, "co": False, "children": [], **fields}
+
+
+MALFORMED = {
+    "missing rule": {"judgment": "p", "co": False, "children": []},
+    "missing judgment": {"rule": 0, "co": False, "children": []},
+    "non-dict child": _leaf_dict("p", children=["q"]),
+    "children an int": _leaf_dict("p", children=5),
+    "children zero": _leaf_dict("p", children=0),
+    "children a string": _leaf_dict("p", children="qr"),
+    "children a dict": _leaf_dict("p", children={"judgment": "q"}),
+    "unhashable judgment": _leaf_dict(["p"]),
+    "unhashable judgment over a non-dict child": _leaf_dict(["p"], children=[7]),
+    "unhashable judgment after its twin": _over(_leaf_dict(["p"]), _leaf_dict("p")),
+    "unhashable rule": _leaf_dict("p", rule=[0]),
+    "unparsable judgment": _leaf_dict("p("),
+    "bad node before a back-reference": _over({"judgment": "top", "back": True},
+                                              {"judgment": "q"}),
+    "bad node after a back-reference": _over({"judgment": "q"},
+                                             {"judgment": "top", "back": True}),
+    "bad node after a repeated subtree": _over({"judgment": "c1", "co": False},
+                                               _chain(5), _chain(5)),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_dicts_raise_what_the_walk_raises(name):
+    assert isinstance(_loads_alike(MALFORMED[name]), type)
