@@ -4,16 +4,21 @@ Each run takes one command line of the golden replay (``cli_golden``)
 and runs it on the replay's input files, with the files it names either
 left as they are or mutated a few characters at a time.  Whatever the
 input, ``main`` must answer with an exit status that README gives, and
-with exactly the stderr that status promises.
+with exactly the stderr that status promises.  Every proof a ``prove``
+or ``check`` run prints as JSON must reload through ``proof_from_dict``
+and pass ``validate`` against the rules of the file it was proved from.
 """
 
 from __future__ import annotations
 
 import collections
+import json
 import random
 
 import cli_golden
 
+from coaxiom import (APPROX, REGULAR_GENERATED, WF_EXTENDED, RegularProof,
+                     ValidationReport, parse_system, proof_from_dict, validate)
 from coaxiom.cli import _ERRORS
 
 RUNS = 500
@@ -53,12 +58,28 @@ def verdict(run: dict) -> str | None:
     return f"status {code!r} is not 0-3"
 
 
+def revalidate(run: dict, rules: str) -> ValidationReport:
+    """The JSON proof a status-0 ``prove`` or ``check`` run printed,
+    reloaded and validated against ``rules`` in the mode of its kind."""
+    doc = json.loads(run["stdout"])
+    kind = doc.get("kind", "regular")  # check says "derivable" instead
+    proof = proof_from_dict(doc["proof"])
+    if isinstance(proof, RegularProof):
+        return validate(parse_system(rules), proof, REGULAR_GENERATED)
+    if kind.startswith("approx("):
+        return validate(parse_system(rules), proof, APPROX, level=int(kind[7:-1]))
+    # A regular proof without a back-reference loads as the finite tree
+    # it is, over regular rules only.
+    return validate(parse_system(rules), proof, WF_EXTENDED)
+
+
 def test_no_input_breaks_the_command_line(tmp_path, monkeypatch):
     cli_golden.write_files(tmp_path)
     monkeypatch.chdir(tmp_path)
     rng = random.Random(SEED)
     cases = cli_golden.cases()
     statuses: collections.Counter = collections.Counter()
+    modes: collections.Counter = collections.Counter()
     failures = []
     for _ in range(RUNS):
         argv = rng.choice(cases)
@@ -69,6 +90,12 @@ def test_no_input_breaks_the_command_line(tmp_path, monkeypatch):
         try:
             run = cli_golden.invoke(argv)
             problem = verdict(run)
+            if (not problem and run["code"] == 0 and argv[0] in ("prove", "check")
+                    and argv[-2:] == ["--format", "json"]):
+                report = revalidate(run, (tmp_path / argv[1]).read_text())
+                modes[report.mode.split("(")[0]] += 1
+                if not report.ok:
+                    problem = f"reloaded proof: {report.violations[:3]}"
         except SystemExit as e:  # argparse refusing the command line
             run, problem = {"code": e.code, "stderr": ""}, None
         except Exception as e:  # any other escape is what the fuzz looks for
@@ -81,3 +108,5 @@ def test_no_input_breaks_the_command_line(tmp_path, monkeypatch):
     assert failures == []
     # The runs reach every status, not only the parse errors.
     assert set(statuses) == {0, 1, 2, 3}
+    # wf-extended: 3, approx: 1, regular-generated: 5
+    assert set(modes) == {WF_EXTENDED, APPROX, REGULAR_GENERATED}
