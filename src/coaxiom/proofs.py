@@ -429,7 +429,8 @@ def proof_from_dict(d: dict) -> Union[WfProof, RegularProof]:
     to the last one read with its judgment string takes that one's node
     unwalked, so an unshared JSON tree costs Python work in its distinct
     subproofs; the first such comparison that fails or overflows the
-    stack turns this off for the rest of ``d``.
+    stack, or the first dict met twice, turns this off for the rest of
+    ``d``.
     """
     from .dsl import parse_judgment
 
@@ -454,6 +455,8 @@ def proof_from_dict(d: dict) -> Union[WfProof, RegularProof]:
         if nd is None:
             nd = todo.pop()
         elif id(nd) in at:
+            # Sharing in memory: == would compare the unfolded trees.
+            last = None
             continue
         elif nd.get("back"):
             break

@@ -62,15 +62,15 @@ def revalidate(run: dict, rules: str) -> ValidationReport:
     """The JSON proof a status-0 ``prove`` or ``check`` run printed,
     reloaded and validated against ``rules`` in the mode of its kind."""
     doc = json.loads(run["stdout"])
-    kind = doc.get("kind", "regular")  # check says "derivable" instead
-    proof = proof_from_dict(doc["proof"])
+    proof, sys_ = proof_from_dict(doc["proof"]), parse_system(rules)
     if isinstance(proof, RegularProof):
-        return validate(parse_system(rules), proof, REGULAR_GENERATED)
+        return validate(sys_, proof, REGULAR_GENERATED)
+    kind = doc.get("kind", "")  # check prints no kind: its proofs are regular
     if kind.startswith("approx("):
-        return validate(parse_system(rules), proof, APPROX, level=int(kind[7:-1]))
-    # A regular proof without a back-reference loads as the finite tree
-    # it is, over regular rules only.
-    return validate(parse_system(rules), proof, WF_EXTENDED)
+        return validate(sys_, proof, APPROX, level=int(kind[7:-1]))
+    # wf, or a regular proof without a back-reference, which loads as the
+    # finite tree it is, over regular rules only
+    return validate(sys_, proof, WF_EXTENDED)
 
 
 def test_no_input_breaks_the_command_line(tmp_path, monkeypatch):
@@ -79,7 +79,7 @@ def test_no_input_breaks_the_command_line(tmp_path, monkeypatch):
     rng = random.Random(SEED)
     cases = cli_golden.cases()
     statuses: collections.Counter = collections.Counter()
-    modes: collections.Counter = collections.Counter()
+    modes = set()
     failures = []
     for _ in range(RUNS):
         argv = rng.choice(cases)
@@ -93,7 +93,7 @@ def test_no_input_breaks_the_command_line(tmp_path, monkeypatch):
             if (not problem and run["code"] == 0 and argv[0] in ("prove", "check")
                     and argv[-2:] == ["--format", "json"]):
                 report = revalidate(run, (tmp_path / argv[1]).read_text())
-                modes[report.mode.split("(")[0]] += 1
+                modes.add(report.mode.split("(")[0])
                 if not report.ok:
                     problem = f"reloaded proof: {report.violations[:3]}"
         except SystemExit as e:  # argparse refusing the command line
@@ -108,5 +108,5 @@ def test_no_input_breaks_the_command_line(tmp_path, monkeypatch):
     assert failures == []
     # The runs reach every status, not only the parse errors.
     assert set(statuses) == {0, 1, 2, 3}
-    # wf-extended: 3, approx: 1, regular-generated: 5
-    assert set(modes) == {WF_EXTENDED, APPROX, REGULAR_GENERATED}
+    # 9 proofs: wf-extended 3, approx 1, regular-generated 5
+    assert modes == {WF_EXTENDED, APPROX, REGULAR_GENERATED}

@@ -541,6 +541,27 @@ def test_loading_agrees_with_the_walk_on_deep_equal_twins():
     assert isinstance(_loads_alike(_over(_chain(1500), _chain(1500))), WfProof)
 
 
+def _shared_ladder(k):
+    """The k-rung ladder's wf proof as dicts shared in memory, the way
+    proof_to_dict shares them, but built afresh by every call."""
+    x = _Compared(judgment="x0", rule=0, co=True, children=[])
+    for i in range(1, k + 1):
+        y = _Compared(judgment=f"y{i}", rule=3 * i - 1, co=False, children=[x])
+        z = _Compared(judgment=f"z{i}", rule=3 * i, co=False, children=[x])
+        x = _Compared(judgment=f"x{i}", rule=3 * i - 2, co=False, children=[y, z])
+    return x
+
+
+def test_dicts_shared_in_memory_are_not_compared_as_trees():
+    # == on two such ladders built apart unfolds 2^14 - 3 dicts a side,
+    # where the walk by identity reads 37; the first dict met twice
+    # turns the comparisons off.
+    _Compared.outcomes = []
+    d = _over(_shared_ladder(12), _shared_ladder(12))
+    assert _loads_alike(d).children == (prove_wf(*_ladder(12)),) * 2
+    assert len(_Compared.outcomes) < 100
+
+
 def _leaf_dict(text, **fields):
     return {"judgment": text, "rule": 0, "co": False, "children": [], **fields}
 
