@@ -14,10 +14,9 @@ It is a lookup in the entry and drop layers of one two-phase pass.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
-from .engine import (DEFAULT_BUDGET, Interpretation, System, analyse, bound,
-                     step)
+from .engine import DEFAULT_BUDGET, System, analyse, bound, step
 from .terms import Term, _Record, term_key
 
 __all__ = [
@@ -112,19 +111,16 @@ LevelWitness = Union[NotInBound, DropsAtLevel, SurvivesTo]
 
 
 def level_witness(sys: System, j: Term, max_n: int,
-                  budget: int = DEFAULT_BUDGET,
-                  interp: Optional[Interpretation] = None) -> LevelWitness:
+                  budget: int = DEFAULT_BUDGET) -> LevelWitness:
     """Track one judgment for up to ``max_n`` descending rounds.
 
-    The descent is stable once a round drops nothing, that is from
-    round ``interp.layers + 1`` on.  ``interp``, a :func:`generated` or
-    :func:`analyse` result for ``sys``, saves recomputing both phases;
-    by default ``analyse(sys, budget)`` is used, so ``budget`` bounds
-    phase 1 only.
+    The layers come from ``analyse(sys, budget)``, so ``budget`` bounds
+    phase 1 only.  The descent is stable once a round drops nothing,
+    that is from round ``layers + 1`` on.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    a = interp if interp is not None else analyse(sys, budget)
+    a = analyse(sys, budget)
     if j not in a.phase1.judgments:
         return NotInBound()
     level = a.levels.get(j)

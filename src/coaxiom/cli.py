@@ -44,7 +44,7 @@ from .checks import (DropsAtLevel, NotInBound, SurvivesTo,
 from .dsl import ParseError, parse_judgment, parse_judgments, parse_system, \
     render_system
 from .engine import (DEFAULT_BUDGET, BudgetExceeded, Interpretation, System,
-                     analyse, coind, generated, ind, sort_judgments)
+                     coind, generated, ind, sort_judgments)
 from . import gen
 from .gen import (ClosureBudgetExceeded, DEFAULT_CAP, DEFAULT_CARRIES,
                   DEFAULT_CLOSURE_BUDGET, InstantiationTooLarge,
@@ -288,24 +288,19 @@ def _cmd_prove(args: argparse.Namespace) -> Result:
     """``prove``, and ``check`` as ``prove --regular`` under its own
     headings and with ``derivable`` in place of ``kind``."""
     sys_ = _load_system(args.file)
-    j = parse_judgment(args.judgment)
-    # A regular proof needs the bounded fixed point itself, so its
-    # descent is held to the budget; the other proofs only read levels.
-    phases = generated if args.regular else analyse
-    interp = phases(sys_, budget=args.max_iters)
+    j, budget = parse_judgment(args.judgment), args.max_iters
     if args.regular:
         kind = "regular"
-        proof = prove_regular(sys_, j, interp=interp)
+        proof = prove_regular(sys_, j, budget)
     elif args.level is not None:
         kind = f"approx({args.level})"
-        proof = prove_approx(sys_, j, args.level, interp=interp)
+        proof = prove_approx(sys_, j, args.level, budget)
     else:
         kind = "wf"
-        proof = prove_wf(sys_, j, interp=interp)
+        proof = prove_wf(sys_, j, budget)
     check, name = args.command == "check", render_term(j)
     if proof is None:
-        text, doc = _witness(level_witness(sys_, j, args.max_iters,
-                                           interp=interp))
+        text, doc = _witness(level_witness(sys_, j, budget, budget))
         head = {"derivable": False} if check else {"proof": None, "kind": kind}
         missing = "" if check else f" has no {kind} proof"
         return EXIT_NEGATIVE, lambda fmt: (

@@ -32,6 +32,10 @@ An :class:`Interpretation` keeps those layers.  Its ``trace``, the set
 after each productive round of the naive whole-set iteration, is
 rebuilt from them only when read; level witnesses and proofs read the
 layers directly.
+
+A :class:`System` runs each phase at most once, on first use, and keeps
+the pass.  A budget refuses a finished pass of at least ``budget``
+productive layers, as the naive iteration would.
 """
 
 from __future__ import annotations
@@ -132,10 +136,11 @@ class System:
     sends each conclusion to its ``(rule, position)`` pairs, the regular
     rules first and then the co rules, a position being the rule's index
     in its own tuple.  Rule order is preserved for reference purposes
-    only; no operation's result depends on it.
+    only; no operation's result depends on it.  A system is read-only,
+    and so are the results of :func:`bound` and :func:`analyse` it keeps.
     """
 
-    __slots__ = ("regular_rules", "co_rules", "by_conclusion")
+    __slots__ = ("regular_rules", "co_rules", "by_conclusion", "_bound", "_analysis")
 
     def __init__(self, rules: Iterable[Rule] = ()):
         unique = dict.fromkeys(rules)
@@ -145,6 +150,7 @@ class System:
         for rs in (self.regular_rules, self.co_rules):
             for i, r in enumerate(rs):
                 self.by_conclusion.setdefault(r.conclusion, []).append((r, i))
+        self._bound = self._analysis = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, System):
@@ -235,22 +241,24 @@ def step(sys: System, s: frozenset[Term] | set[Term]) -> frozenset[Term]:
     return frozenset(r.conclusion for r in sys.regular_rules if s.issuperset(r.premises))
 
 
+def _within(interp: Interpretation, budget: Optional[int]) -> Interpretation:
+    """``interp``, unless its pass has at least ``budget`` productive layers."""
+    if budget is not None and interp.layers >= budget:
+        raise BudgetExceeded(budget)
+    return interp
+
+
 def _propagate(rules: Sequence[Rule], watchers: Mapping[Term, list[int]],
                rule_count: list[int], count: dict[Term, int],
-               frontier: list[Term], budget: Optional[int]) -> tuple[dict[Term, int], int]:
+               frontier: list[Term]) -> tuple[dict[Term, int], int]:
     """The layer in which each judgment changes, and the number of
     productive layers, counted as the module docstring describes: the
     judgments in ``frontier`` change in layer 1, and a count already
-    below 0 changes nothing.  At most ``budget`` layers run, counting
-    the unproductive one that confirms the fixed point.
+    below 0 changes nothing.
     """
     changed: dict[Term, int] = {}
     layer = 0
-    while True:
-        if budget is not None and layer >= budget:
-            raise BudgetExceeded(budget)
-        if not frontier:
-            return changed, layer
+    while frontier:
         layer += 1
         after: list[Term] = []
         for j in frontier:
@@ -263,9 +271,10 @@ def _propagate(rules: Sequence[Rule], watchers: Mapping[Term, list[int]],
                     if not count[c]:
                         after.append(c)
         frontier = after
+    return changed, layer
 
 
-def _ascend(rules: Sequence[Rule], budget: int) -> tuple[dict[Term, int], int]:
+def _ascend(rules: Sequence[Rule]) -> tuple[dict[Term, int], int]:
     """Entry layer of every judgment derivable from ``rules``, and the
     number of productive layers.
 
@@ -281,11 +290,10 @@ def _ascend(rules: Sequence[Rule], budget: int) -> tuple[dict[Term, int], int]:
     facts = dict.fromkeys([r.conclusion for r in rules if not r.premises], 0)
     count.update(facts)
     return _propagate(rules, watchers, [len(r.premises) for r in rules],
-                      count, list(facts), budget)
+                      count, list(facts))
 
 
-def _descend(sys: System, start: frozenset[Term],
-             budget: Optional[int]) -> tuple[dict[Term, int], int]:
+def _descend(sys: System, start: frozenset[Term]) -> tuple[dict[Term, int], int]:
     """Drop layer of every judgment the descent from ``start`` removes,
     and the number of productive rounds.
 
@@ -310,13 +318,13 @@ def _descend(sys: System, start: frozenset[Term],
     if escaped:
         raise NotPreFixed(min(escaped, key=term_key))
     return _propagate(rules, watchers, [1] * len(rules), live,
-                      [j for j, n in live.items() if not n], budget)
+                      [j for j, n in live.items() if not n])
 
 
 def ind(sys: System, budget: int = DEFAULT_BUDGET) -> Interpretation:
     """Inductive interpretation of the regular rules (least fixed point)."""
-    entry, layers = _ascend(sys.regular_rules, budget)
-    return Interpretation(frozenset(entry), INDUCTIVE, entry, layers)
+    entry, layers = _ascend(sys.regular_rules)
+    return _within(Interpretation(frozenset(entry), INDUCTIVE, entry, layers), budget)
 
 
 def coind(sys: System, budget: int = DEFAULT_BUDGET) -> Interpretation:
@@ -326,14 +334,16 @@ def coind(sys: System, budget: int = DEFAULT_BUDGET) -> Interpretation:
     contains every candidate judgment.
     """
     start = frozenset(r.conclusion for r in sys.regular_rules)
-    drop, layers = _descend(sys, start, budget)
-    return Interpretation(start.difference(drop), COINDUCTIVE, drop, layers)
+    drop, layers = _descend(sys, start)
+    return _within(Interpretation(start.difference(drop), COINDUCTIVE, drop, layers), budget)
 
 
 def bound(sys: System, budget: int = DEFAULT_BUDGET) -> Interpretation:
-    """Phase 1: inductive interpretation of the extended system."""
-    entry, layers = _ascend(sys.regular_rules + sys.co_rules, budget)
-    return Interpretation(frozenset(entry), BOUND, entry, layers)
+    """Phase 1, kept in ``sys``: inductive interpretation with co rules."""
+    if sys._bound is None:
+        entry, layers = _ascend(sys.regular_rules + sys.co_rules)
+        sys._bound = Interpretation(frozenset(entry), BOUND, entry, layers)
+    return _within(sys._bound, budget)
 
 
 def kernel(sys: System, beta: Iterable[Term],
@@ -342,31 +352,27 @@ def kernel(sys: System, beta: Iterable[Term],
 
     Raises :class:`NotPreFixed` if ``beta`` is not closed under the
     regular rules (the defining descent is only meaningful below a
-    pre-fixed point).  ``budget=None`` lets the descent run to its end,
-    which it reaches within ``len(beta)`` rounds.
+    pre-fixed point).  ``budget=None`` accepts a descent of any length;
+    it ends within ``len(beta)`` rounds.
     """
     b = beta if isinstance(beta, frozenset) else frozenset(beta)
-    drop, layers = _descend(sys, b, budget)
-    return Interpretation(b.difference(drop), GENERATED, drop, layers)
-
-
-def _phases(sys: System, budget: int, kernel_budget: Optional[int]) -> Interpretation:
-    b = bound(sys, budget)
-    k = kernel(sys, b.judgments, kernel_budget)
-    return Interpretation(k.judgments, GENERATED, k.levels, k.layers, phase1=b)
-
-
-def generated(sys: System, budget: int = DEFAULT_BUDGET) -> Interpretation:
-    """Bounded fixed point: kernel of the system's own bound."""
-    return _phases(sys, budget, budget)
+    drop, layers = _descend(sys, b)
+    return _within(Interpretation(b.difference(drop), GENERATED, drop, layers), budget)
 
 
 def analyse(sys: System, budget: int = DEFAULT_BUDGET) -> Interpretation:
-    """Both phases as :func:`generated` computes them, but with only
-    phase 1 held to ``budget``: phase 2 always runs to its end.
+    """Both phases, kept in ``sys``, with only phase 1 held to ``budget``:
+    level witnesses and approximated proofs read a descent longer than
+    the budget as an answer ("drops at level n"), not a failure."""
+    if sys._analysis is None:
+        b = bound(sys, budget)
+        k = kernel(sys, b.judgments, None)
+        sys._analysis = Interpretation(k.judgments, GENERATED, k.levels, k.layers,
+                                       phase1=b)
+    _within(sys._analysis.phase1, budget)
+    return sys._analysis
 
-    Level witnesses and approximated proofs read the entry and drop
-    layers off this one result; a descent longer than the budget is
-    then an answer ("drops at level n" for large n), not a failure.
-    """
-    return _phases(sys, budget, None)
+
+def generated(sys: System, budget: int = DEFAULT_BUDGET) -> Interpretation:
+    """Bounded fixed point: :func:`analyse`, phase 2 held to ``budget`` too."""
+    return _within(analyse(sys, budget), budget)

@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Mapping, Optional, Union
 
-from .engine import (DEFAULT_BUDGET, Interpretation, Rule, System, analyse,
-                     bound, generated, rule_key)
+from .engine import DEFAULT_BUDGET, Rule, System, analyse, bound, generated, rule_key
 from .terms import Term, _Frozen, _Record, render_term, term_key
 
 __all__ = [
@@ -178,24 +177,22 @@ def _build(sys: System, entered: Mapping[Term, int],
     return built[j, n]
 
 
-def prove_wf(sys: System, j: Term, budget: int = DEFAULT_BUDGET,
-             interp: Optional[Interpretation] = None) -> Optional[WfProof]:
+def prove_wf(sys: System, j: Term, budget: int = DEFAULT_BUDGET) -> Optional[WfProof]:
     """A well-founded proof over the extended system, or None.
 
     Succeeds exactly when ``j`` is in the bound.  The tree is read off
-    the entry layers of phase 1: a judgment that entered in layer ``k``
-    is proved by the canonically least rule all of whose premises
-    entered strictly earlier.  ``interp``, a :func:`generated` or
-    :func:`analyse` result for ``sys``, saves recomputing the bound.
+    the entry layers of phase 1 (:func:`bound`, held to ``budget``): a
+    judgment that entered in layer ``k`` is proved by the canonically
+    least rule all of whose premises entered strictly earlier.
     """
-    b = interp.phase1 if interp is not None else bound(sys, budget)
+    b = bound(sys, budget)
     if j not in b.judgments:
         return None
     return _build(sys, b.levels, {}, j, 0)
 
 
-def prove_approx(sys: System, j: Term, n: int, budget: int = DEFAULT_BUDGET,
-                 interp: Optional[Interpretation] = None) -> Optional[WfProof]:
+def prove_approx(sys: System, j: Term, n: int,
+                 budget: int = DEFAULT_BUDGET) -> Optional[WfProof]:
     """A level-``n`` approximated proof, or None.
 
     Level 0 places no restriction and delegates to :func:`prove_wf`.
@@ -203,29 +200,28 @@ def prove_approx(sys: System, j: Term, n: int, budget: int = DEFAULT_BUDGET,
     premises that themselves carry level-``n-1`` proofs, so co rules
     can only appear at depth ``n`` or deeper.  Succeeds exactly when
     ``j`` survives ``n`` rounds of the descending phase, which the drop
-    layers of ``interp`` (by default ``analyse(sys, budget)``) tell.
+    layers of ``analyse(sys, budget)`` tell.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
     if n == 0:
-        return prove_wf(sys, j, budget, interp)
-    a = interp if interp is not None else analyse(sys, budget)
+        return prove_wf(sys, j, budget)
+    a = analyse(sys, budget)
     if j not in a.phase1.judgments or a.levels.get(j, n + 1) <= n:
         return None
     return _build(sys, a.phase1.levels, a.levels, j, n)
 
 
-def prove_regular(sys: System, j: Term, budget: int = DEFAULT_BUDGET,
-                  interp: Optional[Interpretation] = None) -> Optional[RegularProof]:
+def prove_regular(sys: System, j: Term,
+                  budget: int = DEFAULT_BUDGET) -> Optional[RegularProof]:
     """A regular (possibly cyclic) proof, or None.
 
-    Succeeds exactly when ``j`` is in the bounded fixed point; every
-    judgment reachable from the root is mapped to the canonically least
-    regular rule whose premises stay inside the bounded fixed point.
-    ``interp``, a :func:`generated` result for ``sys``, saves
-    recomputing it.
+    Succeeds exactly when ``j`` is in the bounded fixed point
+    (:func:`generated`, held to ``budget``); every judgment reachable
+    from the root is mapped to the canonically least regular rule whose
+    premises stay inside the bounded fixed point.
     """
-    g = interp if interp is not None else generated(sys, budget)
+    g = generated(sys, budget)
     if j not in g.judgments:
         return None
     choice: dict[Term, int] = {}
@@ -308,7 +304,8 @@ def validate(sys: System, proof: Union[WfProof, RegularProof], mode: str,
     Modes: ``"wf-extended"`` (finite tree, any rules), ``"approx"``
     (additionally, co rules only at depth >= ``level``), and
     ``"regular-generated"`` (choice map well-formed and every judgment
-    inside the bound).
+    inside the bound), which reads a :class:`WfProof` with no co-rule
+    node and one node per judgment as the choice map of its rules.
     """
     out: list[Violation] = []
     if mode == WF_EXTENDED or mode == APPROX:
@@ -323,6 +320,11 @@ def validate(sys: System, proof: Union[WfProof, RegularProof], mode: str,
         label = mode if mode == WF_EXTENDED else f"approx({level})"
         return ValidationReport(label, tuple(out))
     if mode == REGULAR_GENERATED:
+        if isinstance(proof, WfProof):
+            nodes = list(_postorder(proof, lambda node: node.children))
+            choice = {node.judgment: node.rule.index for node in nodes}
+            if len(choice) == len(nodes) and not any(node.rule.co for node in nodes):
+                proof = RegularProof(proof.judgment, choice)
         if not isinstance(proof, RegularProof):
             raise ValueError("regular-generated validation expects a RegularProof")
         inside = bound(sys, budget).judgments

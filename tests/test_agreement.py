@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import random
 
-from coaxiom import (APPROX, DropsAtLevel, NotInBound, REGULAR_GENERATED,
-                     Rule, SurvivesTo, WF_EXTENDED, analyse, bound,
-                     bounded_coinduction, coind, generated, ind, kernel,
-                     level_witness, prove_approx, prove_regular, prove_wf,
-                     rule_key, validate)
+from coaxiom import (APPROX, BudgetExceeded, DEFAULT_BUDGET, DropsAtLevel,
+                     NotInBound, REGULAR_GENERATED, Rule, SurvivesTo,
+                     WF_EXTENDED, analyse, bound, bounded_coinduction, coind,
+                     generated, ind, kernel, level_witness, prove_approx,
+                     prove_regular, prove_wf, rule_key, validate)
 from corpus import as_system, corpus
 from oracles import (brute_bound, brute_generated, brute_gfp, brute_lfp,
                      brute_survives, naive_ascending_trace,
@@ -82,6 +82,47 @@ def test_traces_match_naive_iteration_on_every_corpus_system():
     assert single["empty"] and single["start"], single
 
 
+def rounds(trace, start) -> int:
+    """Productive rounds of a naive trace from ``start``: none when it
+    is the single-entry trace of a set no round changes."""
+    return 0 if trace[0] == start else len(trace)
+
+
+def test_a_budget_refuses_exactly_what_naive_iteration_cannot_finish():
+    # On one shared system per order, whatever the earlier calls kept.
+    for seed, triples in CORPUS:
+        up = naive_ascending_trace(triples)
+        beta = naive_ascending_trace(triples, use_co=True)
+        down = naive_descending_trace(triples, beta[-1])
+        every = frozenset(c for c, _, co in triples if not co)
+        phase1, phase2 = rounds(beta, frozenset()), rounds(down, beta[-1])
+        # name -> (call, productive rounds it needs)
+        calls = {
+            "ind": (ind, rounds(up, frozenset())),
+            "coind": (coind, rounds(naive_descending_trace(triples, every), every)),
+            "bound": (bound, phase1),
+            "analyse": (analyse, phase1),
+            "generated": (generated, max(phase1, phase2)),
+            "kernel": (lambda s, b: kernel(s, beta[-1], b), phase2),
+        }
+        fresh = {name: call(as_system(triples), DEFAULT_BUDGET)
+                 for name, (call, _) in calls.items()}
+        top = max(need for _, need in calls.values()) + 1
+        for budgets in ([*range(top, -1, -1), *range(top + 1)],
+                        [*range(top + 1), *range(top, -1, -1)]):
+            sys_ = as_system(triples)
+            for b in budgets:
+                for name, (call, need) in calls.items():
+                    try:
+                        got = call(sys_, b)
+                    except BudgetExceeded as e:
+                        assert need >= b and e.budget == b, \
+                            f"seed {seed}: {name} refused budget {b}"
+                    else:
+                        assert need < b and got == fresh[name], \
+                            f"seed {seed}: {name} at budget {b}"
+
+
 # ---------------------------------------------------------------------------
 # proof existence and validity (a slice of the corpus keeps this quick;
 # the acceptance suite runs the full corpus)
@@ -140,11 +181,9 @@ def check_canonical_choice(seed, triples):
         rules = sys_.co_rules if node.rule.co else sys_.regular_rules
         return rules[node.rule.index]
 
-    a = analyse(sys_)
     for j in rule_universe(triples):
         for n in (0, 1, 2, 3):
-            proof = prove_wf(sys_, j, interp=a) if n == 0 else \
-                prove_approx(sys_, j, n, interp=a)
+            proof = prove_wf(sys_, j) if n == 0 else prove_approx(sys_, j, n)
             # (node, levels left: its premises survive k - 1 rounds, and
             # at 0 they entered the bound before it)
             todo = [] if proof is None else [(proof, n)]
@@ -163,7 +202,7 @@ def check_canonical_choice(seed, triples):
                                       co=True)
                 assert used(node) == want, f"seed {seed}: level {n}, {g} at {k}"
                 todo += ((c, max(k - 1, 0)) for c in node.children)
-        reg = prove_regular(sys_, j, interp=a)
+        reg = prove_regular(sys_, j)
         if reg is not None:
             for g, i in reg.choice.items():
                 want = least_rule(triples, g, down[-1].__contains__)

@@ -66,6 +66,7 @@ def test_system_of_a_grounded_ring_retains_little_memory():
     tracemalloc.start()
     try:
         sys_ = System(rules)
+        generated(sys_)  # the system keeps both phases
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

@@ -17,8 +17,8 @@ import random
 
 import cli_golden
 
-from coaxiom import (APPROX, REGULAR_GENERATED, WF_EXTENDED, RegularProof,
-                     ValidationReport, parse_system, proof_from_dict, validate)
+from coaxiom import (APPROX, REGULAR_GENERATED, WF_EXTENDED, ValidationReport,
+                     parse_system, proof_from_dict, validate)
 from coaxiom.cli import _ERRORS
 
 RUNS = 500
@@ -58,18 +58,17 @@ def verdict(run: dict) -> str | None:
     return f"status {code!r} is not 0-3"
 
 
-def revalidate(run: dict, rules: str) -> ValidationReport:
-    """The JSON proof a status-0 ``prove`` or ``check`` run printed,
-    reloaded and validated against ``rules`` in the mode of its kind."""
-    doc = json.loads(run["stdout"])
-    proof, sys_ = proof_from_dict(doc["proof"]), parse_system(rules)
-    if isinstance(proof, RegularProof):
+def revalidate(run: dict, argv: list[str], rules: str) -> ValidationReport:
+    """The JSON proof a status-0 ``prove`` or ``check`` run of ``argv``
+    printed, reloaded and validated against ``rules`` in the mode the
+    command line asked for."""
+    proof = proof_from_dict(json.loads(run["stdout"])["proof"])
+    sys_ = parse_system(rules)
+    if argv[0] == "check" or "--regular" in argv:
         return validate(sys_, proof, REGULAR_GENERATED)
-    kind = doc.get("kind", "")  # check prints no kind: its proofs are regular
-    if kind.startswith("approx("):
-        return validate(sys_, proof, APPROX, level=int(kind[7:-1]))
-    # wf, or a regular proof without a back-reference, which loads as the
-    # finite tree it is, over regular rules only
+    if "--level" in argv:
+        level = int(argv[argv.index("--level") + 1])
+        return validate(sys_, proof, APPROX, level=level)
     return validate(sys_, proof, WF_EXTENDED)
 
 
@@ -92,7 +91,7 @@ def test_no_input_breaks_the_command_line(tmp_path, monkeypatch):
             problem = verdict(run)
             if (not problem and run["code"] == 0 and argv[0] in ("prove", "check")
                     and argv[-2:] == ["--format", "json"]):
-                report = revalidate(run, (tmp_path / argv[1]).read_text())
+                report = revalidate(run, argv, (tmp_path / argv[1]).read_text())
                 modes.add(report.mode.split("(")[0])
                 if not report.ok:
                     problem = f"reloaded proof: {report.violations[:3]}"

@@ -17,7 +17,8 @@ import pytest
 
 import cli_golden
 from coaxiom import (APPROX, REGULAR_GENERATED, RegularProof, Rule, RuleRef,
-                     System, WF_EXTENDED, WfProof, analyse, bound, generated,
+                     System, WF_EXTENDED, WfProof, analyse, bound,
+                     bounded_coinduction, generated, level_witness,
                      parse_system, proof_from_dict, proof_to_dict, proofs,
                      prove_approx, prove_regular, prove_wf, sym, validate)
 from coaxiom.terms import term_key
@@ -405,6 +406,34 @@ def test_deep_wf_proof_round_trips_through_a_dict():
     assert again is None
 
 
+def test_a_wf_proof_validates_as_regular_only_with_one_regular_node_per_judgment():
+    # P <- Q <- P unfolded once: two nodes for P.
+    unfolded = WfProof(P, RuleRef(0), (WfProof(Q, RuleRef(1), (WfProof(P, RuleRef(0)),)),))
+    for proof in (prove_wf(CYCLE, P), unfolded):
+        with pytest.raises(ValueError):
+            validate(CYCLE, proof, REGULAR_GENERATED)
+    tree = prove_wf(LADDER, P)
+    assert validate(LADDER, tree, REGULAR_GENERATED) == \
+        validate(LADDER, prove_regular(LADDER, P), REGULAR_GENERATED)
+
+
+def test_questions_put_to_one_system_run_each_phase_once(monkeypatch):
+    import coaxiom.engine as engine
+
+    calls = []
+    for name in ("_ascend", "_descend"):
+        monkeypatch.setattr(engine, name, lambda *a, _fn=getattr(engine, name), _n=name:
+                            calls.append(_n) or _fn(*a))
+    sys_ = System([*CYCLE.regular_rules, *CYCLE.co_rules])
+    assert bound(sys_) is analyse(sys_).phase1
+    assert generated(sys_) is analyse(sys_)
+    assert prove_wf(sys_, P) and prove_approx(sys_, P, 2)
+    assert validate(sys_, prove_regular(sys_, P), REGULAR_GENERATED).ok
+    assert level_witness(sys_, P, 3).at_fixpoint
+    assert bounded_coinduction(sys_, {P, Q}).accepted
+    assert calls == ["_ascend", "_descend"]
+
+
 def test_serialising_regular_proof_without_system_fails():
     with pytest.raises(ValueError):
         proof_to_dict(prove_regular(CYCLE, P))
@@ -512,10 +541,9 @@ def test_loading_agrees_with_the_walk_on_corpus_approx_proofs():
     _Compared.outcomes = []
     for _, triples in corpus():
         sys_ = as_system(triples)
-        interp = analyse(sys_)
         for j in sorted(sys_.by_conclusion, key=term_key):
             for n in range(4):
-                proof = prove_approx(sys_, j, n, interp=interp)
+                proof = prove_approx(sys_, j, n)
                 if proof is not None:
                     text = json.dumps(proof_to_dict(proof))
                     assert _loads_alike(json.loads(text, object_hook=_Compared)) is proof
