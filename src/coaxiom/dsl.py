@@ -310,33 +310,18 @@ class _Parser:
 
     def statements(self) -> list[Rule]:
         toks = self.toks
-        get = self.flat.get
         term = self.term
         out: list[Rule] = []
         pos = 0
         while toks[pos]:
             # "co" is the co marker only when a term follows.
             co = toks[pos] == "co" and _starts_term(toks[pos + 1])
-            pos += co
-            # A term token read before is one lookup, unless a "("
-            # follows it: see the class docstring.
-            hit = get(toks[pos])
-            if hit is not None and toks[pos + 1] != "(":
-                conclusion = hit[0]
-                pos += 1
-            else:
-                conclusion, pos = term(toks, pos)
+            conclusion, pos = term(toks, pos + co)
             premises: list[Term] = []
             sep = "<-"
             while toks[pos] == sep:
-                pos += 1
-                hit = get(toks[pos])
-                if hit is not None and toks[pos + 1] != "(":
-                    premises.append(hit[0])
-                    pos += 1
-                else:
-                    t, pos = term(toks, pos)
-                    premises.append(t)
+                t, pos = term(toks, pos + 1)
+                premises.append(t)
                 sep = ","
             if toks[pos] != ".":
                 self.fail(pos, ".")
@@ -379,9 +364,81 @@ def _read(text: str, read: Callable[[_Parser], _R]) -> _R:
         return read(_Parser([tok[1] for tok in tokens], tokens))
 
 
+# A term part of the split reading: a bare identifier or a flat term.
+_SPLIT_TERM = re.compile(r"[a-z][A-Za-z0-9_]*(?:\([^()]*\))?").fullmatch
+
+# The ASCII characters that str.split() takes for whitespace and the
+# grammar does not, and the comment sign.
+_SPLIT_REFUSED = "\x0b\x0c\x1c\x1d\x1e\x1f%"
+
+
+def _split_statements(text: str) -> Optional[list[Rule]]:
+    """The rules of ``text`` if it is laid out as :func:`render_system`
+    writes it, else None.
+
+    That is, ``text.split()`` cuts it into statement parts: ``co``,
+    ``<-``, and terms, each a bare identifier or a flat term that may
+    end in the ``.`` or ``,`` after it.  Each term text is read as
+    :class:`_Parser` reads it, through the parser's per-parse ``flat``
+    table.  A text with any other part, a comment, a character outside
+    ASCII or a separator that the grammar does not have gives None, and
+    so does a term that :meth:`_Parser.flat_term` cannot read alone.
+    """
+    if not text.isascii() or any(c in text for c in _SPLIT_REFUSED):
+        return None
+    parser = _Parser([])
+    flat = parser.flat
+    get = flat.get
+    out: list[Rule] = []
+    parts = iter(text.split())
+    try:
+        for part in parts:
+            # "co" is the co marker only when a term follows; past the
+            # end, next() gives "<-", which is no term.
+            co = part == "co"
+            if co:
+                part = next(parts, "<-")
+            terms: list[Term] = []
+            sep = ""  # what ends the conclusion, then each premise
+            while True:
+                end = part[-1]
+                if end == "." or end == ",":
+                    part = part[:-1]
+                else:
+                    end = ""
+                hit = get(part)
+                if hit is not None:
+                    t = hit[0]
+                elif not _SPLIT_TERM(part):
+                    return None
+                elif part[-1] == ")":
+                    t = parser.flat_term(part, 0)
+                else:  # as in _Parser.term
+                    t = Sym(part)
+                    flat[part] = t, 0
+                terms.append(t)
+                if end == ".":
+                    break
+                if end != sep or not sep and next(parts, None) != "<-":
+                    return None
+                sep = ","
+                part = next(parts, "<-")
+            out.append(Rule(terms[0], terms[1:], co))
+    except _Reread:
+        return None
+    return out
+
+
 def parse_system(text: str) -> System:
-    """Parse a whole ``.coax`` document into a :class:`System`."""
-    return System(_read(text, _Parser.statements))
+    """Parse a whole ``.coax`` document into a :class:`System`.
+
+    A text laid out as :func:`render_system` writes it is cut with one
+    ``str.split``; any other text is read by :func:`_read`.
+    """
+    rules = _split_statements(text)
+    if rules is None:
+        rules = _read(text, _Parser.statements)
+    return System(rules)
 
 
 def parse_judgment(text: str) -> Term:

@@ -9,7 +9,8 @@ import pytest
 from coaxiom import (INF, ParseError, Rule, System, finset, num,
                      parse_judgment, parse_judgments, parse_system,
                      render_rule, render_system, sym)
-from coaxiom.dsl import MAX_DEPTH
+from coaxiom.dsl import COAX, MAX_DEPTH, _Parser, _split_statements, tokenize
+from corpus import as_system, corpus
 from oracles import read_coax_rules
 
 P, Q = sym("p"), sym("q")
@@ -160,6 +161,11 @@ SYSTEM_ERRORS = [
     ("p(a b).", 1, 5, (")",), "IDENT"),
     ("q <- p(a, 1 2).", 1, 13, (")",), "INT"),
     ("p <- q(a, {b}", 1, 14, (")",), "end of input"),        # ) missing at the end
+    # Separators that str.split() takes and the grammar does not, between
+    # two statements as render_system writes them, or inside one.
+    *[(f"a <- b.{c}c.", 1, 8, ("statement", "term"), repr(c))
+      for c in "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"],
+    ("a\u2028<- b.", 1, 2, ("statement", "term"), "'\\u2028'"),
 ]
 
 JUDGMENT_ERRORS = [
@@ -262,6 +268,17 @@ TABLE_TEXTS = {
     "co-symbol": "co. co co. co <- co. co (a) <- co. co co(a) <- co, co.",
     "bare-inf": "inf. p(inf). q <- inf, p(inf). co inf <- inf.",
     "flat-at-max-depth": top_then_nested("p({a})", MAX_DEPTH - 2),
+    # Texts laid out as render_system writes them, which parse_system
+    # cuts with str.split(): either it reads them or it hands them over.
+    "co-then-arrow": "co <- a.",
+    "co-co": "co co.",
+    "co-axiom-then-coaxiom": "co.\nco x.",
+    "inf-axiom": "inf.",
+    "co-inf": "co inf <- inf.",
+    "duplicate-premise": "p <- a, b, c, a.",
+    "unsorted-set": "visit(a,{b,a}) <- visit(b,{}).",
+    "flat-braces-at-max-depth":
+        "p(" + "{" * (MAX_DEPTH - 1) + "a" + "}" * (MAX_DEPTH - 1) + ").",
 }
 
 
@@ -278,6 +295,31 @@ def test_tokens_read_again_parse_as_read_token_by_token(text):
     reference = System(Rule(c, tuple(ps), co=co) for c, ps, co in triples)
     assert parsed.regular_rules == reference.regular_rules
     assert parsed.co_rules == reference.co_rules
+
+
+def read_token_by_token(text: str) -> System:
+    """``text`` read through the tokens of :func:`tokenize`, as
+    ``parse_system`` reads a text it cannot take faster."""
+    tokens = tokenize(text, COAX)
+    return System(_Parser([tok[1] for tok in tokens], tokens).statements())
+
+
+def reading(parse, text):
+    """The rule tuples ``parse`` reads from ``text``, in order, or the
+    fields of its :class:`ParseError`."""
+    try:
+        sys_ = parse(text)
+    except ParseError as e:
+        return e.line, e.column, e.expected, e.found
+    return sys_.regular_rules, sys_.co_rules
+
+
+def test_rendered_corpus_parses_as_read_token_by_token():
+    # check and prove print rule indices, so the order must agree too.
+    for seed, triples in corpus():
+        text = render_system(as_system(triples))
+        assert _split_statements(text) is not None, seed
+        assert reading(parse_system, text) == reading(read_token_by_token, text), seed
 
 
 def test_judgments_read_a_symbol_bare_and_then_applied():
