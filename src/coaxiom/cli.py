@@ -495,6 +495,7 @@ _ERRORS = (
     (InstantiationTooLarge, "instantiation too large", EXIT_BUDGET),
     (ClosureBudgetExceeded, "closure budget exceeded", EXIT_BUDGET),
     (BudgetExceeded, "iteration budget exceeded", EXIT_BUDGET),
+    (MemoryError, "error: out of memory", EXIT_BUDGET),
 )
 
 
@@ -526,7 +527,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except tuple(cls for cls, _, _ in _ERRORS) as e:
         label, status = next((label, status) for cls, label, status in _ERRORS
                              if isinstance(e, cls))
-        print(f"{label}: {e}", file=sys.stderr)
+        message = str(e)  # empty for a bare MemoryError
+        print(f"{label}: {message}" if message else label, file=sys.stderr)
         return status
 
 

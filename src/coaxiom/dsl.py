@@ -173,43 +173,43 @@ _EMPTY = FinSet()
 # reports an error instead.
 MAX_DEPTH = 2000
 
-# ``_TEXTS(text)``: the token texts that _Parser reads.  They are the
-# texts of the ``COAX`` tokens, except that a flat term, a symbol
-# applied to arguments without parentheses or comments such as
-# ``visit(a,{a,b})``, is one text.  A character that starts no token
-# is a text of its own, and the list ends with "" (once or twice).
+# ``_TEXTS(text)``: the second cut of :func:`_read`, the texts of the
+# ``COAX`` tokens, except that a flat term, a symbol applied to
+# arguments without parentheses or comments such as ``visit(a,{a,b})``,
+# is one text.  A character that starts no token is a text of its own.
 _TEXTS = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)*"
                     r"([a-z][A-Za-z0-9_]*(?:\([^()%]*\))?|<-|[(){},.]|-?[0-9]+|.)?").findall
 
 
 class _Reread(Exception):
-    """A reading that took flat terms as single tokens cannot go on:
-    read the text again token by token (see :func:`_read`)."""
+    """The parser cannot go on with this cut of the text (see :func:`_read`)."""
 
 
 def _starts_term(tok: str) -> bool:
-    """Is the token text an IDENT, an INT, a flat term or ``{``?"""
+    """Is the token text an IDENT, an INT, a term text or ``{``?"""
     return tok == "{" or "a" <= tok[:1] <= "z" or "0" <= tok[-1:] <= "9"
 
 
 class _Parser:
-    """A parser over the token texts of one ``.coax`` text.
+    """A parser over the token texts of one cut of a ``.coax`` text.
 
     Positions are kept out of the hot loop: ``tokens``, the positioned
-    tokens that ``toks`` are the texts of, is given only when a text is
-    read again token by token (see :func:`_read`); without it
-    :meth:`fail` asks for that reading.  Terms are built with an explicit
-    stack, so nesting depth is not limited by the interpreter stack.
-    Each method takes the index of its first token and returns the
-    index after its last.
+    tokens that ``toks`` are the texts of, is given only for the last
+    cut of :func:`_read`; without it :meth:`fail` asks for the next cut.
+    Terms are built with an explicit stack, so nesting depth is not
+    limited by the interpreter stack.  Each method takes the index of
+    its first token and returns the index after its last.
 
     A rule file repeats each judgment in many rules, so the parser keeps
-    one table, ``flat``, for the parse: every bare identifier and flat
-    term it has read, by its token text, with the term and the most
+    one table, ``flat``, for the parse: every identifier, integer and
+    term text it has read, by its text, with the term and the most
     brackets the term can nest.  A token found there that no ``(``
-    follows is taken with one lookup.  A flat term enters the table
-    only once it has passed the ``MAX_DEPTH`` check where it was read,
-    so at the top level of a statement no entry is too deep.
+    follows is taken with one lookup.  No regex checked the texts of
+    the split cut, so a text not in the table is checked: an identifier
+    by ``str.isidentifier``, an integer as digits after an optional
+    ``-``, a term text by reading it.  A term text enters the table only
+    once it has passed the ``MAX_DEPTH`` check where it was read, so at
+    the top level of a statement no entry is too deep.
     """
 
     __slots__ = ("toks", "tokens", "flat")
@@ -228,24 +228,25 @@ class _Parser:
         raise ParseError(line, column, expected, "end of input" if kind == "EOF" else kind)
 
     def flat_term(self, tok: str, height: int) -> Term:
-        """The flat term spelled by the token text ``tok``, read inside
-        ``height`` open brackets.
+        """The term spelled by the token text ``tok``, a symbol applied
+        to arguments, read inside ``height`` open brackets.
 
-        Each text is read once per parse, as the tokens between its
-        parentheses; the most brackets it can nest are its ``(`` and
-        each ``{``.
+        It is read as the ``_TEXTS`` between its outer parentheses; the
+        most brackets it can nest are its ``(`` and ``{``.
         """
         hit = self.flat.get(tok)
         if hit is None:
             name, _, args = tok.partition("(")
-            toks = [name, "("] + [t for t in _TEXTS(args) if t] + [""]
-            t, pos = self.term(toks, 0)
-            if pos != len(toks) - 1:  # as in inf(a)
+            if not name.isidentifier():  # as in a)
                 raise _Reread
-            hit = t, 1 + tok.count("{")
+            toks = [name, "("] + _TEXTS(args)  # which ends in ""
+            t, pos = self.term(toks, 0)
+            if toks[pos]:  # as in inf(a) or f(a)(b)
+                raise _Reread
+            hit = t, tok.count("(") + tok.count("{")
         if height + hit[1] > MAX_DEPTH:
-            # Too deep, or its sets only side by side: the token-by-token
-            # reading tells.
+            # Too deep, or its brackets only side by side: the
+            # token-by-token reading tells.
             raise _Reread
         self.flat[tok] = hit
         return hit[0]
@@ -269,6 +270,8 @@ class _Parser:
                     t = self.flat_term(tok, len(stack))
                 elif tok == "inf":  # followed by (
                     t = INF
+                elif hit is None and not tok.isidentifier():  # as in q<-p
+                    self.fail(pos - 1, "term")
                 elif toks[pos] != "(":
                     t = Sym(tok)
                     flat[tok] = t, 0
@@ -287,8 +290,9 @@ class _Parser:
                     continue
                 else:
                     self.fail(pos - 1, f"terms nested at most {MAX_DEPTH} deep")
-            elif "0" <= tok[-1:] <= "9":
+            elif "0" <= tok[-1:] <= "9" and tok[tok[0] == "-":].isdigit():
                 t = Num(int(tok))
+                flat[tok] = t, 0
             else:
                 self.fail(pos - 1, "term")
             # t is finished: add it to its bracket, closing every
@@ -310,18 +314,33 @@ class _Parser:
 
     def statements(self) -> list[Rule]:
         toks = self.toks
+        get = self.flat.get
         term = self.term
         out: list[Rule] = []
         pos = 0
         while toks[pos]:
             # "co" is the co marker only when a term follows.
             co = toks[pos] == "co" and _starts_term(toks[pos + 1])
-            conclusion, pos = term(toks, pos + co)
+            pos += co
+            # A term token read before is one lookup, unless a "("
+            # follows it: see the class docstring.
+            hit = get(toks[pos])
+            if hit is not None and toks[pos + 1] != "(":
+                conclusion = hit[0]
+                pos += 1
+            else:
+                conclusion, pos = term(toks, pos)
             premises: list[Term] = []
             sep = "<-"
             while toks[pos] == sep:
-                t, pos = term(toks, pos + 1)
-                premises.append(t)
+                pos += 1
+                hit = get(toks[pos])
+                if hit is not None and toks[pos + 1] != "(":
+                    premises.append(hit[0])
+                    pos += 1
+                else:
+                    t, pos = term(toks, pos)
+                    premises.append(t)
                 sep = ","
             if toks[pos] != ".":
                 self.fail(pos, ".")
@@ -348,97 +367,48 @@ class _Parser:
         return tuple(out)
 
 
-def _read(text: str, read: Callable[[_Parser], _R]) -> _R:
-    """``read`` applied to a parser of ``text``.
-
-    The first reading takes each flat term as one token.  If it cannot
-    go on, the text is read again token by token, with the tokens of
-    :func:`tokenize`: that reading gives an error its position, or
-    reads a term that only looked too deep.  Tokenizing also reports a
-    stray character first, wherever it is.
-    """
-    try:
-        return read(_Parser(_TEXTS(text)))
-    except _Reread:
-        tokens = tokenize(text, COAX)
-        return read(_Parser([tok[1] for tok in tokens], tokens))
-
-
-# A term part of the split reading: a bare identifier or a flat term.
-_SPLIT_TERM = re.compile(r"[a-z][A-Za-z0-9_]*(?:\([^()]*\))?").fullmatch
-
 # The ASCII characters that str.split() takes for whitespace and the
-# grammar does not, and the comment sign.
-_SPLIT_REFUSED = "\x0b\x0c\x1c\x1d\x1e\x1f%"
+# grammar does not.
+_SPLIT_REFUSED = "\x0b\x0c\x1c\x1d\x1e\x1f"
+
+_COMMENTS = re.compile(r"%[^\n]*").sub
 
 
-def _split_statements(text: str) -> Optional[list[Rule]]:
-    """The rules of ``text`` if it is laid out as :func:`render_system`
-    writes it, else None.
+def _split_texts(text: str) -> list[str]:
+    """The split cut of :func:`_read`: ``text`` without its comments, cut
+    at whitespace and around each ``.`` and each ``,`` before a space.
 
-    That is, ``text.split()`` cuts it into statement parts: ``co``,
-    ``<-``, and terms, each a bare identifier or a flat term that may
-    end in the ``.`` or ``,`` after it.  Each term text is read as
-    :class:`_Parser` reads it, through the parser's per-parse ``flat``
-    table.  A text with any other part, a comment, a character outside
-    ASCII or a separator that the grammar does not have gives None, and
-    so does a term that :meth:`_Parser.flat_term` cannot read alone.
+    A text as :func:`render_system` and ``gen`` write it is cut into
+    ``co``, ``<-``, ``,``, ``.`` and whole terms.  A text outside ASCII
+    or with whitespace that the grammar does not have is refused.
     """
     if not text.isascii() or any(c in text for c in _SPLIT_REFUSED):
-        return None
-    parser = _Parser([])
-    flat = parser.flat
-    get = flat.get
-    out: list[Rule] = []
-    parts = iter(text.split())
-    try:
-        for part in parts:
-            # "co" is the co marker only when a term follows; past the
-            # end, next() gives "<-", which is no term.
-            co = part == "co"
-            if co:
-                part = next(parts, "<-")
-            terms: list[Term] = []
-            sep = ""  # what ends the conclusion, then each premise
-            while True:
-                end = part[-1]
-                if end == "." or end == ",":
-                    part = part[:-1]
-                else:
-                    end = ""
-                hit = get(part)
-                if hit is not None:
-                    t = hit[0]
-                elif not _SPLIT_TERM(part):
-                    return None
-                elif part[-1] == ")":
-                    t = parser.flat_term(part, 0)
-                else:  # as in _Parser.term
-                    t = Sym(part)
-                    flat[part] = t, 0
-                terms.append(t)
-                if end == ".":
-                    break
-                if end != sep or not sep and next(parts, None) != "<-":
-                    return None
-                sep = ","
-                part = next(parts, "<-")
-            out.append(Rule(terms[0], terms[1:], co))
-    except _Reread:
-        return None
-    return out
+        raise _Reread
+    if "%" in text:
+        text = _COMMENTS("", text)
+    # The join spaces out each ", " faster than str.replace does.
+    return " , ".join(text.split(", ")).replace(".", " . ").split()
+
+
+def _read(text: str, read: Callable[[_Parser], _R]) -> _R:
+    """``read`` applied to a parser of ``text``, under the first cut it
+    can go on with: :func:`_split_texts`, then ``_TEXTS``, then the
+    tokens of :func:`tokenize`, which give an error its position or read
+    a term that only looked too deep.  Tokenizing also reports a stray
+    character first, wherever it is.
+    """
+    for cut in (_split_texts, _TEXTS):
+        try:
+            return read(_Parser(cut(text)))
+        except _Reread:
+            pass
+    tokens = tokenize(text, COAX)
+    return read(_Parser([tok[1] for tok in tokens], tokens))
 
 
 def parse_system(text: str) -> System:
-    """Parse a whole ``.coax`` document into a :class:`System`.
-
-    A text laid out as :func:`render_system` writes it is cut with one
-    ``str.split``; any other text is read by :func:`_read`.
-    """
-    rules = _split_statements(text)
-    if rules is None:
-        rules = _read(text, _Parser.statements)
-    return System(rules)
+    """Parse a whole ``.coax`` document into a :class:`System`."""
+    return System(_read(text, _Parser.statements))
 
 
 def parse_judgment(text: str) -> Term:

@@ -80,6 +80,10 @@ def test_witness_drop_levels_down_the_chain():
     assert level_witness(CHAIN, P, 5) == DropsAtLevel(3)
 
 
+def test_witness_asked_at_exactly_the_drop_level_drops():
+    assert level_witness(CHAIN, P, 3) == DropsAtLevel(3)
+
+
 def test_witness_survivor_reports_fixpoint():
     w = level_witness(CYCLE, P, 5)
     assert isinstance(w, SurvivesTo)

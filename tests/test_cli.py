@@ -431,6 +431,18 @@ def test_recursion_error_is_a_usage_error(tmp_path, capsys, monkeypatch):
         2, "", "error: input nested too deeply: maximum recursion depth exceeded\n")
 
 
+def test_memory_error_is_a_budget_error(tmp_path, capsys, monkeypatch):
+    # Last line of defence for an output too large to build: no
+    # traceback, exit 3, and a line that does not end in an empty message.
+    def huge(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("coaxiom.cli.gen_lambda", huge)
+    f = tmp_path / "id.lam"
+    f.write_text("\\x. x\n")
+    assert run(capsys, "gen", "lambda", str(f)) == (3, "", "error: out of memory\n")
+
+
 def test_gen_dist_on_a_long_path_graph_reaches_the_cap(tmp_path, capsys):
     # 1100 nodes in a row: the simple paths are enumerated with an
     # explicit stack, so the generator gets as far as counting its rules.

@@ -9,7 +9,7 @@ import pytest
 from coaxiom import (INF, ParseError, Rule, System, finset, num,
                      parse_judgment, parse_judgments, parse_system,
                      render_rule, render_system, sym)
-from coaxiom.dsl import COAX, MAX_DEPTH, _Parser, _split_statements, tokenize
+from coaxiom.dsl import COAX, MAX_DEPTH, _Parser, _Reread, _split_texts, tokenize
 from corpus import as_system, corpus
 from oracles import read_coax_rules
 
@@ -269,7 +269,7 @@ TABLE_TEXTS = {
     "bare-inf": "inf. p(inf). q <- inf, p(inf). co inf <- inf.",
     "flat-at-max-depth": top_then_nested("p({a})", MAX_DEPTH - 2),
     # Texts laid out as render_system writes them, which parse_system
-    # cuts with str.split(): either it reads them or it hands them over.
+    # cuts with str.split(): either that cut reads them or the next one.
     "co-then-arrow": "co <- a.",
     "co-co": "co co.",
     "co-axiom-then-coaxiom": "co.\nco x.",
@@ -277,9 +277,21 @@ TABLE_TEXTS = {
     "co-inf": "co inf <- inf.",
     "duplicate-premise": "p <- a, b, c, a.",
     "unsorted-set": "visit(a,{b,a}) <- visit(b,{}).",
+    "arrow-without-spaces": "q<-p.\nr<-q,p.",
     "flat-braces-at-max-depth":
         "p(" + "{" * (MAX_DEPTH - 1) + "a" + "}" * (MAX_DEPTH - 1) + ").",
 }
+
+# Texts that the split cut reads whole, nested terms and comments
+# included.
+SPLIT_TEXTS = {
+    "nested-rule": "q <- p(f(g(a))), r.",
+    "minpath-rule": "minPath(a,e,bot,0) <- minPath(b,e,bot,0), minPath(e,e,p(e),5).",
+    "comment-line": "x. % c\ny <- x.",
+    "nested-at-max-depth":
+        "q <- " + "f(" * (MAX_DEPTH - 1) + "a" + ")" * (MAX_DEPTH - 1) + ".",
+}
+TABLE_TEXTS.update(SPLIT_TEXTS)
 
 
 @pytest.mark.parametrize("text", TABLE_TEXTS.values(), ids=TABLE_TEXTS)
@@ -297,6 +309,21 @@ def test_tokens_read_again_parse_as_read_token_by_token(text):
     assert parsed.co_rules == reference.co_rules
 
 
+def split_cut_reads(text: str) -> bool:
+    """Does the split cut, the first that ``parse_system`` tries, read
+    ``text`` whole?"""
+    try:
+        _Parser(_split_texts(text)).statements()
+    except _Reread:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("text", SPLIT_TEXTS.values(), ids=SPLIT_TEXTS)
+def test_the_split_cut_reads_nested_terms_and_comments(text):
+    assert split_cut_reads(text)
+
+
 def read_token_by_token(text: str) -> System:
     """``text`` read through the tokens of :func:`tokenize`, as
     ``parse_system`` reads a text it cannot take faster."""
@@ -304,21 +331,28 @@ def read_token_by_token(text: str) -> System:
     return System(_Parser([tok[1] for tok in tokens], tokens).statements())
 
 
+def read_judgments_token_by_token(text: str) -> tuple:
+    """``text`` read through the tokens of :func:`tokenize`, as
+    ``parse_judgments`` reads a text it cannot take faster."""
+    tokens = tokenize(text, COAX)
+    return _Parser([tok[1] for tok in tokens], tokens).term_lines()
+
+
 def reading(parse, text):
-    """The rule tuples ``parse`` reads from ``text``, in order, or the
-    fields of its :class:`ParseError`."""
+    """What ``parse`` reads from ``text``: the rule tuples of a system or
+    the judgments, in order, or the fields of its :class:`ParseError`."""
     try:
-        sys_ = parse(text)
+        out = parse(text)
     except ParseError as e:
         return e.line, e.column, e.expected, e.found
-    return sys_.regular_rules, sys_.co_rules
+    return (out.regular_rules, out.co_rules) if isinstance(out, System) else out
 
 
 def test_rendered_corpus_parses_as_read_token_by_token():
     # check and prove print rule indices, so the order must agree too.
     for seed, triples in corpus():
         text = render_system(as_system(triples))
-        assert _split_statements(text) is not None, seed
+        assert split_cut_reads(text), seed
         assert reading(parse_system, text) == reading(read_token_by_token, text), seed
 
 
@@ -347,3 +381,37 @@ TABLE_ERRORS = [
 def test_errors_after_a_token_read_again_keep_their_positions(text, line, column,
                                                                expected, found):
     assert error_fields(parse_system, text) == (line, column, expected, found)
+
+
+def reused_nested(n):
+    """A nested term with ``n`` nested braces, read at the top level and
+    then again one bracket deeper, as a part of its own."""
+    part = "p(f(" + "{" * n + "a" + "}" * n + "))"
+    return f"{part}.\ng ( {part} )."
+
+
+# (text, line, column, expected, found), recorded from the parser before
+# the split cut read nested terms: texts whose parts the split cut must
+# check before it reads them.
+SPLIT_ERRORS = [
+    ("a).", 1, 2, (".",), ")"),
+    ("1-2.", 1, 2, (".",), "INT"),
+    ("p(a)b.", 1, 5, (".",), "IDENT"),
+    ("f(a)(b).", 1, 5, (".",), "("),
+    ("p <- q<-r.", 1, 7, (".",), "<-"),
+    ("1_0.", 1, 2, ("statement", "term"), "'_'"),
+    ("p(f(a))b.", 1, 8, (".",), "IDENT"),
+    (reused_nested(MAX_DEPTH - 2), 2, 2006,
+     (f"terms nested at most {MAX_DEPTH} deep",), "{"),
+]
+
+
+@pytest.mark.parametrize("text, line, column, expected, found", SPLIT_ERRORS,
+                         ids=[t[:24] for t, *_ in SPLIT_ERRORS])
+def test_parts_of_the_split_cut_are_checked(text, line, column, expected, found):
+    assert error_fields(parse_system, text) == (line, column, expected, found)
+
+
+def test_a_nested_term_reused_deeper_counts_its_brackets():
+    assert len(parse_system(reused_nested(MAX_DEPTH - 3)).regular_rules) == 2
+    assert split_cut_reads(reused_nested(MAX_DEPTH - 3))

@@ -8,7 +8,8 @@ with exactly the stderr that status promises.  Every proof a ``prove``
 or ``check`` run prints as JSON must reload through ``proof_from_dict``
 and pass ``validate`` against the rules of the file it was proved from.
 Every ``.coax`` input must read the same through ``parse_system`` as
-token by token: the same rules in order, or the same error.
+token by token: the same rules in order, or the same error.  So must
+every ``.spec`` input through ``parse_judgments``.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import random
 import cli_golden
 
 from coaxiom import (APPROX, REGULAR_GENERATED, WF_EXTENDED, ValidationReport,
-                     parse_system, proof_from_dict, validate)
+                     parse_judgments, parse_system, proof_from_dict, validate)
 from coaxiom.cli import _ERRORS
-from coaxiom.dsl import _split_statements
-from test_dsl import read_token_by_token, reading
+from test_dsl import (read_judgments_token_by_token, read_token_by_token, reading,
+                      split_cut_reads)
 
 RUNS = 500
 SEED = 20180417
@@ -84,7 +85,7 @@ def test_no_input_breaks_the_command_line(tmp_path, monkeypatch):
     statuses: collections.Counter = collections.Counter()
     modes = set()
     failures = []
-    split_taken = 0
+    split_taken = specs = 0
     for _ in range(RUNS):
         argv = rng.choice(cases)
         inputs = {name: mutate(text, rng) if rng.random() < 0.8 else text
@@ -92,9 +93,14 @@ def test_no_input_breaks_the_command_line(tmp_path, monkeypatch):
         for name, text in inputs.items():
             (tmp_path / name).write_text(text)
             if name.endswith(".coax"):
-                split_taken += _split_statements(text) is not None
+                split_taken += split_cut_reads(text)
                 if reading(parse_system, text) != reading(read_token_by_token, text):
                     failures.append((name, text, "parse_system and token by token differ"))
+            elif name.endswith(".spec"):
+                specs += 1
+                if (reading(parse_judgments, text)
+                        != reading(read_judgments_token_by_token, text)):
+                    failures.append((name, text, "parse_judgments and token by token differ"))
         try:
             run = cli_golden.invoke(argv)
             problem = verdict(run)
@@ -114,8 +120,9 @@ def test_no_input_breaks_the_command_line(tmp_path, monkeypatch):
         for name in inputs:
             (tmp_path / name).write_text(cli_golden.FILES[name])
     assert failures == []
-    # The split reading took some of the rule files.
+    # The split cut read some of the rule files.
     assert split_taken > 0
+    assert specs > 0
     # The runs reach every status, not only the parse errors.
     assert set(statuses) == {0, 1, 2, 3}
     # 9 proofs: wf-extended 3, approx 1, regular-generated 5

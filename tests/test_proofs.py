@@ -176,6 +176,12 @@ def test_validate_regular_rejects_out_of_bound_judgment():
     assert any(v.reason == "not-in-bound" for v in report.violations)
 
 
+def test_validate_regular_rejects_a_choice_one_past_the_last_rule():
+    fake = RegularProof(P, {P: len(CYCLE.regular_rules)})
+    report = validate(CYCLE, fake, REGULAR_GENERATED)
+    assert [v.reason for v in report.violations] == ["bad-rule-ref"]
+
+
 def test_validate_regular_rejects_incomplete_choice():
     fake = RegularProof(P, {P: 0})  # premise q has no chosen rule
     report = validate(CYCLE, fake, REGULAR_GENERATED)
