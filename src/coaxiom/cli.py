@@ -18,8 +18,8 @@ Each subcommand computes its result once and returns its exit status
 with a ``render(format)`` function; :func:`main` prints what it gives,
 text or DOT as it is and a JSON value through :func:`_json_text`.
 ``gen --output`` writes its rule file itself.  JSON and the text of a
-well-founded proof are written by one pre-order writer,
-:func:`_write`, which copies a shared subtree instead of writing it
+well-founded proof are written by the package's one pre-order writer,
+``terms._write``, which copies a shared subtree instead of writing it
 again.
 
 Exit status: 0 success / derivable / accepted; 1 not derivable /
@@ -51,7 +51,7 @@ from .gen import (ClosureBudgetExceeded, DEFAULT_CAP, DEFAULT_CARRIES,
                   LIST_PREDICATES, MalformedEquations)
 from .proofs import (RegularProof, RuleRef, WfProof, proof_to_dict,
                      prove_approx, prove_regular, prove_wf)
-from .terms import render_term
+from .terms import _write, render_term
 
 __all__ = ["main"]
 
@@ -79,48 +79,6 @@ Result = tuple[int, Optional[Callable[[str], object]]]
 
 def _rule_id(ref: RuleRef) -> str:
     return f"co {ref.index}" if ref.co else str(ref.index)
-
-
-def _write(value, expand) -> str:
-    """The text of a tree written in pre-order.
-
-    ``expand(value, depth)`` gives the text of a leaf, or ``(head,
-    entries, tail)`` for a value with children, where ``entries``
-    yields (text before the child, child).  The writer keeps its own
-    stack, so depth is not limited by the interpreter stack.  The
-    pieces a value fills are recorded under its identity and depth: a
-    value met again at the same depth, such as a subproof shared in
-    memory, is copied as a slice of the pieces instead of being
-    written again.
-    """
-    out: list[str] = []
-    spans: dict[tuple[int, int], tuple[int, int]] = {}
-    # Open values: (span key, first piece, entries, tail).
-    stack: list[tuple] = []
-    while True:
-        key = (id(value), len(stack))
-        span = spans.get(key)
-        if span is not None:
-            out += out[span[0]:span[1]]
-        elif isinstance(node := expand(value, len(stack)), str):
-            out.append(node)
-        else:
-            stack.append((key, len(out), node[1], node[2]))
-            out.append(node[0])
-        # Find the next child to write, closing every value that has
-        # none left.
-        while stack:
-            key, start, entries, tail = stack[-1]
-            entry = next(entries, None)
-            if entry is not None:
-                break
-            stack.pop()
-            out.append(tail)
-            spans[key] = (start, len(out))
-        else:
-            return "".join(out)
-        out.append(entry[0])
-        value = entry[1]
 
 
 def _wf_line(node: WfProof, depth: int) -> tuple:
@@ -234,7 +192,7 @@ def _json_text(value) -> str:
 
     Every JSON output of the CLI goes through here.  A container met
     again at the same depth, such as a subproof that
-    :func:`proof_to_dict` shares, is copied (see :func:`_write`).
+    :func:`proof_to_dict` shares, is copied (see ``terms._write``).
     """
     return _write(value, _json_node)
 

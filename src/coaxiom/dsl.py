@@ -434,7 +434,10 @@ def render_rule(r: Rule) -> str:
 def render_system(sys: System) -> str:
     """Canonical text: regular rules first, each family in canonical order.
 
-    ``parse_system(render_system(s)) == s`` for every system.
+    ``parse_system(render_system(s)) == s`` for every system whose
+    symbol names are all IDENTs other than ``inf``, as every generator's
+    are: a symbol named ``inf`` reads back as the infinity term, and a
+    name such as ``X`` does not read back at all.
     """
     lines = [render_rule(r) for r in sorted(sys.regular_rules, key=rule_key)]
     lines += [render_rule(r) for r in sorted(sys.co_rules, key=rule_key)]

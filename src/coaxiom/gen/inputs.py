@@ -29,7 +29,7 @@ from collections import Counter
 from typing import Optional, Union
 
 from ..dsl import Cursor, Lexicon, ParseError, Token
-from ..terms import Num, Sym, Term, _Frozen, _Record, _set
+from ..terms import Num, Sym, Term, _Frozen, _Record, _postorder, _set
 from .common import MalformedEquations
 
 __all__ = [
@@ -508,21 +508,18 @@ def _read_lambda(text: str) -> LambdaTerm:
 
 
 def _fold(e: LambdaTerm, visit):
-    """``visit(t, depth, *kids)`` once per subterm t of e under depth
-    binders, in post-order, kids being the results for t's children.
-    The fold keeps its own stack."""
-    done: dict[tuple[LambdaTerm, int], object] = {}
-    todo = [(e, 0)]
-    while todo:
-        key = t, depth = todo[-1]
-        kids = ([(t.body, depth + 1)] if isinstance(t, Lam) else
+    """``visit(t, depth, *kids)`` once per distinct pair of a subterm t of
+    e and the depth of binders above it, kids being the results for t's
+    children: a post-order over (subterm, depth) pairs."""
+
+    def children(key: tuple[LambdaTerm, int]) -> list[tuple[LambdaTerm, int]]:
+        t, depth = key
+        return ([(t.body, depth + 1)] if isinstance(t, Lam) else
                 [(t.fn, depth), (t.arg, depth)] if isinstance(t, App) else [])
-        missing = [k for k in kids if k not in done]
-        todo += missing
-        if not missing:
-            todo.pop()
-            if key not in done:
-                done[key] = visit(t, depth, *[done[k] for k in kids])
+
+    done: dict[tuple[LambdaTerm, int], object] = {}
+    for key in _postorder((e, 0), children):
+        done[key] = visit(*key, *[done[k] for k in children(key)])
     return done[e, 0]
 
 

@@ -14,7 +14,10 @@
 Constructors are deterministic: wherever a rule has to be picked, the
 canonically least admissible one is taken (regular rules before co
 rules at a tie).  ``validate`` re-checks a proof object against a
-system, reporting every offending node.
+system, reporting every offending node.  A :class:`WfProof` is built,
+validated and serialised in its distinct nodes, by one post-order walk
+(``terms._postorder``); a regular proof is cyclic, so it is walked in
+pre-order instead.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from typing import Callable, Mapping, Optional, Union
 
 from .engine import DEFAULT_BUDGET, Rule, System, analyse, bound, generated, rule_key
-from .terms import Term, _Frozen, _Record, render_term, term_key
+from .terms import Term, _Frozen, _Record, _postorder, render_term, term_key
 
 __all__ = [
     "RuleRef",
@@ -146,34 +149,33 @@ def _build(sys: System, entered: Mapping[Term, int],
     At every depth below ``n`` a judgment takes the least regular rule
     whose premises are in the bound and survive one round less; from
     depth ``n`` on, it takes the least rule of the extended system whose
-    premises all entered the bound in earlier layers.  The rules are
-    picked from ``j`` down, then the nodes are built from the leaves up:
-    by level, and at level 0 by entry layer, so every premise's node
-    exists before the nodes that use it.
+    premises all entered the bound in earlier layers.  So levels fall,
+    and at level 0 entry layers fall, from a node to its children, and
+    one post-order over (judgment, level) builds every node after the
+    nodes of its premises.
     """
     # (judgment, level) -> (rule, its index, the level of its premises)
     picked: dict[tuple[Term, int], tuple[Rule, int, int]] = {}
-    todo = [(j, n)]
-    while todo:
-        key = todo.pop()
-        if key in picked:
-            continue
-        g, k = key
-        if k:
-            # Premises must survive k - 1 rounds: in the bound and not
-            # dropped before round k.
-            rule, i = _least(sys, g, lambda p: p in entered and dropped.get(p, k) >= k)
-        else:
-            layer = entered[g]
-            rule, i = _least(sys, g, lambda p: entered.get(p, layer) < layer, co=True)
-        below = max(k - 1, 0)
-        picked[key] = rule, i, below
-        todo += [(p, below) for p in rule.premises]
+
+    def premises(key: tuple[Term, int]) -> list[tuple[Term, int]]:
+        if key not in picked:
+            g, k = key
+            if k:
+                # Premises must survive k - 1 rounds: in the bound and
+                # not dropped before round k.
+                rule, i = _least(sys, g, lambda p: p in entered and dropped.get(p, k) >= k)
+            else:
+                layer = entered[g]
+                rule, i = _least(sys, g, lambda p: entered.get(p, layer) < layer, co=True)
+            picked[key] = rule, i, max(k - 1, 0)
+        rule, _, below = picked[key]
+        return [(p, below) for p in rule.premises]
+
     built: dict[tuple[Term, int], WfProof] = {}
-    for g, k in sorted(picked, key=lambda key: (key[1], entered[key[0]])):
-        rule, i, below = picked[g, k]
-        built[g, k] = WfProof(g, RuleRef(i, rule.co),
-                              tuple([built[p, below] for p in rule.premises]))
+    for key in _postorder((j, n), premises):
+        rule, i, below = picked[key]
+        built[key] = WfProof(key[0], RuleRef(i, rule.co),
+                             tuple([built[p, below] for p in rule.premises]))
     return built[j, n]
 
 
@@ -397,29 +399,6 @@ def _wf_to_dict(proof: WfProof) -> dict:
     return done[id(proof)]
 
 
-def _postorder(root, children):
-    """Each distinct node below ``root`` once, after all of its children.
-
-    Nodes are told apart by identity, so a node shared in memory is
-    visited once however often it occurs.  Children are taken last to
-    first, so on a tree the reversed sequence is the pre-order.
-    """
-    done: set[int] = set()
-    todo = [root]
-    while todo:
-        node = todo[-1]
-        if id(node) in done:
-            todo.pop()
-            continue
-        pending = [c for c in children(node) if id(c) not in done]
-        if pending:
-            todo.extend(pending)
-            continue
-        todo.pop()
-        done.add(id(node))
-        yield node
-
-
 def proof_from_dict(d: dict) -> Union[WfProof, RegularProof]:
     """Inverse of :func:`proof_to_dict`.
 
@@ -492,7 +471,7 @@ def proof_from_dict(d: dict) -> Union[WfProof, RegularProof]:
             built.append(WfProof(j, ref, tuple([built[k] for k in kids])))
         return built[-1]
     nodes = list(_postorder(
-        d, lambda nd: () if nd.get("back") else nd.get("children", ())))
+        d, lambda nd: () if nd.get("back") else nd.get("children", ()), key=id))
     # Filled in pre-order: a judgment expanded twice keeps the rule of
     # its last expansion in document order.
     choice: dict[Term, int] = {}

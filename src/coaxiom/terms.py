@@ -21,7 +21,9 @@ That order is what "canonical" means throughout the package: sorted
 premise tuples, sorted trace listings, deterministic tie-breaks.  Each
 term carries its sort key (see :func:`term_key`), computed once when it
 is interned; :func:`render_term` caches each term's text.  Neither
-recurses, so nesting depth is not limited by the interpreter stack.
+recurses, and nor do :func:`_postorder` and :func:`_write`, the
+package's one post-order walk and one pre-order writer, so nesting
+depth is not limited by the interpreter stack.
 """
 
 from __future__ import annotations
@@ -45,6 +47,87 @@ __all__ = [
 _set = object.__setattr__
 
 
+def _postorder(root, children, key=lambda node: node):
+    """Each distinct node below ``root`` once, after all of its children.
+
+    Nodes are told apart by ``key(node)``, by default the node itself:
+    interned terms and proof nodes compare by identity, and pairs such
+    as ``(term, depth)`` by value.  Children are taken last to first, so
+    on a tree the reversed sequence is the pre-order; ``children`` may
+    be asked for a node's children more than once.
+    """
+    done: set = set()
+    todo = [root]
+    while todo:
+        node = todo[-1]
+        if key(node) in done:
+            todo.pop()
+            continue
+        pending = [c for c in children(node) if key(c) not in done]
+        if pending:
+            todo += pending
+            continue
+        todo.pop()
+        done.add(key(node))
+        yield node
+
+
+def _write(value, expand) -> str:
+    """The text of a tree written in pre-order.
+
+    ``expand(value, depth)`` gives the text of a leaf, or ``(head,
+    entries, tail)`` for a value with children, where ``entries``
+    yields (text before the child, child).  The pieces a value fills
+    are recorded under its identity and depth: a value met again at the
+    same depth, such as a subproof shared in memory, is copied as a
+    slice of the pieces instead of being written again.
+    """
+    out: list[str] = []
+    spans: dict[tuple[int, int], tuple[int, int]] = {}
+    # Open values: (span key, first piece, entries, tail).
+    stack: list[tuple] = []
+    while True:
+        key = (id(value), len(stack))
+        span = spans.get(key)
+        if span is not None:
+            out += out[span[0]:span[1]]
+        elif isinstance(node := expand(value, len(stack)), str):
+            out.append(node)
+        else:
+            stack.append((key, len(out), node[1], node[2]))
+            out.append(node[0])
+        # Find the next child to write, closing every value that has
+        # none left.
+        while stack:
+            key, start, entries, tail = stack[-1]
+            entry = next(entries, None)
+            if entry is not None:
+                break
+            stack.pop()
+            out.append(tail)
+            spans[key] = (start, len(out))
+        else:
+            return "".join(out)
+        out.append(entry[0])
+        value = entry[1]
+
+
+def _repr_node(value, depth: int):
+    """How :meth:`_Frozen.__repr__` writes a value: a tuple, or a value
+    whose class shows it that way, is laid out here; any other value is
+    shown by its own repr."""
+    if type(value) is tuple:
+        head, tail = "(", ",)" if len(value) == 1 else ")"
+        entries = [(", " if n else "", v) for n, v in enumerate(value)]
+    elif type(value).__repr__ is _Frozen.__repr__:
+        head, tail = f"{type(value).__name__}(", ")"
+        entries = [(f"{', ' if n else ''}{f}=", getattr(value, f))
+                   for n, f in enumerate(value._fields)]
+    else:
+        return repr(value)
+    return head, iter(entries), tail
+
+
 class _Frozen:
     """Frozen, copied as itself, and pickled and shown by its fields, the
     ``__slots__`` its class declares but for names starting with an
@@ -57,26 +140,7 @@ class _Frozen:
                             if not f.startswith("_"))
 
     def __repr__(self) -> str:
-        # Pieces of text and values still to show, next one last.  A
-        # tuple, or a value this method shows, is laid out here; any
-        # other value is shown by its own repr.
-        out: list[str] = []
-        todo: list = [self]
-        while todo:
-            t = todo.pop()
-            if isinstance(t, str):
-                out.append(t)
-                continue
-            tup = type(t) is tuple
-            seq = ["(" if tup else f"{type(t).__name__}("]
-            items = ([("", v) for v in t] if tup
-                     else [(f"{f}=", getattr(t, f)) for f in t._fields])
-            for n, (label, v) in enumerate(items):
-                seq += (f"{', ' if n else ''}{label}", v if type(v) is tuple
-                        or type(v).__repr__ is _Frozen.__repr__ else repr(v))
-            seq.append(",)" if tup and len(t) == 1 else ")")
-            todo += reversed(seq)
-        return "".join(out)
+        return _write(self, _repr_node)
 
     def _init(self, *values) -> None:
         for f, v in zip(self._fields, values):
@@ -251,19 +315,14 @@ def render_term(t: Term) -> str:
         raise TypeError(f"not a term: {t!r}") from None
     if text is not None:
         return text
-    # Post-order over the subterms without text; only compound terms
-    # (a symbol with arguments, a non-empty set) start without one.
-    todo = [t]
-    while todo:
-        node = todo[-1]
-        parts = node.args if isinstance(node, Sym) else node.elements
-        missing = [p for p in parts if p._text is None]
-        if missing:
-            todo += missing
-            continue
-        todo.pop()
-        if node._text is None:
-            inner = ",".join([p._text for p in parts])
-            _set(node, "_text", f"{node.name}({inner})" if isinstance(node, Sym)
-                 else "{" + inner + "}")
+    # Only compound terms (a symbol with arguments, a non-empty set)
+    # start without text.
+    for node in _postorder(t, lambda node: [p for p in _parts(node) if p._text is None]):
+        inner = ",".join([p._text for p in _parts(node)])
+        _set(node, "_text", f"{node.name}({inner})" if isinstance(node, Sym)
+             else "{" + inner + "}")
     return t._text
+
+
+def _parts(t: Term) -> tuple:
+    return t.args if isinstance(t, Sym) else t.elements

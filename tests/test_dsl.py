@@ -73,6 +73,22 @@ def test_render_parse_round_trip():
     assert parse_system(render_system(sys_)) == sys_
 
 
+# Systems render_system writes but parse_system reads as another
+# system: a symbol named inf reads as the infinity term, and X is no
+# IDENT.  What parse_system reads from the text instead.
+UNREADABLE_NAMES = {
+    "inf": ((Rule(INF),), ()),
+    "X": (1, 1, ("statement", "term"), "'X'"),
+}
+
+
+@pytest.mark.parametrize("name, read", UNREADABLE_NAMES.items(), ids=UNREADABLE_NAMES)
+def test_render_parse_round_trip_needs_ident_symbol_names(name, read):
+    text = render_system(System([Rule(sym(name))]))
+    assert text == f"{name}.\n"
+    assert reading(parse_system, text) == read
+
+
 def test_render_system_is_canonical_and_stable():
     a = System([Rule(Q, (P,)), Rule(P), Rule(Q, co=True)])
     b = System([Rule(P), Rule(Q, co=True), Rule(Q, (P,))])

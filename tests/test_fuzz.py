@@ -9,7 +9,9 @@ or ``check`` run prints as JSON must reload through ``proof_from_dict``
 and pass ``validate`` against the rules of the file it was proved from.
 Every ``.coax`` input must read the same through ``parse_system`` as
 token by token: the same rules in order, or the same error.  So must
-every ``.spec`` input through ``parse_judgments``.
+every ``.coax`` and ``.spec`` input through ``parse_judgments``.  The
+rule file a ``gen`` run prints must read back to the same text through
+``parse_system`` and ``render_system``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import random
 import cli_golden
 
 from coaxiom import (APPROX, REGULAR_GENERATED, WF_EXTENDED, ValidationReport,
-                     parse_judgments, parse_system, proof_from_dict, validate)
+                     parse_judgments, parse_system, proof_from_dict, render_system,
+                     validate)
 from coaxiom.cli import _ERRORS
 from test_dsl import (read_judgments_token_by_token, read_token_by_token, reading,
                       split_cut_reads)
@@ -78,26 +81,30 @@ def revalidate(run: dict, argv: list[str], rules: str) -> ValidationReport:
 
 
 def test_no_input_breaks_the_command_line(tmp_path, monkeypatch):
-    cli_golden.write_files(tmp_path)
-    monkeypatch.chdir(tmp_path)
     rng = random.Random(SEED)
     cases = cli_golden.cases()
     statuses: collections.Counter = collections.Counter()
     modes = set()
     failures = []
-    split_taken = specs = 0
-    for _ in range(RUNS):
+    split_taken = judgment_texts = rule_files = 0
+    for n in range(RUNS):
         argv = rng.choice(cases)
         inputs = {name: mutate(text, rng) if rng.random() < 0.8 else text
                   for name, text in cli_golden.FILES.items() if name in argv}
+        # Each run reads new files in a directory of its own: on some
+        # file systems overwriting a file costs a thousand times more
+        # than writing a new one.
+        run_dir = tmp_path / str(n)
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
         for name, text in inputs.items():
-            (tmp_path / name).write_text(text)
+            (run_dir / name).write_text(text)
             if name.endswith(".coax"):
                 split_taken += split_cut_reads(text)
                 if reading(parse_system, text) != reading(read_token_by_token, text):
                     failures.append((name, text, "parse_system and token by token differ"))
-            elif name.endswith(".spec"):
-                specs += 1
+            if name.endswith((".coax", ".spec")):
+                judgment_texts += 1
                 if (reading(parse_judgments, text)
                         != reading(read_judgments_token_by_token, text)):
                     failures.append((name, text, "parse_judgments and token by token differ"))
@@ -106,10 +113,14 @@ def test_no_input_breaks_the_command_line(tmp_path, monkeypatch):
             problem = verdict(run)
             if (not problem and run["code"] == 0 and argv[0] in ("prove", "check")
                     and argv[-2:] == ["--format", "json"]):
-                report = revalidate(run, argv, (tmp_path / argv[1]).read_text())
+                report = revalidate(run, argv, (run_dir / argv[1]).read_text())
                 modes.add(report.mode.split("(")[0])
                 if not report.ok:
                     problem = f"reloaded proof: {report.violations[:3]}"
+            if not problem and run["code"] == 0 and argv[0] == "gen" and run["stdout"]:
+                rule_files += 1
+                if render_system(parse_system(run["stdout"])) != run["stdout"]:
+                    problem = "the rule file gen printed does not read back"
         except SystemExit as e:  # argparse refusing the command line
             run, problem = {"code": e.code, "stderr": ""}, None
         except Exception as e:  # any other escape is what the fuzz looks for
@@ -117,12 +128,12 @@ def test_no_input_breaks_the_command_line(tmp_path, monkeypatch):
         statuses[run["code"]] += 1
         if problem:
             failures.append((argv, inputs, run["code"], run["stderr"], problem))
-        for name in inputs:
-            (tmp_path / name).write_text(cli_golden.FILES[name])
     assert failures == []
     # The split cut read some of the rule files.
     assert split_taken > 0
-    assert specs > 0
+    # 300 texts at this seed; 37 rule files printed by gen.
+    assert judgment_texts >= 250
+    assert rule_files >= 30
     # The runs reach every status, not only the parse errors.
     assert set(statuses) == {0, 1, 2, 3}
     # 9 proofs: wf-extended 3, approx 1, regular-generated 5

@@ -21,7 +21,7 @@ from coaxiom import (APPROX, REGULAR_GENERATED, RegularProof, Rule, RuleRef,
                      bounded_coinduction, generated, level_witness,
                      parse_system, proof_from_dict, proof_to_dict, proofs,
                      prove_approx, prove_regular, prove_wf, sym, validate)
-from coaxiom.terms import term_key
+from coaxiom.terms import _postorder, term_key
 from corpus import as_system, corpus
 from oracles import walking_proof_from_dict
 
@@ -322,6 +322,20 @@ def test_equal_nodes_are_one_object():
     sys_, top = _ladder(30)
     assert prove_wf(sys_, top) is prove_wf(sys_, top)
     assert prove_approx(sys_, top, 5) is prove_approx(sys_, top, 5)
+
+
+def test_approx_picks_a_rule_once_per_judgment_and_level(monkeypatch):
+    # The post-order that builds the proof asks a (judgment, level) pair
+    # for its premises more than once; its rule is picked the first time.
+    sys_, top = _ladder(12)
+    picked = []
+    monkeypatch.setattr(proofs, "_least", lambda s, j, *rest, _fn=proofs._least, **kw:
+                        picked.append(j) or _fn(s, j, *rest, **kw))
+    proof = prove_approx(sys_, top, 12)
+    pairs = {(node.judgment, level) for node, level in _postorder(
+        (proof, 12), lambda key: [(c, max(key[1] - 1, 0)) for c in key[0].children])}
+    assert len(picked) == len(pairs)
+    assert set(picked) == {j for j, _ in pairs}
 
 
 def test_nodes_are_frozen_and_copy_as_themselves():

@@ -188,3 +188,11 @@ REPRS = [
                                                    for i, (_, t) in enumerate(REPRS)])
 def test_records_show_as_their_dataclasses_did(value, text):
     assert repr(value) == text
+
+
+def test_a_tuple_held_twice_at_one_depth_shows_twice():
+    bodies = (("a",), ())
+    grammar = Grammar(("a",), ("S", "A"), (("S", bodies), ("A", bodies)))
+    assert grammar.productions[0][1] is grammar.productions[1][1]
+    assert repr(grammar) == ("Grammar(terminals=('a',), nonterminals=('S', 'A'), "
+                             "productions=(('S', (('a',), ())), ('A', (('a',), ()))))")
