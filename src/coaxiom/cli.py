@@ -17,7 +17,12 @@ Subcommands:
 Each subcommand computes its result once and returns its exit status
 with a ``render(format)`` function; :func:`main` prints what it gives,
 text or DOT as it is and a JSON value through :func:`_json_text`.
-``gen --output`` writes its rule file itself.  JSON and the text of a
+``gen --output`` writes its rule file itself, in place: it opens OUT
+without truncating it, writes the text, then cuts the file at its end.
+The end state is that of ``open(OUT, "w")``, symlinks, hard links and
+mode included.  But ext4 (``auto_da_alloc``) flushes a file that was
+truncated to zero and written again, and each rewrite of OUT waited
+for the flush of the one before it.  JSON and the text of a
 well-founded proof are written by the package's one pre-order writer,
 ``terms._write``, which copies a shared subtree instead of writing it
 again.
@@ -344,8 +349,11 @@ def _cmd_gen(args: argparse.Namespace) -> Result:
                                 cap=args.cap)
     rendered = render_system(system)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        # No O_TRUNC: ext4's auto_da_alloc flushes a file truncated to zero.
+        fd = os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
             fh.write(rendered)
+            fh.truncate()
         return EXIT_OK, None
     # A rule file ends with a newline, which main's print puts back.
     return EXIT_OK, (lambda _format: rendered[:-1]) if rendered else None

@@ -509,6 +509,92 @@ def test_gen_to_stdout(tmp_path, capsys):
     assert "visit(z,{z})." in out
 
 
+def _gen_out_target(tmp_path, shape, size):
+    """A file of size bytes to write over, and the path to give -o."""
+    target = tmp_path / "old.coax"
+    target.write_bytes(b"x" * size)
+    if shape == "symlink":
+        (tmp_path / "link.coax").symlink_to(target)
+        return target, tmp_path / "link.coax"
+    if shape == "hard-link":
+        os.link(target, tmp_path / "twin.coax")
+        target.chmod(0o640)
+    return target, target
+
+
+@pytest.mark.parametrize("shape", ["longer", "symlink", "hard-link"])
+def test_gen_output_writes_over_out_in_place(tmp_path, capsys, shape):
+    graph = tmp_path / "cycle.graph"
+    graph.write_text(CYCLE_GRAPH)
+    code, expected, _ = run(capsys, "gen", "visit", str(graph))
+    assert code == 0
+    target, out = _gen_out_target(tmp_path, shape, 2 * len(expected))
+    before = target.stat()
+    assert run(capsys, "gen", "visit", str(graph), "-o", str(out)) == (0, "", "")
+    after = target.stat()
+    assert target.read_bytes() == expected.encode()
+    assert (after.st_ino, after.st_nlink, after.st_mode) == \
+        (before.st_ino, before.st_nlink, before.st_mode)
+    assert out.is_symlink() == (shape == "symlink")
+
+
+def test_gen_output_opens_out_once_without_truncating(tmp_path, capsys,
+                                                      monkeypatch):
+    graph = tmp_path / "cycle.graph"
+    graph.write_text(CYCLE_GRAPH)
+    out = tmp_path / "cycle.coax"
+    out.write_text("x" * 4096)
+    flags = []
+    real_open = os.open
+
+    def spy(path, flag, *rest, **kw):
+        if os.fspath(path) == str(out):
+            flags.append(flag)
+        return real_open(path, flag, *rest, **kw)
+
+    monkeypatch.setattr(os, "open", spy)
+    assert main(["gen", "visit", str(graph), "-o", str(out)]) == 0
+    assert len(flags) == 1
+    assert flags[0] & os.O_CREAT and not flags[0] & os.O_TRUNC
+
+
+def test_gen_output_creates_out_with_the_umask_mode(tmp_path, capsys):
+    graph = tmp_path / "cycle.graph"
+    graph.write_text(CYCLE_GRAPH)
+    out = tmp_path / "new.coax"
+    old = os.umask(0o027)
+    try:
+        assert main(["gen", "visit", str(graph), "-o", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.parametrize("case", ["directory", "missing-parent"])
+def test_gen_output_io_errors(tmp_path, capsys, case):
+    graph = tmp_path / "cycle.graph"
+    graph.write_text(CYCLE_GRAPH)
+    if case == "directory":
+        out, reason = tmp_path, "[Errno 21] Is a directory"
+    else:
+        out, reason = tmp_path / "no" / "out.coax", \
+            "[Errno 2] No such file or directory"
+    assert run(capsys, "gen", "visit", str(graph), "-o", str(out)) == \
+        (2, "", f"io error: {reason}: {str(out)!r}\n")
+
+
+def test_gen_output_over_the_cap_leaves_out_as_it_was(tmp_path, capsys):
+    graph = tmp_path / "cycle.graph"
+    graph.write_text(CYCLE_GRAPH)
+    out = tmp_path / "cycle.coax"
+    out.write_bytes(b"old bytes\n")
+    assert run(capsys, "gen", "visit", str(graph), "--cap", "0",
+               "-o", str(out)) == \
+        (3, "", "instantiation too large: instantiation needs 20 rules, "
+                "cap is 0\n")
+    assert out.read_bytes() == b"old bytes\n"
+
+
 def test_gen_dist_requires_target(tmp_path, capsys):
     graph = tmp_path / "g.graph"
     graph.write_text("node a node b edge a b 1\n")
