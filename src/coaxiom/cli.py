@@ -4,9 +4,9 @@ Subcommands:
 
 * ``ind | coind | generated FILE`` — compute an interpretation of the
   rule file, optionally with the per-iteration trace;
-* ``prove FILE JUDGMENT [--level N | --regular]`` — build a proof
-  object (well-founded, approximated, or regular), or a level witness
-  when there is none;
+* ``prove FILE JUDGMENT [--level N | --regular] [--max-nodes N]`` —
+  build a proof object (well-founded, approximated, or regular), or a
+  level witness when there is none;
 * ``check FILE JUDGMENT`` — membership in the generated interpretation:
   ``prove --regular`` under its own headings and JSON keys;
 * ``bcp FILE SPECFILE`` — run the bounded coinduction check on a
@@ -15,8 +15,10 @@ Subcommands:
   file.
 
 Each subcommand computes its result once and returns its exit status
-with a ``render(format)`` function; :func:`main` prints what it gives,
-text or DOT as it is and a JSON value through :func:`_json_text`.
+with a ``render(format)`` function.  Its text ends with a newline, and
+:func:`main` writes each result once, with one ``write``: text or DOT
+as it is, a JSON value through :func:`_json_text`.  A large output is
+built once and never copied again to add its newline.
 ``gen --output`` writes its rule file itself, in place: it opens OUT
 without truncating it, writes the text, then cuts the file at its end.
 The end state is that of ``open(OUT, "w")``, symlinks, hard links and
@@ -25,11 +27,14 @@ truncated to zero and written again, and each rewrite of OUT waited
 for the flush of the one before it.  JSON and the text of a
 well-founded proof are written by the package's one pre-order writer,
 ``terms._write``, which copies a shared subtree instead of writing it
-again.
+again.  A well-founded or approximated proof is small as a DAG but can
+be exponential as a tree, so ``prove`` counts its tree first
+(``proofs.tree_size``) and refuses one of more than ``--max-nodes``
+nodes before writing anything.
 
 Exit status: 0 success / derivable / accepted; 1 not derivable /
 rejected; 2 usage or parse errors, and input nested too deeply; 3
-exceeded budgets.  Results go to stdout, diagnostics to stderr.  Set
+exceeded budgets, ``--max-nodes`` included.  Results go to stdout, diagnostics to stderr.  Set
 output is always in canonical term order, so identical inputs print
 identical bytes.
 """
@@ -55,7 +60,7 @@ from .gen import (ClosureBudgetExceeded, DEFAULT_CAP, DEFAULT_CARRIES,
                   DEFAULT_CLOSURE_BUDGET, InstantiationTooLarge,
                   LIST_PREDICATES, MalformedEquations)
 from .proofs import (RegularProof, RuleRef, WfProof, proof_to_dict,
-                     prove_approx, prove_regular, prove_wf)
+                     prove_approx, prove_regular, prove_wf, tree_size)
 from .terms import _write, render_term
 
 __all__ = ["main"]
@@ -75,6 +80,10 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+# The default of ``prove --max-nodes``: the most nodes a proof written
+# out as a tree may have.
+DEFAULT_MAX_NODES = 1_000_000
+
 # What a subcommand returns: exit status and render(format), if any.
 Result = tuple[int, Optional[Callable[[str], object]]]
 
@@ -93,13 +102,14 @@ def _wf_line(node: WfProof, depth: int) -> tuple:
             (("\n", c) for c in node.children), "")
 
 
-def _render_regular(proof: RegularProof, sys_: System) -> str:
-    out = [f"root: {render_term(proof.root)}"]
+def _render_regular(proof: RegularProof, sys_: System, heading: str) -> str:
+    out = [heading, f"root: {render_term(proof.root)}"]
     for j in sort_judgments(proof.choice):
         rule = sys_.regular_rules[proof.choice[j]]
         premises = ", ".join(render_term(p) for p in rule.premises)
         out.append(f"{render_term(j)} <- rule {proof.choice[j]}"
                    + (f": {premises}" if premises else "   (axiom)"))
+    out.append("")
     return "\n".join(out)
 
 
@@ -142,7 +152,7 @@ def _dot_wf(proof: WfProof) -> str:
                 break
             parent, label, _ = stack[-1]
             lines.append(f'  {parent} -> {name} [label="{label}"];')
-    lines.append("}")
+    lines.append("}\n")
     return "\n".join(lines)
 
 
@@ -161,7 +171,7 @@ def _dot_regular(proof: RegularProof, sys_: System) -> str:
             lines.append(f'  {names[parent["judgment"]]} -> {names[node["judgment"]]}'
                          f' [label="{parent["rule"]}"{style}];')
         todo += ((node, c) for c in reversed(node.get("children", ())))
-    lines.append("}")
+    lines.append("}\n")
     return "\n".join(lines)
 
 
@@ -192,14 +202,16 @@ def _json_node(value, depth: int):
     return json.dumps(value)
 
 
-def _json_text(value) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte (keys must be str).
+def _json_text(value, end: str = "") -> str:
+    """``json.dumps(value, indent=2) + end``, byte for byte (keys must
+    be str).
 
-    Every JSON output of the CLI goes through here.  A container met
-    again at the same depth, such as a subproof that
-    :func:`proof_to_dict` shares, is copied (see ``terms._write``).
+    Every JSON output of the CLI goes through here, with ``end`` its
+    newline.  A container met again at the same depth, such as a
+    subproof that :func:`proof_to_dict` shares, is copied (see
+    ``terms._write``).
     """
-    return _write(value, _json_node)
+    return _write(value, _json_node, "", end)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +254,7 @@ def _cmd_interpret(args: argparse.Namespace) -> Result:
         if traces:
             out.append("")
         out.append(f"{args.mode} ({len(judgments)} judgments):")
-        return "\n".join(out + judgments)
+        return "\n".join(out + judgments + [""])
 
     return EXIT_OK, render
 
@@ -268,21 +280,29 @@ def _cmd_prove(args: argparse.Namespace) -> Result:
         missing = "" if check else f" has no {kind} proof"
         return EXIT_NEGATIVE, lambda fmt: (
             {"judgment": name, **head, "witness": doc} if fmt == "json"
-            else f"NotDerivable: {name}{missing}\nwitness: {text}")
+            else f"NotDerivable: {name}{missing}\nwitness: {text}\n")
+
+    regular = isinstance(proof, RegularProof)
+    if not regular:
+        size = tree_size(proof)
+        if size > args.max_nodes:
+            raise TreeTooLarge(
+                f"the {kind} proof of {name} has {size} nodes as a tree, over "
+                f"--max-nodes {args.max_nodes}; --regular gives one line per "
+                f"judgment")
 
     def render(fmt: str):
         if fmt == "json":
             head = {"derivable": True} if check else {"kind": kind}
             return {"judgment": name, **head,
                     "proof": proof_to_dict(proof, sys_)}
-        regular = isinstance(proof, RegularProof)
         if fmt == "dot":
             return _dot_regular(proof, sys_) if regular else _dot_wf(proof)
         heading = (f"derivable: {name}\nregular proof:" if check
                    else f"{kind} proof of {name}:")
-        body = (_render_regular(proof, sys_) if regular
-                else _write(proof, _wf_line))
-        return f"{heading}\n{body}"
+        if regular:
+            return _render_regular(proof, sys_, heading)
+        return _write(proof, _wf_line, heading + "\n", "\n")
 
     return EXIT_OK, render
 
@@ -300,8 +320,8 @@ def _cmd_bcp(args: argparse.Namespace) -> Result:
                     "failures": [{"judgment": render_term(j), "reason": r}
                                  for j, r in verdict.failures]}
         if verdict.accepted:
-            return f"accepted ({len(candidate)} judgments)"
-        return "\n".join(["rejected:"] + [f"  {render_term(j)}: {reason}"
+            return f"accepted ({len(candidate)} judgments)\n"
+        return "".join(["rejected:\n"] + [f"  {render_term(j)}: {reason}\n"
                                           for j, reason in verdict.failures])
 
     return (EXIT_OK if verdict.accepted else EXIT_NEGATIVE), render
@@ -355,8 +375,7 @@ def _cmd_gen(args: argparse.Namespace) -> Result:
             fh.write(rendered)
             fh.truncate()
         return EXIT_OK, None
-    # A rule file ends with a newline, which main's print puts back.
-    return EXIT_OK, (lambda _format: rendered[:-1]) if rendered else None
+    return EXIT_OK, (lambda _format: rendered) if rendered else None
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--regular", action="store_true",
                        help="regular (cyclic) proof over the generated "
                             "interpretation")
+    p.add_argument("--max-nodes", type=_count, default=DEFAULT_MAX_NODES,
+                   metavar="N", help="most nodes a well-founded or "
+                                     "approximated proof may have as a tree")
     _add_common(p, ("text", "json", "dot"))
     p.set_defaults(fn=_cmd_prove)
 
@@ -451,6 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class TreeTooLarge(Exception):
+    """A proof to write out as a tree has more nodes than ``--max-nodes``."""
+
+
 # (exception, label of its message on stderr, exit status), matched in order
 _ERRORS = (
     (ParseError, "parse error", EXIT_USAGE),
@@ -460,6 +486,7 @@ _ERRORS = (
     (OSError, "io error", EXIT_USAGE),
     (InstantiationTooLarge, "instantiation too large", EXIT_BUDGET),
     (ClosureBudgetExceeded, "closure budget exceeded", EXIT_BUDGET),
+    (TreeTooLarge, "proof too large", EXIT_BUDGET),
     (BudgetExceeded, "iteration budget exceeded", EXIT_BUDGET),
     (MemoryError, "error: out of memory", EXIT_BUDGET),
 )
@@ -478,8 +505,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         status, render = args.fn(args)
         if render is not None:
             result = render(args.format)
+            text = result if isinstance(result, str) else _json_text(result, "\n")
             try:
-                print(result if isinstance(result, str) else _json_text(result))
+                sys.stdout.write(text)
                 sys.stdout.flush()  # so that a closed pipe shows here
             except BrokenPipeError:
                 # The reader stopped early, which changes nothing about
@@ -494,7 +522,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         label, status = next((label, status) for cls, label, status in _ERRORS
                              if isinstance(e, cls))
         message = str(e)  # empty for a bare MemoryError
-        print(f"{label}: {message}" if message else label, file=sys.stderr)
+        sys.stderr.write(f"{label}: {message}\n" if message else label + "\n")
         return status
 
 

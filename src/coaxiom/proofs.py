@@ -40,6 +40,7 @@ __all__ = [
     "prove_wf",
     "prove_approx",
     "prove_regular",
+    "tree_size",
     "validate",
     "proof_to_dict",
     "proof_from_dict",
@@ -234,6 +235,16 @@ def prove_regular(sys: System, j: Term,
             rule, choice[cur] = _least(sys, cur, g.judgments.__contains__)
             todo += rule.premises
     return RegularProof(j, choice)
+
+
+def tree_size(proof: WfProof) -> int:
+    """The number of nodes of ``proof`` written out as a tree, where a
+    shared subproof counts once for each place it occurs: the number of
+    lines of its text.  One pass over the distinct nodes."""
+    size: dict[WfProof, int] = {}
+    for node in _postorder(proof, lambda node: node.children):
+        size[node] = 1 + sum([size[c] for c in node.children])
+    return size[proof]
 
 
 # ---------------------------------------------------------------------------

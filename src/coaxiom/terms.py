@@ -72,17 +72,20 @@ def _postorder(root, children, key=lambda node: node):
         yield node
 
 
-def _write(value, expand) -> str:
-    """The text of a tree written in pre-order.
+def _write(value, expand, before: str = "", after: str = "") -> str:
+    """The text of a tree written in pre-order, between ``before`` and
+    ``after``.
 
     ``expand(value, depth)`` gives the text of a leaf, or ``(head,
     entries, tail)`` for a value with children, where ``entries``
     yields (text before the child, child).  The pieces a value fills
     are recorded under its identity and depth: a value met again at the
     same depth, such as a subproof shared in memory, is copied as a
-    slice of the pieces instead of being written again.
+    slice of the pieces instead of being written again.  The text
+    around the tree is two more pieces, so the one join that ends the
+    walk builds the whole text.
     """
-    out: list[str] = []
+    out: list[str] = [before]
     spans: dict[tuple[int, int], tuple[int, int]] = {}
     # Open values: (span key, first piece, entries, tail).
     stack: list[tuple] = []
@@ -107,6 +110,7 @@ def _write(value, expand) -> str:
             out.append(tail)
             spans[key] = (start, len(out))
         else:
+            out.append(after)
             return "".join(out)
         out.append(entry[0])
         value = entry[1]

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -748,6 +750,9 @@ COUNT_OPTIONS = {
               "instantiation too large: instantiation needs 20 rules, cap is 0"),
     "--budget": (("gen", "lambda", "id.lam"),
                  "closure budget exceeded: evaluation closure exceeds 0 expressions"),
+    "--max-nodes": (("prove", "cycle.coax", "visit(a,{a})"),
+                    "proof too large: the wf proof of visit(a,{a}) has 2 nodes as a "
+                    "tree, over --max-nodes 0; --regular gives one line per judgment"),
 }
 
 
@@ -756,10 +761,11 @@ def _count_option_argv(tmp_path, option, value):
     (tmp_path / "id.lam").write_text("\\x. x\n")
     assert main(["gen", "visit", str(tmp_path / "cycle.graph"),
                  "-o", str(tmp_path / "cycle.coax")]) == 0
-    if option == "--level":
-        return ["prove", str(tmp_path / "cycle.coax"), "visit(a,{a})", option, value]
-    *command, name = COUNT_OPTIONS[option][0]
-    return [*command, str(tmp_path / name), option, value]
+    command = (("prove", "cycle.coax", "visit(a,{a})") if option == "--level"
+               else COUNT_OPTIONS[option][0])
+    # The input file is the one word of the command that names a file.
+    return [str(tmp_path / word) if (tmp_path / word).is_file() else word
+            for word in command] + [option, value]
 
 
 @pytest.mark.parametrize("value", ["-1", "-3", "\u0663", " +1_0"])  # Arabic-Indic three
@@ -873,6 +879,113 @@ def test_cli_output_matches_the_recorded_run(tmp_path, monkeypatch, recorded):
     cli_golden.write_files(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert cli_golden.invoke(recorded["argv"]) == recorded
+
+
+class _Writes(io.StringIO):
+    """A stdout that keeps each text handed to ``write``."""
+
+    def __init__(self):
+        super().__init__()
+        self.texts = []
+
+    def write(self, text):
+        self.texts.append(text)
+        return super().write(text)
+
+
+def test_each_recorded_run_writes_its_stdout_with_one_write(tmp_path, monkeypatch):
+    cli_golden.write_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for recorded in GOLDEN["runs"]:
+        out = _Writes()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            main(recorded["argv"])
+        assert len(out.texts) <= 1, recorded["argv"]
+        assert all(text.endswith("\n") for text in out.texts), recorded["argv"]
+        assert "".join(out.texts) == recorded["stdout"]
+
+
+def _peak(fn) -> int:
+    """The most memory allocated while ``fn()`` runs, over what was
+    allocated before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_a_large_json_proof_is_not_copied_on_its_way_out(tmp_path):
+    # About 10.4 MiB of JSON.  The finished text, newline included, is
+    # handed to the StringIO in one write; a second write made getvalue
+    # join a copy.  Up to CPython 3.11 a StringIO keeps the text of a
+    # single write and gives it back; from 3.12 it copies it, and what
+    # that costs is measured apart and allowed for.
+    f = tmp_path / "ladder.coax"
+    f.write_text(cli_golden.ladder(12))
+    out = io.StringIO()
+
+    def prove():
+        with contextlib.redirect_stdout(out):
+            assert main(["prove", str(f), "x12", "--format", "json"]) == 0
+        out.getvalue()
+
+    peak = _peak(prove)
+    text = out.getvalue()
+    assert len(text) > 10 * 2 ** 20
+
+    def keep():
+        kept = io.StringIO()
+        kept.write(text)
+        kept.getvalue()
+
+    assert peak < 1.3 * len(text) + _peak(keep)
+
+
+# ---------------------------------------------------------------------------
+# proofs too large to write out as a tree
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_a_tree_over_max_nodes_is_refused_before_it_is_written(tmp_path, capsys, fmt):
+    # The 24-rung ladder's wf proof has 73 distinct nodes and 2^26 - 3
+    # as a tree.
+    f = tmp_path / "ladder.coax"
+    f.write_text(cli_golden.ladder(24))
+    assert run(capsys, "prove", str(f), "x24", "--format", fmt) == (
+        3, "", "proof too large: the wf proof of x24 has 67108861 nodes as a "
+               "tree, over --max-nodes 1000000; --regular gives one line per "
+               "judgment\n")
+
+
+@pytest.mark.parametrize("flags, kind", [([], "wf"), (["--level", "2"], "approx(2)")])
+def test_max_nodes_is_the_most_nodes_a_printed_tree_has(tmp_path, capsys, flags, kind):
+    # ladder(3)'s proof of x3 is a tree of 2^5 - 3 nodes.
+    f = tmp_path / "ladder.coax"
+    f.write_text(cli_golden.ladder(3))
+    code, out, err = run(capsys, "prove", str(f), "x3", *flags, "--max-nodes", "29")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 1 + 29
+    for fmt in ("text", "json", "dot"):
+        code, out, err = run(capsys, "prove", str(f), "x3", *flags, "--max-nodes", "28",
+                             "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err == (f"proof too large: the {kind} proof of x3 has 29 nodes as a tree, "
+                       f"over --max-nodes 28; --regular gives one line per judgment\n")
+
+
+def test_regular_proofs_and_witnesses_are_not_counted(tmp_path, capsys):
+    f = tmp_path / "ladder.coax"
+    f.write_text(cli_golden.ladder(24))
+    code, out, err = run(capsys, "prove", str(f), "x24", "--regular", "--max-nodes", "0")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 2 + 73
+    code, out, err = run(capsys, "prove", str(f), "w", "--max-nodes", "0")
+    assert (code, out, err) == (1, "NotDerivable: w has no wf proof\nwitness: NotInBound\n", "")
+    assert run(capsys, "check", str(f), "x24", "--format", "json")[0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ for the regular proofs.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
 import pickle
 import random
@@ -20,8 +22,10 @@ from coaxiom import (APPROX, REGULAR_GENERATED, RegularProof, Rule, RuleRef,
                      System, WF_EXTENDED, WfProof, analyse, bound,
                      bounded_coinduction, generated, level_witness,
                      parse_system, proof_from_dict, proof_to_dict, proofs,
-                     prove_approx, prove_regular, prove_wf, sym, validate)
-from coaxiom.terms import _postorder, term_key
+                     prove_approx, prove_regular, prove_wf, render_system,
+                     render_term, sym, tree_size, validate)
+from coaxiom import cli
+from coaxiom.terms import _postorder, _write, term_key
 from corpus import as_system, corpus
 from oracles import walking_proof_from_dict
 
@@ -281,6 +285,36 @@ def test_validate_matches_the_recursive_check_on_shared_proofs(seed):
                    for v in validate(CHAIN, proof, mode, level=level).violations]
             assert got == _recursive_violations(CHAIN, proof, min_co=level)
         assert proof_from_dict(json.loads(json.dumps(proof_to_dict(proof)))) is proof
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tree_size_is_the_number_of_lines_of_the_text(seed):
+    for proof in _shared_proofs(seed):
+        assert tree_size(proof) == _write(proof, cli._wf_line).count("\n") + 1
+
+
+def _printed_tree(path, j, *flags):
+    """The lines ``prove`` prints below its heading."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["prove", str(path), j, *flags]) == 0
+    return out.getvalue().splitlines()[1:]
+
+
+def test_tree_size_is_the_number_of_lines_prove_prints_on_the_corpus(tmp_path):
+    for seed, triples in corpus():
+        text = render_system(as_system(triples))
+        # A new file each time: rewriting one file waits on the disk.
+        f = tmp_path / f"corpus{seed}.coax"
+        f.write_text(text)
+        sys_ = parse_system(text)
+        for j in sorted(sys_.by_conclusion, key=term_key):
+            name = render_term(j)
+            for n in range(3):
+                proof = prove_approx(sys_, j, n)
+                if proof is not None:
+                    flags = ("--level", str(n)) if n else ()
+                    assert tree_size(proof) == len(_printed_tree(f, name, *flags))
 
 
 def test_an_out_of_range_co_rule_is_only_a_bad_reference():
