@@ -49,8 +49,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .checks import (DropsAtLevel, NotInBound, SurvivesTo,
-                     bounded_coinduction, level_witness)
+from .checks import DropsAtLevel, NotInBound, bounded_coinduction, level_witness
 from .dsl import ParseError, parse_judgment, parse_judgments, parse_system, \
     render_system
 from .engine import (DEFAULT_BUDGET, BudgetExceeded, Interpretation, System,
@@ -113,17 +112,15 @@ def _render_regular(proof: RegularProof, sys_: System, heading: str) -> str:
     return "\n".join(out)
 
 
-def _witness(w: Union[NotInBound, DropsAtLevel, SurvivesTo]) -> tuple[str, dict]:
-    """The witness as text and as a JSON value."""
+def _witness(w: Union[NotInBound, DropsAtLevel]) -> tuple[str, dict]:
+    """The witness as text and as a JSON value.  ``prove`` reads it at
+    ``--level N`` if given, else at the budget, and finds no proof only
+    outside the bound or on a drop at that level or below, so no
+    witness it prints says that the judgment survives."""
     if isinstance(w, NotInBound):
         return "NotInBound", {"kind": "not-in-bound"}
-    if isinstance(w, DropsAtLevel):
-        return (f"DropsAtLevel({w.level})",
-                {"kind": "drops-at-level", "level": w.level})
-    suffix = ", at fixpoint" if w.at_fixpoint else ""
-    return (f"SurvivesTo({w.level}{suffix})",
-            {"kind": "survives-to", "level": w.level,
-             "at_fixpoint": w.at_fixpoint})
+    return (f"DropsAtLevel({w.level})",
+            {"kind": "drops-at-level", "level": w.level})
 
 
 def _dot_escape(s: str) -> str:
@@ -275,7 +272,8 @@ def _cmd_prove(args: argparse.Namespace) -> Result:
         proof = prove_wf(sys_, j, budget)
     check, name = args.command == "check", render_term(j)
     if proof is None:
-        text, doc = _witness(level_witness(sys_, j, budget, budget))
+        level = budget if args.level is None else args.level
+        text, doc = _witness(level_witness(sys_, j, level, budget))
         head = {"derivable": False} if check else {"proof": None, "kind": kind}
         missing = "" if check else f" has no {kind} proof"
         return EXIT_NEGATIVE, lambda fmt: (

@@ -24,9 +24,11 @@ at most ``MAX_DEPTH`` brackets deep.
 Parsing stops at the first error and reports its position together with
 the token classes that would have been acceptable.
 
-The tokenizer and token cursor defined here (:func:`tokenize`,
-:class:`Cursor`) also serve the generator input languages in
-``coaxiom.gen.inputs``; each language is one :class:`Lexicon` table.
+The tokenizer defined here (:func:`tokenize`) also serves the
+generator input languages in ``coaxiom.gen.inputs``; each language is
+one :class:`Lexicon` table, and those languages walk their tokens with
+:class:`Cursor`, whose errors quote a token by its text where the
+``.coax`` parser names its kind.
 """
 
 from __future__ import annotations
@@ -75,27 +77,24 @@ class Lexicon:
 
     ``specials`` are matched first, longest first, then ``INT`` and then
     ``word``, whose tokens get the kind ``word_kind``.  A character that
-    starts no token reports ``stray`` as the expected set, and
-    :meth:`Cursor.fail` quotes a token by its text if ``quote_text``,
-    else by its kind.  Whitespace and ``%`` comments separate tokens in
-    every language.
+    starts no token reports ``stray`` as the expected set.  Whitespace
+    and ``%`` comments separate tokens in every language.
     """
 
-    __slots__ = ("pattern", "stray", "quote_text")
+    __slots__ = ("pattern", "stray")
 
     def __init__(self, specials: tuple[str, ...], word: str, word_kind: str,
-                 stray: tuple[str, ...], quote_text: bool):
+                 stray: tuple[str, ...]):
         alts = [r"(?P<NL>\n)"]
         if specials:
             alts.append("(?P<SPECIAL>" + "|".join(map(re.escape, specials)) + ")")
         alts += [r"(?P<INT>-?[0-9]+)", f"(?P<{word_kind}>{word})"]
         self.pattern = re.compile(r"(?:[ \t\r]+|%[^\n]*)*(?:" + "|".join(alts) + ")?")
         self.stray = stray
-        self.quote_text = quote_text
 
 
 COAX = Lexicon(("<-", "(", ")", "{", "}", ",", "."), r"[a-z][A-Za-z0-9_]*",
-               "IDENT", ("statement", "term"), quote_text=False)
+               "IDENT", ("statement", "term"))
 
 
 def tokenize(text: str, lexicon: Lexicon) -> list[Token]:
@@ -131,12 +130,11 @@ def tokenize(text: str, lexicon: Lexicon) -> list[Token]:
 class Cursor:
     """A position in the tokens of one text, for recursive descent."""
 
-    __slots__ = ("toks", "pos", "quote_text")
+    __slots__ = ("toks", "pos")
 
     def __init__(self, text: str, lexicon: Lexicon):
         self.toks = tokenize(text, lexicon)
         self.pos = 0
-        self.quote_text = lexicon.quote_text
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -156,9 +154,9 @@ class Cursor:
         return self.take()
 
     def fail(self, *expected: str) -> NoReturn:
-        """Raise :class:`ParseError` at the current token."""
+        """Raise :class:`ParseError` at the current token, found by its text."""
         kind, text, line, column = self.toks[self.pos]
-        found = "end of input" if kind == "EOF" else text if self.quote_text else kind
+        found = "end of input" if kind == "EOF" else text
         raise ParseError(line, column, expected, found)
 
 

@@ -16,8 +16,8 @@ Identifiers that end up inside judgments (graph nodes, equation
 variables, terminals) must be legal term symbols: a lowercase letter
 followed by letters, digits or underscores.
 
-All four are tokenized by ``coaxiom.dsl.tokenize`` and walked with its
-``Cursor``, like ``.coax`` files: a word is ``[A-Za-z][A-Za-z0-9_]*``,
+All four are tokenized by ``coaxiom.dsl.tokenize``, like ``.coax``
+files, and walked with its ``Cursor``: a word is ``[A-Za-z][A-Za-z0-9_]*``,
 an integer ``-?[0-9]+`` in ASCII digits.
 """
 
@@ -59,7 +59,7 @@ _RESERVED = {"eps", "nt", "str", "tree", "nil", "inf"}
 
 
 def _lexicon(*specials: str) -> Lexicon:
-    return Lexicon(specials, r"[A-Za-z][A-Za-z0-9_]*", "WORD", ("token",), quote_text=True)
+    return Lexicon(specials, r"[A-Za-z][A-Za-z0-9_]*", "WORD", ("token",))
 
 
 _GRAPH = _lexicon()

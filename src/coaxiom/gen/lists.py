@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from ..engine import System
-from ..terms import FinSet, Num, Sym, Term, sym, term_key
+from ..terms import FinSet, Num, Sym, Term, _reach, sym, term_key
 from .common import (DEFAULT_CAP, DEFAULT_CARRIES, LIST_PREDICATES,
                      MalformedEquations, _axiom, _ground, _premise, _subsets,
                      guard_cap)
@@ -22,16 +22,6 @@ __all__ = ["gen_listpred", "gen_add", "DEFAULT_CARRIES", "LIST_PREDICATES"]
 
 TRUE = sym("true")
 FALSE = sym("false")
-
-
-def _list_closure(eqs: EquationSystem, root: str) -> list[str]:
-    """Variables reachable from root by following cons tails, root first."""
-    out = {root: None}
-    b = eqs.binding(root)
-    while isinstance(b, ConsBind) and b.tail not in out:
-        out[b.tail] = None
-        b = eqs.binding(b.tail)
-    return list(out)
 
 
 def _require_root(eqs: EquationSystem, root: str, pred: str) -> None:
@@ -101,39 +91,20 @@ def _tree_ref(eqs: EquationSystem, head: Term) -> tuple[Term, int, str]:
 
 
 def _gen_path0(eqs: EquationSystem, root: str, cap: int) -> System:
-    trees: list[tuple[Term, int, str]] = []
-    lists: list[str] = []
-    seen_trees: set[Term] = set()
-    seen_lists: set[str] = set()
-    tree_work: list[Term] = [sym(root)]
-    seen_trees.add(sym(root))
-    list_work: list[str] = []
-    while tree_work or list_work:
-        if tree_work:
-            ref = _tree_ref(eqs, tree_work.pop(0))
-            trees.append(ref)
-            if ref[2] not in seen_lists:
-                seen_lists.add(ref[2])
-                list_work.append(ref[2])
-            continue
-        name = list_work.pop(0)
-        lists.append(name)
+    # A tree leads only to its children list, so the reach runs over
+    # list variables; the trees are the root and the heads it meets.
+    def successors(name: str) -> tuple[str, ...]:
+        """A cons cell leads to its tail and to its head tree's children."""
         b = eqs.binding(name)
         if isinstance(b, NilBind):
-            continue
+            return ()
         if not isinstance(b.head, Sym):
             raise MalformedEquations(f"path0 needs tree elements, "
                                      f"got {b.head!r} in {name}")
-        if b.head not in seen_trees:
-            seen_trees.add(b.head)
-            tree_work.append(b.head)
-        if b.tail not in seen_lists:
-            seen_lists.add(b.tail)
-            list_work.append(b.tail)
+        return b.tail, _tree_ref(eqs, b.head)[2]
 
-    trees.sort(key=lambda r: term_key(r[0]))
-    lists.sort()
-    refs = [t for t, _, _ in trees]
+    lists = sorted(_reach(_tree_ref(eqs, sym(root))[2], successors))
+    refs = sorted({sym(root), *_elements(eqs, lists)}, key=term_key)
 
     def tree_site(t: Term, label: int, kids: str) -> tuple:
         return [(lambda t2: (sym("is_in", t2, sym(kids)), sym("path0", t2)), refs)], \
@@ -148,7 +119,7 @@ def _gen_path0(eqs: EquationSystem, root: str, cap: int) -> System:
                 ([(lambda t2: (sym("is_in", t2, sym(b.tail)),), refs)],
                  lambda t2: (sym("is_in", t2, sym(name)),) if cons else (), 1)]
 
-    return _ground([tree_site(*r) for r in trees]
+    return _ground([tree_site(*_tree_ref(eqs, t)) for t in refs]
                    + [s for name in lists for s in cell_sites(name)],
                    [sym("path0", t) for t in refs], cap)
 
@@ -172,7 +143,12 @@ def gen_listpred(eqs: EquationSystem, pred: str, root: str,
     _require_root(eqs, root, pred)
     if pred == "path0":
         return _gen_path0(eqs, root, cap)
-    lists = _list_closure(eqs, root)
+
+    def tail(name: str) -> tuple[str, ...]:
+        b = eqs.binding(name)
+        return (b.tail,) if isinstance(b, ConsBind) else ()
+
+    lists = _reach(root, tail)  # root, then each variable down its cons tails
     if pred in ("allPos", "maxElem"):
         _numeric_heads(eqs, lists, pred)
     # One row of the schema per predicate: its cap count, then the
@@ -214,12 +190,10 @@ def _stream_closure(eqs: EquationSystem, roots: tuple[str, str, str]
     for r in roots:
         if not eqs.has(r):
             raise MalformedEquations(f"unbound root variable: {r}")
-    triples = [roots]
-    seen = {roots}
-    cur = roots
-    while True:
+
+    def advance(triple: tuple[str, str, str]) -> list[tuple[str, str, str]]:
         tails = []
-        for name in cur:
+        for name in triple:
             b = eqs.binding(name)
             if isinstance(b, NilBind):
                 raise MalformedEquations(
@@ -230,12 +204,9 @@ def _stream_closure(eqs: EquationSystem, roots: tuple[str, str, str]
                 raise MalformedEquations(
                     f"stream {name} holds {b.head!r}, expected a digit 0-9")
             tails.append(b.tail)
-        nxt = (tails[0], tails[1], tails[2])
-        if nxt in seen:
-            return triples
-        seen.add(nxt)
-        triples.append(nxt)
-        cur = nxt
+        return [(tails[0], tails[1], tails[2])]
+
+    return _reach(roots, advance)
 
 
 def gen_add(eqs: EquationSystem, r1: str, r2: str, r3: str,

@@ -26,7 +26,7 @@ import math
 from typing import Callable, Mapping, Optional, Union
 
 from .engine import DEFAULT_BUDGET, Rule, System, analyse, bound, generated, rule_key
-from .terms import Term, _Frozen, _Record, _postorder, render_term, term_key
+from .terms import Term, _Frozen, _Record, _postorder, _reach, render_term, term_key
 
 __all__ = [
     "RuleRef",
@@ -228,12 +228,12 @@ def prove_regular(sys: System, j: Term,
     if j not in g.judgments:
         return None
     choice: dict[Term, int] = {}
-    todo = [j]
-    while todo:
-        cur = todo.pop()
-        if cur not in choice:
-            rule, choice[cur] = _least(sys, cur, g.judgments.__contains__)
-            todo += rule.premises
+
+    def premises(cur: Term) -> tuple[Term, ...]:
+        rule, choice[cur] = _least(sys, cur, g.judgments.__contains__)
+        return rule.premises
+
+    _reach(j, premises)
     return RegularProof(j, choice)
 
 

@@ -23,7 +23,10 @@ term carries its sort key (see :func:`term_key`), computed once when it
 is interned; :func:`render_term` caches each term's text.  Neither
 recurses, and nor do :func:`_postorder` and :func:`_write`, the
 package's one post-order walk and one pre-order writer, so nesting
-depth is not limited by the interpreter stack.
+depth is not limited by the interpreter stack.  A post-order cannot
+walk a cycle: :func:`_reach`, the package's one breadth-first reach,
+closes the structures that may have one (regular proofs, the cyclic
+lists, trees and digit streams of the list generators).
 """
 
 from __future__ import annotations
@@ -70,6 +73,22 @@ def _postorder(root, children, key=lambda node: node):
         todo.pop()
         done.add(key(node))
         yield node
+
+
+def _reach(start, successors) -> list:
+    """``start``, then each value that ``successors`` leads to, once,
+    in breadth-first order.
+
+    Values are told apart by equality, so the walk ends on a cyclic
+    structure; ``successors`` is asked once per value.
+    """
+    reached, seen = [start], {start}
+    for value in reached:
+        for nxt in successors(value):
+            if nxt not in seen:
+                seen.add(nxt)
+                reached.append(nxt)
+    return reached
 
 
 def _write(value, expand, before: str = "", after: str = "") -> str:

@@ -150,6 +150,20 @@ def test_prove_level_failure_reports_witness(cycle, capsys):
     assert "NotDerivable" in out and "DropsAtLevel(2)" in out
 
 
+def test_prove_level_reads_its_witness_at_that_level(tmp_path, capsys):
+    # a drops at level 4.  --max-iters bounds phase 1 only, so two
+    # rounds of it do not hide the drop from a level-5 proof.
+    chain = tmp_path / "chain.coax"
+    chain.write_text("a <- b. b <- c. c <- d. co d. co c. co b. co a.\n")
+    argv = ("prove", str(chain), "a", "--level", "5", "--max-iters", "2")
+    assert run(capsys, *argv) == (
+        1, "NotDerivable: a has no approx(5) proof\nwitness: DropsAtLevel(4)\n", "")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"judgment": "a", "proof": None, "kind": "approx(5)",
+                               "witness": {"kind": "drops-at-level", "level": 4}}
+
+
 def test_prove_regular_dot_has_a_labelled_back_edge(cycle, capsys):
     code, out, _ = run(capsys, "prove", str(cycle), "visit(a,{a,b})",
                        "--regular", "--format", "dot")
@@ -654,6 +668,32 @@ def test_gen_passes_an_empty_target_or_root_to_the_generator(tmp_path, capsys):
         2, "", "malformed equations: unbound root variable: \n")
     assert run(capsys, "gen", "list", str(lists), "--pred", "allPos") == (
         2, "", "error: gen list needs --pred PREDICATE and --root VAR\n")
+
+
+def test_gen_list_path0_reaches_a_nil_child_list(tmp_path, capsys):
+    eqs = tmp_path / "t.eqs"
+    eqs.write_text("t = tree(0, m); m = nil;\n")
+    assert run(capsys, "gen", "list", str(eqs), "--pred", "path0", "--root", "t") == (
+        0, "path0(t) <- is_in(t,m), path0(t).\nco path0(t).\n", "")
+
+
+def test_gen_list_path0_rejects_a_number_in_a_child_list(tmp_path, capsys):
+    eqs = tmp_path / "t.eqs"
+    eqs.write_text("t = tree(0, l); l = 1 : l;\n")
+    assert run(capsys, "gen", "list", str(eqs), "--pred", "path0", "--root", "t") == (
+        2, "", "malformed equations: path0 needs tree elements, "
+               "got Num(value=1) in l\n")
+
+
+def test_gen_add_names_a_bad_root(tmp_path, capsys):
+    eqs = tmp_path / "s.eqs"
+    eqs.write_text("z = 0 : z; t = tree(0, m); m = nil;\n")
+    assert run(capsys, "gen", "add", str(eqs), "--roots", "z", "z", "q") == (
+        2, "", "malformed equations: unbound root variable: q\n")
+    assert run(capsys, "gen", "add", str(eqs), "--roots", "z", "z", "t") == (
+        2, "", "malformed equations: t is a tree, not a digit stream\n")
+    assert run(capsys, "gen", "add", str(eqs)) == (
+        2, "", "error: gen add needs --roots X Y Z\n")
 
 
 # --carries TEXT -> exit status and the carries grounded (one coaxiom each)

@@ -153,6 +153,17 @@ def test_dist_coind_strictly_exceeds_generated_on_the_toll_graph():
                                 J("dist(c,e,1)"), J("dist(d,e,2)")}
 
 
+def test_a_dead_end_gets_an_infinite_axiom():
+    # c has no edge out, so it can never reach b.
+    g = parse_graph("node a node b node c edge a b 1 edge a c 2")
+    rules = render_system(gen_minpath(g, "b")).splitlines()
+    assert "minPath(c,b,bot,inf)." in rules
+    assert "co minPath(c,b,bot,inf)." in rules
+    rules = render_system(gen_dist(g, "b")).splitlines()
+    assert "dist(c,b,inf)." in rules
+    assert "co dist(c,b,inf)." in rules
+
+
 def test_dist_rejects_unknown_target_and_unweighted_edges():
     with pytest.raises(ValueError):
         gen_dist(TOLL, "zz")

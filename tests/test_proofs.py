@@ -19,7 +19,7 @@ import pytest
 
 import cli_golden
 from coaxiom import (APPROX, REGULAR_GENERATED, RegularProof, Rule, RuleRef,
-                     System, WF_EXTENDED, WfProof, analyse, bound,
+                     System, Violation, WF_EXTENDED, WfProof, analyse, bound,
                      bounded_coinduction, generated, level_witness,
                      parse_system, proof_from_dict, proof_to_dict, proofs,
                      prove_approx, prove_regular, prove_wf, render_system,
@@ -190,6 +190,19 @@ def test_validate_regular_rejects_incomplete_choice():
     fake = RegularProof(P, {P: 0})  # premise q has no chosen rule
     report = validate(CYCLE, fake, REGULAR_GENERATED)
     assert any(v.reason == "missing-choice" for v in report.violations)
+
+
+def test_validate_regular_rejects_a_root_without_a_choice():
+    # The map covers the cycle, but not the judgment it claims to prove.
+    fake = RegularProof(R, {P: 0, Q: 1})
+    report = validate(CYCLE, fake, REGULAR_GENERATED)
+    assert report.violations == (Violation((), R, "missing-choice"),)
+
+
+def test_validate_regular_rejects_a_rule_for_another_judgment():
+    fake = RegularProof(P, {P: 1, Q: 1})  # rule 1 is q <- p
+    report = validate(CYCLE, fake, REGULAR_GENERATED)
+    assert report.violations == (Violation((), P, "conclusion-mismatch"),)
 
 
 def test_violation_paths_point_at_the_node():
