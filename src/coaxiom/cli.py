@@ -488,6 +488,8 @@ _ERRORS = (
     (BudgetExceeded, "iteration budget exceeded", EXIT_BUDGET),
     (MemoryError, "error: out of memory", EXIT_BUDGET),
 )
+# Built at import: a handler short of memory must not allocate first.
+_ERROR_CLASSES = tuple(cls for cls, _, _ in _ERRORS)
 
 
 # The parser main builds on its first call, not at import.
@@ -516,7 +518,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 os.dup2(devnull, sys.stdout.fileno())
                 os.close(devnull)
         return status
-    except tuple(cls for cls, _, _ in _ERRORS) as e:
+    except _ERROR_CLASSES as e:
+        # Let go of the failed command's frames, which its traceback and
+        # context reach, before anything is allocated.
+        e.__traceback__ = e.__context__ = e.__cause__ = None
         label, status = next((label, status) for cls, label, status in _ERRORS
                              if isinstance(e, cls))
         message = str(e)  # empty for a bare MemoryError

@@ -171,12 +171,11 @@ _EMPTY = FinSet()
 # reports an error instead.
 MAX_DEPTH = 2000
 
-# ``_TEXTS(text)``: the second cut of :func:`_read`, the texts of the
-# ``COAX`` tokens, except that a flat term, a symbol applied to
-# arguments without parentheses or comments such as ``visit(a,{a,b})``,
-# is one text.  A character that starts no token is a text of its own.
-_TEXTS = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)*"
-                    r"([a-z][A-Za-z0-9_]*(?:\([^()%]*\))?|<-|[(){},.]|-?[0-9]+|.)?").findall
+# ``_TEXTS(tok)``: the texts of a term text of the split cut, such as
+# ``visit(a,{a,b})``, for :meth:`_Parser.flat_term`.  Such a text has no
+# whitespace, ``%`` or ``.``, so each bracket and comma is a text, and
+# so is each run of other characters between them.
+_TEXTS = re.compile(r"[(){},]|[^(){},]+").findall
 
 
 class _Reread(Exception):
@@ -192,8 +191,8 @@ class _Parser:
     """A parser over the token texts of one cut of a ``.coax`` text.
 
     Positions are kept out of the hot loop: ``tokens``, the positioned
-    tokens that ``toks`` are the texts of, is given only for the last
-    cut of :func:`_read`; without it :meth:`fail` asks for the next cut.
+    tokens that ``toks`` are the texts of, is given only for the token
+    reading of :func:`_read`; without it :meth:`fail` raises ``_Reread``.
     Terms are built with an explicit stack, so nesting depth is not
     limited by the interpreter stack.  Each method takes the index of
     its first token and returns the index after its last.
@@ -229,17 +228,14 @@ class _Parser:
         """The term spelled by the token text ``tok``, a symbol applied
         to arguments, read inside ``height`` open brackets.
 
-        It is read as the ``_TEXTS`` between its outer parentheses; the
+        It is read as its ``_TEXTS`` by :meth:`term`'s bracket stack; the
         most brackets it can nest are its ``(`` and ``{``.
         """
         hit = self.flat.get(tok)
         if hit is None:
-            name, _, args = tok.partition("(")
-            if not name.isidentifier():  # as in a)
-                raise _Reread
-            toks = [name, "("] + _TEXTS(args)  # which ends in ""
+            toks = _TEXTS(tok) + [""]
             t, pos = self.term(toks, 0)
-            if toks[pos]:  # as in inf(a) or f(a)(b)
+            if toks[pos]:  # as in a), inf(a) or f(a)(b)
                 raise _Reread
             hit = t, tok.count("(") + tok.count("{")
         if height + hit[1] > MAX_DEPTH:
@@ -389,17 +385,16 @@ def _split_texts(text: str) -> list[str]:
 
 
 def _read(text: str, read: Callable[[_Parser], _R]) -> _R:
-    """``read`` applied to a parser of ``text``, under the first cut it
-    can go on with: :func:`_split_texts`, then ``_TEXTS``, then the
-    tokens of :func:`tokenize`, which give an error its position or read
-    a term that only looked too deep.  Tokenizing also reports a stray
-    character first, wherever it is.
+    """``read`` applied to a parser of ``text``, under the split cut of
+    :func:`_split_texts` if it can go on with it, and otherwise under
+    the tokens of :func:`tokenize`, the reference reading, which give an
+    error its position or read a term that only looked too deep.
+    Tokenizing also reports a stray character first, wherever it is.
     """
-    for cut in (_split_texts, _TEXTS):
-        try:
-            return read(_Parser(cut(text)))
-        except _Reread:
-            pass
+    try:
+        return read(_Parser(_split_texts(text)))
+    except _Reread:
+        pass
     tokens = tokenize(text, COAX)
     return read(_Parser([tok[1] for tok in tokens], tokens))
 

@@ -194,8 +194,6 @@ def parse_grammar(text: str) -> Grammar:
             if sym not in prods:
                 raise ParseError(line, column, ("nonterminal with productions",), sym)
         else:
-            if not _SYMBOL_RE.match(sym):
-                raise ParseError(line, column, ("terminal",), sym)
             if sym in _RESERVED:
                 raise ParseError(line, column, ("unreserved terminal name",), sym)
             if sym not in terminals:
@@ -367,7 +365,7 @@ def parse_equations(text: str) -> EquationSystem:
                                  "a bare value")
         else:
             *heads, tail = chain
-            if not isinstance(tail, Sym) or tail.name == "tree" or tail == "nil":
+            if not isinstance(tail, Sym) or tail.name == "tree":
                 raise ParseError(line, column,
                                  ("tail variable",), "a non-variable tail")
             if any(h == "nil" for h in heads):

@@ -90,6 +90,12 @@ def test_witness_survivor_reports_fixpoint():
     assert w.at_fixpoint
 
 
+def test_witness_refuses_a_negative_level():
+    with pytest.raises(ValueError) as exc:
+        level_witness(CHAIN, P, -1)
+    assert str(exc.value) == "max_n must be >= 0"
+
+
 def test_witness_without_enough_rounds_is_inconclusive():
     w = level_witness(CHAIN, P, 2)
     assert w == SurvivesTo(2, at_fixpoint=False)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ import coaxiom.cli as cli
 from coaxiom.cli import _dot_escape, _json_text, _rule_id, build_parser, main
 from coaxiom.dsl import MAX_DEPTH
 from coaxiom.gen import gen_visit, parse_graph
+from test_dsl import split_cut_reads
 
 CYCLE_GRAPH = "node a node b node c edge a b edge b a\n"
 
@@ -457,6 +459,41 @@ def test_memory_error_is_a_budget_error(tmp_path, capsys, monkeypatch):
     f = tmp_path / "id.lam"
     f.write_text("\\x. x\n")
     assert run(capsys, "gen", "lambda", str(f)) == (3, "", "error: out of memory\n")
+
+
+def test_memory_error_lets_go_of_what_the_command_built(tmp_path, monkeypatch):
+    # Memory may still be exhausted when main handles the error, so the
+    # line is written only once the failed command's frames are gone.
+    # They are reachable from the traceback, and from the context of a
+    # second MemoryError raised while they unwound.
+    class Built:
+        pass
+
+    watched = []
+
+    def huge(*args, **kwargs):
+        built = Built()
+        watched.append(weakref.ref(built))
+        try:
+            raise MemoryError
+        except MemoryError:
+            raise MemoryError
+
+    gone_at_write = []
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            gone_at_write.append(watched[0]() is None)
+            return super().write(text)
+
+    monkeypatch.setattr("coaxiom.cli.gen_lambda", huge)
+    err = Stderr()
+    monkeypatch.setattr(sys, "stderr", err)
+    f = tmp_path / "id.lam"
+    f.write_text("\\x. x\n")
+    assert main(["gen", "lambda", str(f)]) == 3
+    assert err.getvalue() == "error: out of memory\n"
+    assert gone_at_write == [True]
 
 
 def test_gen_dist_on_a_long_path_graph_reaches_the_cap(tmp_path, capsys):
@@ -919,6 +956,16 @@ def test_cli_output_matches_the_recorded_run(tmp_path, monkeypatch, recorded):
     cli_golden.write_files(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert cli_golden.invoke(recorded["argv"]) == recorded
+
+
+def test_every_recorded_gen_output_is_read_by_the_split_cut():
+    # A text the split cut refuses is read token by token, about 10x
+    # slower on visit-dense's 115 KB rule file.
+    runs = [r for r in GOLDEN["runs"] if r["argv"][0] == "gen" and r["code"] == 0]
+    assert sorted({r["argv"][1] for r in runs}) == \
+        ["add", "dist", "first", "lambda", "list", "minpath", "visit"]
+    for recorded in runs:
+        assert split_cut_reads(recorded["stdout"]), recorded["argv"]
 
 
 class _Writes(io.StringIO):

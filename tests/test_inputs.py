@@ -115,6 +115,21 @@ def test_equations_reject_tree_with_unbound_children():
         parse_equations("t = tree(0, zz);")
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ("l = tree(0, m) : l;", MalformedEquations,
+     "tree children of an element of l must be a bound list: m"),
+    ("l = x : l;\nx = nil;", MalformedEquations,
+     "element x of l must be a tree variable"),
+    ("nil = 1 : l;\nl = nil;", ParseError, "1:1: expected variable, found nil"),
+    ("l = 1;", ParseError,
+     "1:1: expected cons chain or nil or tree(...), found a bare value"),
+])
+def test_equations_name_what_is_wrong(text, error, message):
+    with pytest.raises(error) as exc:
+        parse_equations(text)
+    assert str(exc.value) == message
+
+
 def test_binding_unknown_variable_raises():
     eqs = parse_equations("l = 1 : l;")
     with pytest.raises(MalformedEquations):

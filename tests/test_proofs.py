@@ -121,6 +121,17 @@ def test_approx_co_rule_depth_is_enforced_by_validate():
     assert bad.violations[0].reason == "co-rule-depth"
 
 
+def test_validate_refuses_a_question_it_cannot_ask():
+    tree, regular = prove_wf(CYCLE, P), prove_regular(CYCLE, P)
+    for proof, mode, message in [
+            (regular, WF_EXTENDED, "wf-extended validation expects a WfProof"),
+            (tree, APPROX, "approx validation needs level >= 0"),
+            (tree, "nope", "unknown validation mode: 'nope'")]:
+        with pytest.raises(ValueError) as exc:
+            validate(CYCLE, proof, mode)
+        assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # regular proofs
 
