@@ -519,14 +519,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 os.close(devnull)
         return status
     except _ERROR_CLASSES as e:
-        # Let go of the failed command's frames, which its traceback and
-        # context reach, before anything is allocated.
-        e.__traceback__ = e.__context__ = e.__cause__ = None
-        label, status = next((label, status) for cls, label, status in _ERRORS
-                             if isinstance(e, cls))
-        message = str(e)  # empty for a bare MemoryError
-        sys.stderr.write(f"{label}: {message}\n" if message else label + "\n")
-        return status
+        error = e
+    # Let go of the command's frames and output before allocating; past the
+    # handler, as Python 3.10 holds the traceback until the handler ends.
+    error.__traceback__ = error.__context__ = error.__cause__ = None
+    render = result = text = None
+    label, status = next((label, status) for cls, label, status in _ERRORS
+                         if isinstance(error, cls))
+    message = str(error)  # empty for a bare MemoryError
+    sys.stderr.write(f"{label}: {message}\n" if message else label + "\n")
+    return status
 
 
 if __name__ == "__main__":

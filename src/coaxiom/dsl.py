@@ -34,6 +34,7 @@ one :class:`Lexicon` table, and those languages walk their tokens with
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from typing import Callable, NoReturn, Optional, TypeVar
 
 from .engine import Rule, System, rule_key
@@ -391,10 +392,8 @@ def _read(text: str, read: Callable[[_Parser], _R]) -> _R:
     error its position or read a term that only looked too deep.
     Tokenizing also reports a stray character first, wherever it is.
     """
-    try:
+    with suppress(_Reread):
         return read(_Parser(_split_texts(text)))
-    except _Reread:
-        pass
     tokens = tokenize(text, COAX)
     return read(_Parser([tok[1] for tok in tokens], tokens))
 

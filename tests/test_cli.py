@@ -496,6 +496,38 @@ def test_memory_error_lets_go_of_what_the_command_built(tmp_path, monkeypatch):
     assert gone_at_write == [True]
 
 
+def test_memory_error_lets_go_of_the_output(tmp_path, monkeypatch):
+    # The same when writing the result runs out of memory: main's render
+    # closure and its text must not keep the output alive.
+    class Rendered(str):
+        pass
+
+    outputs = [Rendered("p.\n")]
+    watched = weakref.ref(outputs[0])
+
+    class Stdout(io.StringIO):
+        def write(self, text):
+            raise MemoryError
+
+    gone_at_write = []
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            gone_at_write.append(watched() is None)
+            return super().write(text)
+
+    monkeypatch.setattr("coaxiom.cli.gen_lambda", lambda *a, **k: None)
+    monkeypatch.setattr("coaxiom.cli.render_system", lambda system: outputs.pop())
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    err = Stderr()
+    monkeypatch.setattr(sys, "stderr", err)
+    f = tmp_path / "id.lam"
+    f.write_text("\\x. x\n")
+    assert main(["gen", "lambda", str(f)]) == 3
+    assert err.getvalue() == "error: out of memory\n"
+    assert gone_at_write == [True]
+
+
 def test_gen_dist_on_a_long_path_graph_reaches_the_cap(tmp_path, capsys):
     # 1100 nodes in a row: the simple paths are enumerated with an
     # explicit stack, so the generator gets as far as counting its rules.
