@@ -60,7 +60,7 @@ from .gen import (ClosureBudgetExceeded, DEFAULT_CAP, DEFAULT_CARRIES,
                   LIST_PREDICATES, MalformedEquations)
 from .proofs import (RegularProof, RuleRef, WfProof, proof_to_dict,
                      prove_approx, prove_regular, prove_wf, tree_size)
-from .terms import _write, render_term
+from .terms import _paused, _write, render_term
 
 __all__ = ["main"]
 
@@ -496,6 +496,7 @@ _ERROR_CLASSES = tuple(cls for cls, _, _ in _ERRORS)
 _parser: Optional[argparse.ArgumentParser] = None
 
 
+@_paused
 def main(argv: Optional[Sequence[str]] = None) -> int:
     global _parser
     if _parser is None:

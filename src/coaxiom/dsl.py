@@ -38,7 +38,7 @@ from contextlib import suppress
 from typing import Callable, NoReturn, Optional, TypeVar
 
 from .engine import Rule, System, rule_key
-from .terms import INF, FinSet, Num, Sym, Term, render_term
+from .terms import INF, FinSet, Num, Sym, Term, _paused, render_term
 
 __all__ = [
     "ParseError",
@@ -398,6 +398,7 @@ def _read(text: str, read: Callable[[_Parser], _R]) -> _R:
     return read(_Parser([tok[1] for tok in tokens], tokens))
 
 
+@_paused
 def parse_system(text: str) -> System:
     """Parse a whole ``.coax`` document into a :class:`System`."""
     return System(_read(text, _Parser.statements))

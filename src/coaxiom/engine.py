@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .terms import Term, _Record, _set, term_key
+from .terms import Term, _Record, _paused, _set, term_key
 
 __all__ = [
     "Rule",
@@ -274,6 +274,7 @@ def _propagate(rules: Sequence[Rule], watchers: Mapping[Term, list[int]],
     return changed, layer
 
 
+@_paused
 def _ascend(rules: Sequence[Rule]) -> tuple[dict[Term, int], int]:
     """Entry layer of every judgment derivable from ``rules``, and the
     number of productive layers.
@@ -293,6 +294,7 @@ def _ascend(rules: Sequence[Rule]) -> tuple[dict[Term, int], int]:
                       count, list(facts))
 
 
+@_paused
 def _descend(sys: System, start: frozenset[Term]) -> tuple[dict[Term, int], int]:
     """Drop layer of every judgment the descent from ``start`` removes,
     and the number of productive rounds.

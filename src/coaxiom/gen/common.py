@@ -27,7 +27,7 @@ import math
 from typing import Callable, Sequence
 
 from ..engine import Rule, System
-from ..terms import FinSet, Term, sym
+from ..terms import FinSet, Term, _paused, sym
 
 __all__ = [
     "DEFAULT_CAP",
@@ -113,6 +113,7 @@ def _axiom(t: Term) -> tuple:
     return (), lambda: (t,), 1
 
 
+@_paused
 def _ground(sites: Sequence[tuple], coaxioms: Sequence[Term], cap: int) -> System:
     """Check the count of the site table against the cap, then ground
     each site in turn and the coaxioms last."""

@@ -23,13 +23,12 @@ an integer ``-?[0-9]+`` in ASCII digits.
 
 from __future__ import annotations
 
-import gc
 import re
 from collections import Counter
 from typing import Optional, Union
 
 from ..dsl import Cursor, Lexicon, ParseError, Token
-from ..terms import Num, Sym, Term, _Frozen, _Record, _postorder, _set
+from ..terms import Num, Sym, Term, _Frozen, _Record, _paused, _postorder, _set
 from .common import MalformedEquations
 
 __all__ = [
@@ -431,23 +430,12 @@ class App(_Lambda):
 LambdaTerm = Union[Var, Lam, App]
 
 
+@_paused
 def parse_lambda(text: str) -> LambdaTerm:
     """A lambda term, read up to alpha-equivalence.  Application
     associates to the left, and an abstraction extends as far right as
     possible.  The parser keeps its own stack, so nesting depth is not
     limited by the interpreter stack."""
-    # Pause the collector: reading makes a long-lived node per token and
-    # no reference cycles, and each collection would walk the whole heap.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _read_lambda(text)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _read_lambda(text: str) -> LambdaTerm:
     cur = Cursor(text, _LAMBDA)
     # The binding depths of each variable name in scope, innermost last.
     scope: dict[str, list[int]] = {}

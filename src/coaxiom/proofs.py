@@ -138,6 +138,8 @@ def _least(sys: System, j: Term, admissible: Callable[[Term], bool],
     set."""
     ok = [(r, i) for r, i in sys.by_conclusion.get(j, ())
           if (co or not r.co) and all(map(admissible, r.premises))]
+    if len(ok) == 1:
+        return ok[0]
     if not ok:
         raise AssertionError(f"no admissible rule for {render_term(j)}")
     return min(ok, key=lambda pair: rule_key(pair[0]))

@@ -31,6 +31,8 @@ lists, trees and digit streams of the list generators).
 
 from __future__ import annotations
 
+import gc
+from functools import wraps
 from typing import Union
 
 __all__ = [
@@ -89,6 +91,23 @@ def _reach(start, successors) -> list:
                 seen.add(nxt)
                 reached.append(nxt)
     return reached
+
+
+def _paused(fn):
+    """``fn`` run with the cyclic garbage collector paused, for builders
+    that make many long-lived objects and no reference cycles: each
+    collection would walk the whole heap and free nothing.  The
+    caller's setting is put back however ``fn`` ends."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 def _write(value, expand, before: str = "", after: str = "") -> str:

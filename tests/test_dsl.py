@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import pytest
@@ -431,3 +432,25 @@ def test_parts_of_the_split_cut_are_checked(text, line, column, expected, found)
 def test_a_nested_term_reused_deeper_counts_its_brackets():
     assert len(parse_system(reused_nested(MAX_DEPTH - 3)).regular_rules) == 2
     assert split_cut_reads(reused_nested(MAX_DEPTH - 3))
+
+
+def test_reading_a_large_system_starts_no_collection():
+    # 20,000 rules make tens of thousands of objects the collector
+    # tracks, in no reference cycle: a collection could free nothing.
+    n = 20_000
+    text = "".join(f"c{i} <- c{(i + 1) % n}.\n" for i in range(n)) + "co c0.\n"
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(record)
+    try:
+        sys_ = parse_system(text)
+    finally:
+        gc.callbacks.remove(record)
+    assert len(sys_.regular_rules) == n
+    assert starts == []
+    assert gc.isenabled()

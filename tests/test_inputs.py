@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import gc
 import pickle
@@ -10,10 +9,12 @@ import time
 
 import pytest
 
-from coaxiom import ParseError, num, sym
-from coaxiom.gen import (App, ConsBind, Lam, MalformedEquations, NilBind,
-                         TreeBind, Var, parse_equations, parse_grammar,
-                         parse_graph, parse_lambda, render_lambda)
+from coaxiom import (BudgetExceeded, NotPreFixed, ParseError, Rule, System, cli,
+                     generated, kernel, num, parse_system, sym)
+from coaxiom.gen import (App, ConsBind, InstantiationTooLarge, Lam,
+                         MalformedEquations, NilBind, TreeBind, Var, gen_visit,
+                         parse_equations, parse_grammar, parse_graph,
+                         parse_lambda, render_lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +195,58 @@ def test_lambda_rejects_garbage():
         parse_lambda(r"\x. x) y")
 
 
-def test_lambda_parsing_leaves_the_collector_as_it_was():
-    for text in ("\\x. x", "\\x. y"):
-        for enabled in (True, False):
-            (gc.enable if enabled else gc.disable)()
-            try:
-                with contextlib.suppress(ParseError):
-                    parse_lambda(text)
-                assert gc.isenabled() == enabled
-            finally:
-                gc.enable()
+def _chain(n):
+    return "".join(f"c{i} <- c{i + 1}.\n" for i in range(n)) + f"co c{n}.\n"
+
+
+def _cli(tmp_path, text, *argv):
+    path = tmp_path / "rules.coax"
+    path.write_text(text)
+    return cli.main([argv[0], str(path), *argv[1:]])
+
+
+# Every public call that pauses the collector, returning and raising:
+# (call, the exception it raises or the status it returns).
+PAUSED_CALLS = {
+    "parse_lambda": (lambda tmp: parse_lambda("\\x. x"), None),
+    "parse_lambda-ParseError": (lambda tmp: parse_lambda("\\x. y"), ParseError),
+    "parse_system": (lambda tmp: parse_system("a. b <- a."), None),
+    "parse_system-ParseError": (lambda tmp: parse_system("a <-"), ParseError),
+    "gen_visit": (lambda tmp: gen_visit(parse_graph("node a edge a a")), None),
+    "gen_visit-InstantiationTooLarge": (
+        lambda tmp: gen_visit(parse_graph("node a edge a a"), cap=1),
+        InstantiationTooLarge),
+    "generated": (lambda tmp: generated(parse_system(_chain(3))), None),
+    "generated-BudgetExceeded": (
+        lambda tmp: generated(parse_system(_chain(3)), budget=2), BudgetExceeded),
+    "kernel": (lambda tmp: kernel(System([Rule(sym("a"))]), [sym("a")]), None),
+    "kernel-NotPreFixed": (lambda tmp: kernel(System([Rule(sym("a"))]), []),
+                           NotPreFixed),
+    "cli.main": (lambda tmp: _cli(tmp, _chain(3), "generated"), 0),
+    "cli.main-exit-2": (lambda tmp: _cli(tmp, "a <-", "generated"), 2),
+    "cli.main-exit-3": (lambda tmp: _cli(tmp, _chain(3), "generated", "--max-iters", "2"), 3),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("name", PAUSED_CALLS)
+def test_paused_calls_leave_the_collector_as_it_was(name, enabled, tmp_path,
+                                                   capsys, monkeypatch):
+    call, outcome = PAUSED_CALLS[name]
+    (gc.enable if enabled else gc.disable)()
+    pauses = []
+    monkeypatch.setattr(gc, "disable", lambda _fn=gc.disable: pauses.append(1) or _fn())
+    try:
+        if isinstance(outcome, type):
+            with pytest.raises(outcome):
+                call(tmp_path)
+        else:
+            result = call(tmp_path)
+            assert outcome is None or result == outcome
+        assert pauses
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
 
 
 def test_lambda_tokenizing_is_linear():

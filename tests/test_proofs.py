@@ -396,6 +396,21 @@ def test_approx_picks_a_rule_once_per_judgment_and_level(monkeypatch):
     assert set(picked) == {j for j, _ in pairs}
 
 
+def test_a_lone_admissible_rule_is_taken_without_ranking(monkeypatch):
+    # Every judgment of the cycle has one regular rule: 500 picks, and
+    # nothing to rank them by rule_key.
+    n = 500
+    cycle = System([Rule(sym(f"c{i}"), (sym(f"c{(i + 1) % n}"),)) for i in range(n)]
+                   + [Rule(sym("c0"), co=True)])
+    ranked = []
+    monkeypatch.setattr(proofs, "rule_key", lambda r, _fn=proofs.rule_key:
+                        ranked.append(r) or _fn(r))
+    proof = prove_regular(cycle, sym("c0"))
+    assert ranked == []
+    assert len(proof.choice) == n
+    assert validate(cycle, proof, REGULAR_GENERATED).ok
+
+
 def test_nodes_are_frozen_and_copy_as_themselves():
     proof = prove_wf(LADDER, P)
     assert copy.copy(proof) is proof
