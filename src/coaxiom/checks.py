@@ -24,8 +24,6 @@ __all__ = [
     "NotInBound",
     "DropsAtLevel",
     "SurvivesTo",
-    "is_closed",
-    "is_consistent",
     "bounded_coinduction",
     "level_witness",
 ]
@@ -42,18 +40,6 @@ class Verdict(_Record):
     def __init__(self, accepted: bool,
                  failures: tuple[tuple[Term, str], ...] = ()) -> None:
         self._init(accepted, failures)
-
-
-def is_closed(sys: System, s: Iterable[Term]) -> bool:
-    """No regular rule leads out of s."""
-    t = s if isinstance(s, (set, frozenset)) else frozenset(s)
-    return step(sys, t) <= t
-
-
-def is_consistent(sys: System, s: Iterable[Term]) -> bool:
-    """Every member of s is concluded by a regular rule from premises in s."""
-    t = s if isinstance(s, (set, frozenset)) else frozenset(s)
-    return t <= step(sys, t)
 
 
 def bounded_coinduction(sys: System, candidate: Iterable[Term],

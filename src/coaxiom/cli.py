@@ -53,7 +53,7 @@ from .checks import DropsAtLevel, NotInBound, bounded_coinduction, level_witness
 from .dsl import ParseError, parse_judgment, parse_judgments, parse_system, \
     render_system
 from .engine import (DEFAULT_BUDGET, BudgetExceeded, Interpretation, System,
-                     coind, generated, ind, sort_judgments)
+                     _layers, coind, generated, ind, sort_judgments)
 from . import gen
 from .gen import (ClosureBudgetExceeded, DEFAULT_CAP, DEFAULT_CARRIES,
                   DEFAULT_CLOSURE_BUDGET, InstantiationTooLarge,
@@ -224,30 +224,31 @@ def _cmd_interpret(args: argparse.Namespace) -> Result:
     fn = {"ind": ind, "coind": coind, "generated": generated}[args.mode]
     interp: Interpretation = fn(sys_, budget=args.max_iters)
     judgments = [render_term(j) for j in interp.sorted_judgments()]
+    # (heading, JSON key, pass)
     if not args.trace:
-        parts = []
+        traces = []
     elif args.mode == "generated":
-        parts = [("phase 1 (ascending)", "phase1", interp.phase1.trace),
-                 ("phase 2 (descending)", "phase2", interp.trace)]
+        traces = [("phase 1 (ascending)", "phase1", interp.phase1),
+                  ("phase 2 (descending)", "phase2", interp)]
     else:
         direction = "descending" if args.mode == "coind" else "ascending"
-        parts = [(f"trace ({direction})", None, interp.trace)]
-    # (heading, JSON key, the sets of the trace as rendered terms)
-    traces = [(heading, key, [[render_term(j) for j in sort_judgments(s)]
-                              for s in trace])
-              for heading, key, trace in parts]
+        traces = [(f"trace ({direction})", None, interp)]
 
     def render(fmt: str):
         if fmt == "json":
             doc = {"interpretation": args.mode, "judgments": judgments}
             if traces:
-                doc["trace"] = ({key: sets for _, key, sets in traces}
-                                if args.mode == "generated" else traces[0][2])
+                sets = {key: _layers(pass_, render_term,
+                                     lambda _, d: list(d.values()))
+                        for _, key, pass_ in traces}
+                doc["trace"] = sets if args.mode == "generated" else sets[None]
             return doc
         out = []
-        for heading, _, sets in traces:
+        for heading, _, pass_ in traces:
             out.append(heading + ":")
-            out += [f"({i}) {', '.join(s)}" for i, s in enumerate(sets, start=1)]
+            # Each line is joined as its set is reached, so no set is kept.
+            out += _layers(pass_, render_term,
+                           lambda i, d: f"({i}) {', '.join(d.values())}")
         if traces:
             out.append("")
         out.append(f"{args.mode} ({len(judgments)} judgments):")

@@ -30,8 +30,8 @@ conclusion, which changes in the next layer once its own count is zero.
 
 An :class:`Interpretation` keeps those layers.  Its ``trace``, the set
 after each productive round of the naive whole-set iteration, is
-rebuilt from them only when read; level witnesses and proofs read the
-layers directly.
+rebuilt from them on each read, at O(n²) cost, and never kept; level
+witnesses and proofs read the layers directly.
 
 A :class:`System` runs each phase at most once, on first use, and keeps
 the pass.  A budget refuses a finished pass of at least ``budget``
@@ -179,18 +179,18 @@ class Interpretation(_Record):
     ``trace`` lists the judgment set after each productive round —
     ascending for the inductive phases, descending for the coinductive
     ones — and always ends with ``judgments``; without a productive
-    round it is that one set.  For ``generated`` results, ``phase1``
-    carries the full bound-phase interpretation so both traces stay
-    retrievable.
+    round it is that one set.  It is rebuilt from ``levels`` on each
+    read, in O(n²) time and space for n judgments, and never kept.  For
+    ``generated`` results, ``phase1`` carries the full bound-phase
+    interpretation so both traces stay retrievable.
     """
 
-    __slots__ = ("judgments", "phase", "levels", "layers", "phase1", "_trace")
+    __slots__ = ("judgments", "phase", "levels", "layers", "phase1")
 
     def __init__(self, judgments: frozenset[Term], phase: str,
                  levels: Optional[Mapping[Term, int]] = None, layers: int = 0,
                  phase1: Optional["Interpretation"] = None) -> None:
         self._init(judgments, phase, {} if levels is None else levels, layers, phase1)
-        _set(self, "_trace", None)
 
     def __hash__(self) -> int:
         return hash((self.judgments, self.phase, self.layers, self.phase1))
@@ -207,22 +207,34 @@ class Interpretation(_Record):
 
     @property
     def trace(self) -> tuple[frozenset[Term], ...]:
-        if self._trace is not None:
-            return self._trace
-        by_layer: list[list[Term]] = [[] for _ in range(self.layers)]
-        for j, k in self.levels.items():
-            by_layer[k - 1].append(j)
-        ascending = self.phase in (INDUCTIVE, BOUND)
-        current = set() if ascending else set(self.judgments).union(self.levels)
-        out = []
-        for js in by_layer:
-            if ascending:
-                current.update(js)
-            else:
-                current.difference_update(js)
-            out.append(frozenset(current))
-        _set(self, "_trace", tuple(out) or (self.judgments,))
-        return self._trace
+        return tuple(_layers(self, lambda j: j, lambda i, d: frozenset(d)))
+
+
+def _layers(interp: Interpretation, show, take) -> list:
+    """``take(i, d)`` for the i-th set of ``interp.trace``, each in turn.
+    The dict ``d``, valid during the call, maps the set's judgments j in
+    canonical order to ``show(j)``.  It is sorted once and loses one
+    layer's judgments before each set, so a set costs time linear in its
+    size plus its changes.  An ascending pass is walked from its end.
+    """
+    levels = interp.levels
+    current = {j: show(j) for j in sort_judgments(interp.judgments.union(levels))}
+    changed: list[list[Term]] = [[] for _ in range(interp.layers)]
+    for j, k in levels.items():
+        changed[k - 1].append(j)
+    ascending = interp.phase in (INDUCTIVE, BOUND)
+    # Before each set goes the layer that made it, or, walking an
+    # ascending pass back, the layer after it.
+    steps = ([()] + changed[:0:-1]) if ascending else (changed or [()])
+    sets, full = [], len(current)
+    for n, gone in enumerate(steps, start=1):
+        for j in gone:
+            del current[j]
+        if 2 * len(current) < full:  # a copy drops the slots of deleted keys
+            current = dict(current)
+            full = len(current)
+        sets.append(take(len(steps) + 1 - n if ascending else n, current))
+    return sets[::-1] if ascending else sets
 
 
 def sort_judgments(js: Iterable[Term]) -> list[Term]:

@@ -6,7 +6,7 @@ import pytest
 
 from coaxiom import (BudgetExceeded, DropsAtLevel, NotInBound, Rule,
                      SurvivesTo, System, bounded_coinduction, generated,
-                     is_closed, is_consistent, level_witness, sym)
+                     level_witness, sym)
 
 P, Q, R = sym("p"), sym("q"), sym("r")
 
@@ -16,22 +16,6 @@ CHAIN = System([
 ])
 
 CYCLE = System([Rule(P, (Q,)), Rule(Q, (P,)), Rule(P, co=True)])
-
-
-# ---------------------------------------------------------------------------
-# the two set predicates
-
-def test_is_closed():
-    assert is_closed(CYCLE, {P, Q})
-    assert not is_closed(CYCLE, {Q})       # q <- p pushes p in... p <- q fires
-    assert is_closed(CYCLE, frozenset())   # nothing fires from nothing
-
-
-def test_is_consistent():
-    assert is_consistent(CYCLE, {P, Q})
-    assert is_consistent(CYCLE, frozenset())
-    assert not is_consistent(CHAIN, {P, Q})  # q needs r
-    assert not is_consistent(CHAIN, {R})     # r has no regular rule at all
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,16 @@ from hypothesis import given, strategies as st
 
 import cli_golden
 
-from coaxiom import (REGULAR_GENERATED, RegularProof, WfProof, parse_judgment,
-                     parse_system, proof_from_dict, proof_to_dict, prove_approx,
-                     prove_regular, prove_wf, render_term, sort_judgments,
+from coaxiom import (REGULAR_GENERATED, RegularProof, WfProof, coind, generated,
+                     ind, parse_judgment, parse_system, proof_from_dict,
+                     proof_to_dict, prove_approx, prove_regular, prove_wf,
+                     render_system, render_term, sort_judgments, term_key,
                      validate)
 import coaxiom.cli as cli
 from coaxiom.cli import _dot_escape, _json_text, _rule_id, build_parser, main
 from coaxiom.dsl import MAX_DEPTH
 from coaxiom.gen import gen_visit, parse_graph
+from corpus import as_system, corpus
 from test_dsl import split_cut_reads
 
 CYCLE_GRAPH = "node a node b node c edge a b edge b a\n"
@@ -92,6 +94,52 @@ def test_trace_json_is_schema_stable(cycle, capsys):
     assert [len(s) for s in doc["trace"]["phase2"]] == [5, 3]
     for s in doc["judgments"]:
         assert render_term(parse_judgment(s)) == s
+
+
+def _whole_set_trace(text: str, mode: str, fmt: str) -> str:
+    """What ``MODE FILE --trace`` prints, by its definition: each set of
+    ``interp.trace`` sorted by ``term_key`` and rendered."""
+    interp = {"ind": ind, "coind": coind, "generated": generated}[mode](
+        parse_system(text))
+    if mode == "generated":
+        passes = [("phase 1 (ascending)", "phase1", interp.phase1),
+                  ("phase 2 (descending)", "phase2", interp)]
+    else:
+        direction = "descending" if mode == "coind" else "ascending"
+        passes = [(f"trace ({direction})", None, interp)]
+    traces = [(heading, key, [[render_term(j) for j in sorted(s, key=term_key)]
+                              for s in pass_.trace])
+              for heading, key, pass_ in passes]
+    judgments = [render_term(j) for j in sorted(interp.judgments, key=term_key)]
+    if fmt == "json":
+        trace = ({key: sets for _, key, sets in traces} if mode == "generated"
+                 else traces[0][2])
+        return json.dumps({"interpretation": mode, "judgments": judgments,
+                           "trace": trace}, indent=2) + "\n"
+    lines = []
+    for heading, _, sets in traces:
+        lines.append(heading + ":")
+        lines += [f"({i}) {', '.join(s)}" for i, s in enumerate(sets, start=1)]
+    return "\n".join(lines + ["", f"{mode} ({len(judgments)} judgments):",
+                              *judgments, ""])
+
+
+def test_the_trace_equals_its_whole_set_definition(tmp_path, capsys):
+    texts = [render_system(as_system(triples)) for _, triples in corpus()]
+    # A chain that a coaxiom closes, and a chain that fans out in its
+    # last layer.
+    texts.append("".join(f"c{i} <- c{i + 1}.\n" for i in range(300)) + "co c300.\n")
+    texts.append("c0.\n" + "".join(f"c{i} <- c{i - 1}.\n" for i in range(1, 50))
+                 + "".join(f"f{j} <- c49.\n" for j in range(3000)))
+    path = tmp_path / "rules.coax"
+    for n, text in enumerate(texts):
+        path.write_text(text)
+        for mode in ("ind", "coind", "generated"):
+            for fmt in ("text", "json"):
+                code, out, err = run(capsys, mode, str(path), "--trace",
+                                     "--format", fmt)
+                assert (code, err) == (0, "")
+                assert out == _whole_set_trace(text, mode, fmt), (n, mode, fmt)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,22 @@ def test_system_of_a_grounded_ring_retains_little_memory():
     assert retained < 3 * 2**20, f"{retained / 2**20:.2f} MiB"
 
 
+def test_reading_traces_keeps_nothing():
+    sys_ = System([Rule(sym(f"c{i}"), (sym(f"c{i + 1}"),)) for i in range(2000)]
+                  + [Rule(sym("c2000"), co=True)])
+    result = generated(sys_)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(result.phase1.trace) == len(result.trace) == 2001
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 2 * 2**20, f"{kept / 2**20:.2f} MiB"
+
+
 # ---------------------------------------------------------------------------
 # the four interpretations
 

@@ -127,13 +127,13 @@ def test_interpretations_compare_levels_but_do_not_hash_them():
     assert a != b and hash(a) == hash(b)
 
 
-def test_a_trace_is_built_once_and_not_compared():
+def test_a_trace_is_rebuilt_on_each_read_and_not_compared():
     a = Interpretation(frozenset({P, Q}), "inductive", {P: 1, Q: 2}, 2)
     b = Interpretation(frozenset({P, Q}), "inductive", {P: 1, Q: 2}, 2)
-    trace = a.trace
-    assert trace == (frozenset({P}), frozenset({P, Q}))
-    assert a.trace is trace
-    assert a == b and b.trace == trace
+    trace = (frozenset({P}), frozenset({P, Q}))
+    assert a.trace == trace and a.trace == trace
+    assert a == b and hash(a) == hash(b) and b.trace == trace
+    assert not any("trace" in slot for slot in Interpretation.__slots__)
     assert pickle.loads(pickle.dumps(a)).trace == trace
 
 
