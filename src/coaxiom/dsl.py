@@ -37,8 +37,8 @@ import re
 from contextlib import suppress
 from typing import Callable, NoReturn, Optional, TypeVar
 
-from .engine import Rule, System, rule_key
-from .terms import INF, FinSet, Num, Sym, Term, _paused, render_term
+from .engine import Rule, System
+from .terms import INF, FinSet, Num, Sym, Term, _paused, render_term, term_key
 
 __all__ = [
     "ParseError",
@@ -431,7 +431,13 @@ def render_system(sys: System) -> str:
     symbol names are all IDENTs other than ``inf``, as every generator's
     are: a symbol named ``inf`` reads back as the infinity term, and a
     name such as ``X`` does not read back at all.
+
+    The order is :func:`~coaxiom.engine.rule_key`'s, compared on the
+    ranks of the terms, which are sorted once.
     """
-    lines = [render_rule(r) for r in sorted(sys.regular_rules, key=rule_key)]
-    lines += [render_rule(r) for r in sorted(sys.co_rules, key=rule_key)]
+    families = (sys.regular_rules, sys.co_rules)
+    terms = {t for rs in families for r in rs for t in (r.conclusion, *r.premises)}
+    rank = {t: n for n, t in enumerate(sorted(terms, key=term_key))}
+    lines = [render_rule(r) for rs in families for r in sorted(
+        rs, key=lambda r: (rank[r.conclusion], [rank[p] for p in r.premises]))]
     return "\n".join(lines) + ("\n" if lines else "")

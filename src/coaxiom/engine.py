@@ -34,7 +34,8 @@ rebuilt from them on each read, at O(n²) cost, and never kept; level
 witnesses and proofs read the layers directly.
 
 A :class:`System` runs each phase at most once, on first use, and keeps
-the pass.  A budget refuses a finished pass of at least ``budget``
+the pass; it builds its conclusion index, which only proofs read, the
+same way.  A budget refuses a finished pass of at least ``budget``
 productive layers, as the naive iteration would.
 """
 
@@ -102,7 +103,8 @@ class NotPreFixed(EngineError):
 
 
 class Rule(_Record):
-    """One ground rule.  Premises are deduplicated and canonically sorted.
+    """One ground rule.  Premises are deduplicated and canonically sorted;
+    a premise tuple already strictly in canonical order is kept as given.
 
     ``co=False`` marks a regular rule, ``co=True`` a co rule (a coaxiom
     when the premise tuple is empty).
@@ -113,7 +115,7 @@ class Rule(_Record):
     def __init__(self, conclusion: Term, premises: tuple[Term, ...] = (),
                  co: bool = False) -> None:
         premises = tuple(premises)
-        if len(premises) > 1:
+        if len(premises) > 1 and not _canonical(premises):
             premises = tuple(sorted(set(premises), key=term_key))
         # Field by field: every parsed or grounded rule is built and hashed.
         _set(self, "conclusion", conclusion)
@@ -122,6 +124,18 @@ class Rule(_Record):
 
     def __hash__(self) -> int:
         return hash((self.conclusion, self.premises, self.co))
+
+
+def _canonical(ts: tuple) -> bool:
+    """Whether the terms ``ts`` are strictly increasing, so distinct."""
+    try:
+        key = ts[0]._key
+        for t in ts[1:]:
+            if not key < (key := t._key):
+                return False
+    except AttributeError:  # not a term: sorting raises the TypeError
+        return False
+    return True
 
 
 def rule_key(r: Rule):
@@ -135,22 +149,29 @@ class System:
     Duplicate rules are dropped on construction.  ``by_conclusion``
     sends each conclusion to its ``(rule, position)`` pairs, the regular
     rules first and then the co rules, a position being the rule's index
-    in its own tuple.  Rule order is preserved for reference purposes
+    in its own tuple; it is built on first read and kept, and only
+    proofs read it.  Rule order is preserved for reference purposes
     only; no operation's result depends on it.  A system is read-only,
     and so are the results of :func:`bound` and :func:`analyse` it keeps.
     """
 
-    __slots__ = ("regular_rules", "co_rules", "by_conclusion", "_bound", "_analysis")
+    __slots__ = ("regular_rules", "co_rules", "_by_conclusion", "_bound", "_analysis")
 
     def __init__(self, rules: Iterable[Rule] = ()):
         unique = dict.fromkeys(rules)
         self.regular_rules: tuple[Rule, ...] = tuple(r for r in unique if not r.co)
         self.co_rules: tuple[Rule, ...] = tuple(r for r in unique if r.co)
-        self.by_conclusion: dict[Term, list[tuple[Rule, int]]] = {}
-        for rs in (self.regular_rules, self.co_rules):
-            for i, r in enumerate(rs):
-                self.by_conclusion.setdefault(r.conclusion, []).append((r, i))
-        self._bound = self._analysis = None
+        self._by_conclusion = self._bound = self._analysis = None
+
+    @property
+    def by_conclusion(self) -> dict[Term, list[tuple[Rule, int]]]:
+        if self._by_conclusion is None:
+            index: dict[Term, list[tuple[Rule, int]]] = {}
+            for rs in (self.regular_rules, self.co_rules):
+                for i, r in enumerate(rs):
+                    index.setdefault(r.conclusion, []).append((r, i))
+            self._by_conclusion = index
+        return self._by_conclusion
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, System):

@@ -22,6 +22,7 @@ before it runs a generator, so that loading it loads no generator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Sequence
@@ -123,11 +124,12 @@ def _ground(sites: Sequence[tuple], coaxioms: Sequence[Term], cap: int) -> Syste
         for slots, _, fan in sites), cap)
     rules: list[Rule] = []
     for slots, conclude, _ in sites:
+        # Each premise is made once per slot value, on first use.
+        makers = [functools.cache(make) for make, _ in slots]
         for values in itertools.product(*(u for _, u in slots)):
             heads = conclude(*values)
             if heads:
-                premises = tuple(p for (make, _), v in zip(slots, values)
-                                 for p in make(v))
+                premises = tuple(p for make, v in zip(makers, values) for p in make(v))
                 rules += [Rule(h, premises) for h in heads]
     rules += [Rule(c, co=True) for c in coaxioms]
     return System(rules)

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import gc
+import json
+import random
 import sys
 
 import pytest
 
+from cli_golden import GOLDEN
 from coaxiom import (INF, ParseError, Rule, System, finset, num,
                      parse_judgment, parse_judgments, parse_system,
-                     render_rule, render_system, sym)
+                     render_rule, render_system, rule_key, sym)
 from coaxiom.dsl import COAX, MAX_DEPTH, _Parser, _Reread, _split_texts, tokenize
 from corpus import as_system, corpus
 from oracles import read_coax_rules
@@ -96,6 +99,32 @@ def test_render_system_is_canonical_and_stable():
     assert render_system(a) == render_system(b)
     lines = render_system(a).splitlines()
     assert lines == ["p.", "q <- p.", "co q."]
+
+
+def render_by_rule_key(sys_: System) -> list[str]:
+    return [render_rule(r) for rs in (sys_.regular_rules, sys_.co_rules)
+            for r in sorted(rs, key=rule_key)]
+
+
+def test_render_system_orders_each_family_by_rule_key():
+    for seed, triples in corpus():
+        sys_ = as_system(triples)
+        assert render_system(sys_).splitlines() == render_by_rule_key(sys_), seed
+
+
+def test_render_system_orders_gen_outputs_by_rule_key():
+    # Each gen output of the golden replay, its rules shuffled.
+    rng = random.Random(0)
+    runs = json.loads(GOLDEN.read_text())["runs"]
+    outputs = [run["stdout"] for run in runs
+               if run["argv"][0] == "gen" and run["code"] == 0]
+    assert len(outputs) > 20
+    for text in outputs:
+        parsed = parse_system(text)
+        rules = [*parsed.regular_rules, *parsed.co_rules]
+        sys_ = System(rng.sample(rules, len(rules)))
+        assert render_system(sys_).splitlines() == render_by_rule_key(sys_)
+        assert render_system(sys_) == text
 
 
 def test_render_rule_spells_premises():

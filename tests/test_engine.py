@@ -8,15 +8,20 @@ is checked separately in test_agreement.py.
 from __future__ import annotations
 
 import gc
+import random
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from coaxiom import (BOUND, BudgetExceeded, COINDUCTIVE, DropsAtLevel,
                      GENERATED, INDUCTIVE, NotPreFixed, Rule, System, bound,
-                     coind, generated, ind, kernel, level_witness, step, sym)
+                     bounded_coinduction, coind, engine, generated, ind, kernel,
+                     level_witness, parse_judgment, parse_system, prove_approx,
+                     prove_regular, prove_wf, step, sym)
 from coaxiom.gen import gen_visit, parse_graph
+from coaxiom.terms import term_key
 
 P, Q, R, S = sym("p"), sym("q"), sym("r"), sym("s")
 
@@ -51,6 +56,74 @@ def test_by_conclusion_lists_regular_rules_then_co_rules():
     rules = (Rule(R, co=True), Rule(R, (R,)), Rule(P), Rule(R, (P,)))
     assert mk(*rules).by_conclusion == {
         R: [(rules[1], 0), (rules[3], 2), (rules[0], 0)], P: [(rules[2], 1)]}
+
+
+def test_rule_keeps_canonical_premises_without_sorting(monkeypatch):
+    keyed = []
+    monkeypatch.setattr(engine, "term_key", lambda t: keyed.append(t) or term_key(t))
+    assert Rule(R, (P, Q)).premises == (P, Q)
+    assert keyed == []
+    assert Rule(R, (Q, P, Q)).premises == (P, Q)
+    assert sorted(keyed, key=term_key) == [P, Q]
+
+
+@pytest.mark.parametrize("premises", [(1, 2), ("q", P), (P, None)])
+def test_rule_refuses_premises_that_are_not_terms(premises):
+    with pytest.raises(TypeError, match="not a term"):
+        Rule(R, premises)
+
+
+CYCLE_FILE = Path(__file__).parent / "data" / "cycle.coax"
+MEMBER, NON_MEMBER = parse_judgment("visit(a,{a,b})"), parse_judgment("visit(a,{a})")
+
+
+def test_only_proofs_build_the_conclusion_index():
+    sys_ = parse_system(CYCLE_FILE.read_text())
+    generated(sys_)
+    coind(sys_)
+    bounded_coinduction(sys_, [MEMBER])
+    level_witness(sys_, NON_MEMBER, 5)
+    assert sys_._by_conclusion is None
+
+
+@pytest.mark.parametrize("prove", [prove_wf, lambda s, j: prove_approx(s, j, 2),
+                                   prove_regular], ids=["wf", "approx", "regular"])
+def test_a_proof_builds_the_conclusion_index_once(prove):
+    sys_ = parse_system(CYCLE_FILE.read_text())
+    assert prove(sys_, MEMBER) is not None
+    index = sys_._by_conclusion
+    assert index == System(sys_.regular_rules + sys_.co_rules).by_conclusion
+    for again in (prove_wf, prove_regular):
+        again(sys_, MEMBER)
+    assert sys_._by_conclusion is index
+
+
+def test_a_parsed_system_keeps_no_conclusion_index():
+    # The random flat family: n rules of 0-3 premises over n/4 symbols,
+    # plus n/100 coaxioms, read twice so that the second reading makes
+    # no term and grows no intern table.  Without the index its rules
+    # and system take at least 30% less memory.
+    rng, n = random.Random(31), 20_000
+
+    def s() -> str:
+        return f"s{rng.randrange(n // 4)}"
+
+    lines = []
+    for _ in range(n):
+        head, k = s(), rng.randint(0, 3)
+        lines.append(head + (" <- " + ", ".join(s() for _ in range(k)) if k else "") + ".")
+    text = "\n".join(lines + ["co " + s() + "." for _ in range(n // 100)])
+    parse_system(text)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sys_ = parse_system(text)
+        parsed = tracemalloc.get_traced_memory()[0]
+        assert sys_.by_conclusion
+        indexed = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert parsed <= 0.7 * indexed, f"{parsed} bytes parsed, {indexed} indexed"
 
 
 def test_system_of_a_grounded_ring_retains_little_memory():

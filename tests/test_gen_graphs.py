@@ -13,7 +13,7 @@ import pytest
 from coaxiom import (coind, generated, ind, parse_judgment, parse_system,
                      render_system, sym)
 from coaxiom.gen import (Edge, Graph, InstantiationTooLarge, gen_dist, gen_minpath,
-                         gen_visit, parse_graph, simple_paths_to)
+                         gen_visit, graphs, parse_graph, simple_paths_to)
 from oracles import dijkstra_to, reachable_from
 
 J = parse_judgment
@@ -79,6 +79,28 @@ def test_visit_two_phase_trace_shape_on_the_cycle():
 def test_visit_ind_is_empty_when_nodes_need_each_other():
     # Only the isolated node terminates inductively.
     assert ind(gen_visit(CYCLE)).judgments == {J("visit(c,{c})")}
+
+
+def test_visit_makes_each_premise_once_per_slot_value(monkeypatch):
+    # A 5-node ring plus a chord: 6 edges, each a slot over 32 node
+    # sets, ground 1,152 rules from 160 distinct premises.
+    made = []
+
+    def counted(make):
+        return lambda v: made.append((make, v)) or make(v)
+
+    def ground(sites, coaxioms, cap):
+        return real([([(counted(make), u) for make, u in slots], conclude, fan)
+                     for slots, conclude, fan in sites], coaxioms, cap)
+
+    real = graphs._ground
+    monkeypatch.setattr(graphs, "_ground", ground)
+    nodes = ["a", "b", "c", "d", "e"]
+    g = parse_graph(" ".join(f"node {v}" for v in nodes) + " edge a c" + "".join(
+        f" edge {v} {w}" for v, w in zip(nodes, nodes[1:] + nodes[:1])))
+    sys_ = gen_visit(g)
+    assert len(sys_.regular_rules) == 1152
+    assert len(made) == len(set(made)) == 6 * 32
 
 
 def test_visit_rejects_weighted_graph():
