@@ -307,10 +307,20 @@ class _Parser:
             else:
                 return t, pos
 
+    def unseen(self, toks: list[str], pos: int) -> tuple[Term, int]:
+        """:meth:`term`, for a term token that the table does not give:
+        a name seen for the first time is taken with one check."""
+        tok = toks[pos]
+        if "a" <= tok[:1] <= "z" and toks[pos + 1] != "(" and tok.isidentifier():
+            t = Sym(tok)
+            self.flat[tok] = t, 0
+            return t, pos + 1
+        return self.term(toks, pos)
+
     def statements(self) -> list[Rule]:
         toks = self.toks
         get = self.flat.get
-        term = self.term
+        unseen = self.unseen
         out: list[Rule] = []
         pos = 0
         while toks[pos]:
@@ -324,7 +334,7 @@ class _Parser:
                 conclusion = hit[0]
                 pos += 1
             else:
-                conclusion, pos = term(toks, pos)
+                conclusion, pos = unseen(toks, pos)
             premises: list[Term] = []
             sep = "<-"
             while toks[pos] == sep:
@@ -334,7 +344,7 @@ class _Parser:
                     premises.append(hit[0])
                     pos += 1
                 else:
-                    t, pos = term(toks, pos)
+                    t, pos = unseen(toks, pos)
                     premises.append(t)
                 sep = ","
             if toks[pos] != ".":
@@ -418,10 +428,13 @@ def parse_judgments(text: str) -> tuple[Term, ...]:
 # rendering
 
 def render_rule(r: Rule) -> str:
-    head = ("co " if r.co else "") + render_term(r.conclusion)
-    if r.premises:
-        head += " <- " + ", ".join(render_term(p) for p in r.premises)
-    return head + "."
+    return _line(r, render_term)
+
+
+def _line(r: Rule, text: Callable[[Term], str]) -> str:
+    """The statement of ``r``, its terms written by ``text``."""
+    head = ("co " if r.co else "") + text(r.conclusion)
+    return head + (" <- " + ", ".join(map(text, r.premises)) + "." if r.premises else ".")
 
 
 def render_system(sys: System) -> str:
@@ -433,11 +446,13 @@ def render_system(sys: System) -> str:
     name such as ``X`` does not read back at all.
 
     The order is :func:`~coaxiom.engine.rule_key`'s, compared on the
-    ranks of the terms, which are sorted once.
+    ranks of the terms, which are sorted and rendered once.
     """
     families = (sys.regular_rules, sys.co_rules)
     terms = {t for rs in families for r in rs for t in (r.conclusion, *r.premises)}
     rank = {t: n for n, t in enumerate(sorted(terms, key=term_key))}
-    lines = [render_rule(r) for rs in families for r in sorted(
-        rs, key=lambda r: (rank[r.conclusion], [rank[p] for p in r.premises]))]
+    get = rank.__getitem__
+    text = {t: render_term(t) for t in rank}.__getitem__
+    lines = [_line(r, text) for rs in families for r in sorted(
+        rs, key=lambda r: (get(r.conclusion), *map(get, r.premises)))]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .terms import Term, _Record, _paused, _set, term_key
+from .terms import Term, _Record, _paused, term_key
 
 __all__ = [
     "Rule",
@@ -115,26 +115,33 @@ class Rule(_Record):
     def __init__(self, conclusion: Term, premises: tuple[Term, ...] = (),
                  co: bool = False) -> None:
         premises = tuple(premises)
-        if len(premises) > 1 and not _canonical(premises):
-            premises = tuple(sorted(set(premises), key=term_key))
-        # Field by field: every parsed or grounded rule is built and hashed.
-        _set(self, "conclusion", conclusion)
-        _set(self, "premises", premises)
-        _set(self, "co", co)
+        if len(premises) > 1:
+            try:  # a pair, as most premise tuples are, is one comparison
+                ordered = (premises[0]._key < premises[1]._key if len(premises) == 2
+                           else _canonical(premises))
+            except AttributeError:  # not a term: sorting raises the TypeError
+                ordered = False
+            if not ordered:
+                premises = tuple(sorted(set(premises), key=term_key))
+        # Field by field, by each slot's own setter: every parsed or
+        # grounded rule is built and hashed.
+        _conclusion(self, conclusion)
+        _premises(self, premises)
+        _co(self, co)
 
     def __hash__(self) -> int:
         return hash((self.conclusion, self.premises, self.co))
 
 
+_conclusion, _premises, _co = (vars(Rule)[f].__set__ for f in Rule._fields)
+
+
 def _canonical(ts: tuple) -> bool:
     """Whether the terms ``ts`` are strictly increasing, so distinct."""
-    try:
-        key = ts[0]._key
-        for t in ts[1:]:
-            if not key < (key := t._key):
-                return False
-    except AttributeError:  # not a term: sorting raises the TypeError
-        return False
+    key = ts[0]._key
+    for t in ts[1:]:
+        if not key < (key := t._key):
+            return False
     return True
 
 

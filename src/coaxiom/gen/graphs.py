@@ -34,11 +34,27 @@ def gen_visit(g: Graph, cap: int = DEFAULT_CAP) -> System:
         raise ValueError("visit systems are generated from unweighted graphs")
     nodes = [sym(v) for v in sorted(g.nodes)]
     subsets = _subsets(nodes)
+    # For this call only: each node's bit, each visited set's node mask,
+    # and per site the conclusion of each union's mask, made once; nodes
+    # is in canonical order, so a conclusion's set is found at once.
+    bits = {n: 1 << i for i, n in enumerate(nodes)}
+    masks: dict[Term, int] = {}
 
     def site(v: Term) -> tuple:
         slots = [(_premise("visit", sym(e.dst)), subsets) for e in g.successors(v.name)]
-        return slots, lambda *nss: (sym("visit", v, FinSet(
-            tuple({v}.union(*(ns.elements for ns in nss))))),), 1
+        heads: dict[int, tuple[Term]] = {}
+
+        def conclude(*nss: FinSet) -> tuple[Term]:
+            m = bits[v]
+            for ns in nss:
+                if ns not in masks:
+                    masks[ns] = sum(bits[n] for n in ns.elements)
+                m |= masks[ns]
+            if m not in heads:
+                heads[m] = (sym("visit", v, FinSet(
+                    tuple(n for n in nodes if bits[n] & m))),)
+            return heads[m]
+        return slots, conclude, 1
 
     return _ground([site(v) for v in nodes],
                    [sym("visit", v, FinSet()) for v in nodes], cap)

@@ -10,10 +10,11 @@ import sys
 import pytest
 
 from cli_golden import GOLDEN
-from coaxiom import (INF, ParseError, Rule, System, finset, num,
+from coaxiom import (INF, ParseError, Rule, System, dsl, finset, num,
                      parse_judgment, parse_judgments, parse_system,
-                     render_rule, render_system, rule_key, sym)
+                     render_rule, render_system, render_term, rule_key, sym)
 from coaxiom.dsl import COAX, MAX_DEPTH, _Parser, _Reread, _split_texts, tokenize
+from coaxiom.gen import gen_visit, parse_graph
 from corpus import as_system, corpus
 from oracles import read_coax_rules
 
@@ -125,6 +126,20 @@ def test_render_system_orders_gen_outputs_by_rule_key():
         sys_ = System(rng.sample(rules, len(rules)))
         assert render_system(sys_).splitlines() == render_by_rule_key(sys_)
         assert render_system(sys_) == text
+
+
+def test_render_system_renders_each_term_once(monkeypatch):
+    # gen visit on a 5-node ring plus a chord: 1,157 rules that name
+    # 160 distinct terms 3,333 times.
+    sys_ = gen_visit(parse_graph("node a node b node c node d node e edge a c "
+                                 "edge a b edge b c edge c d edge d e edge e a"))
+    terms = {t for r in sys_.regular_rules + sys_.co_rules for t in (r.conclusion, *r.premises)}
+    rendered = []
+    monkeypatch.setattr(dsl, "render_term", lambda t: rendered.append(t) or render_term(t))
+    text = render_system(sys_)
+    monkeypatch.undo()
+    assert len(rendered) == len(set(rendered)) == len(terms) == 160
+    assert text.splitlines() == render_by_rule_key(sys_)
 
 
 def test_render_rule_spells_premises():
@@ -400,6 +415,64 @@ def test_rendered_corpus_parses_as_read_token_by_token():
         text = render_system(as_system(triples))
         assert split_cut_reads(text), seed
         assert reading(parse_system, text) == reading(read_token_by_token, text), seed
+
+
+def flat_family(n: int, seed: int) -> str:
+    """ROADMAP item 12's random flat family: ``n`` rules of 0-3 premises
+    drawn out of order over n/4 symbols, the last of two or three the
+    first again in a tenth of them, a twentieth of the rules stated
+    twice, and n/100 coaxioms."""
+    rng = random.Random(seed)
+
+    def s() -> str:
+        return f"s{rng.randrange(n // 4)}"
+
+    lines = []
+    for _ in range(n):
+        head, premises = s(), [s() for _ in range(rng.randint(0, 3))]
+        if len(premises) > 1 and rng.random() < 0.1:
+            premises[-1] = premises[0]
+        lines.append(head + (" <- " + ", ".join(premises) if premises else "") + ".")
+    lines += rng.sample(lines, n // 20)
+    rng.shuffle(lines)
+    return "\n".join(lines + ["co " + s() + "." for _ in range(n // 100)]) + "\n"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_both_readings_agree_on_the_flat_family(seed):
+    text = flat_family(2000, seed)
+    # Each statement by its words: the rules in order of first
+    # statement, premises deduplicated and in canonical order.
+    statements = [line.rstrip(".").replace(",", "").split() for line in text.splitlines()]
+    regular = dict.fromkeys((words[0], tuple(sorted(set(words[2:]))))
+                            for words in statements if words[0] != "co")
+    unsorted = [ws for ws in statements if ws[2:] != sorted(set(ws[2:]))]
+    assert len(unsorted) > 200 and any(len(set(ws[2:])) < len(ws[2:]) for ws in unsorted)
+    assert split_cut_reads(text)
+    assert reading(parse_system, text) == reading(read_token_by_token, text)
+    parsed = parse_system(text)
+    assert [(render_term(r.conclusion), tuple(map(render_term, r.premises)))
+            for r in parsed.regular_rules] == list(regular)
+    assert len(parsed.co_rules) == len({ws[1] for ws in statements if ws[0] == "co"})
+
+
+def cycle_tail_text(n: int) -> str:
+    """cycle-tail's shape: an n-rule cycle and an n-rule chain of bare
+    names, each closed by a coaxiom, its statements shuffled."""
+    lines = [f"c{i} <- c{(i + 1) % n}." for i in range(n)]
+    lines += [f"t{i} <- t{i + 1}." for i in range(n)] + ["co c0.", f"co t{n}."]
+    random.Random(n).shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("read", [parse_system, read_token_by_token])
+def test_statements_take_a_new_name_without_the_bracket_machine(monkeypatch, read):
+    entered = []
+    monkeypatch.setattr(_Parser, "term", lambda self, toks, pos, _term=_Parser.term:
+                        entered.append(toks[pos]) or _term(self, toks, pos))
+    sys_ = read(cycle_tail_text(500))
+    assert entered == []
+    assert len(sys_.regular_rules) == 1000 and len(sys_.co_rules) == 2
 
 
 def test_judgments_read_a_symbol_bare_and_then_applied():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -65,6 +66,26 @@ def test_rule_keeps_canonical_premises_without_sorting(monkeypatch):
     assert keyed == []
     assert Rule(R, (Q, P, Q)).premises == (P, Q)
     assert sorted(keyed, key=term_key) == [P, Q]
+
+
+def test_rule_checks_a_canonical_pair_without_a_call():
+    # Python functions entered while rules are built: the pair is one
+    # key comparison inside Rule.__init__, a longer tuple is walked.
+    entered = []
+
+    def record(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(record)
+    try:
+        pair = Rule(R, (P, Q))
+        triple = Rule(R, (P, Q, S))
+    finally:
+        sys.setprofile(None)
+    assert entered == ["__init__", "__init__", "_canonical"]
+    assert (pair.premises, triple.premises) == ((P, Q), (P, Q, S))
+    assert Rule(R, (P, P)).premises == (P,)
 
 
 @pytest.mark.parametrize("premises", [(1, 2), ("q", P), (P, None)])

@@ -14,6 +14,7 @@ from coaxiom import (coind, generated, ind, parse_judgment, parse_system,
                      render_system, sym)
 from coaxiom.gen import (Edge, Graph, InstantiationTooLarge, gen_dist, gen_minpath,
                          gen_visit, graphs, parse_graph, simple_paths_to)
+from coaxiom.terms import FinSet
 from oracles import dijkstra_to, reachable_from
 
 J = parse_judgment
@@ -81,9 +82,13 @@ def test_visit_ind_is_empty_when_nodes_need_each_other():
     assert ind(gen_visit(CYCLE)).judgments == {J("visit(c,{c})")}
 
 
+# A 5-node ring plus a chord, as visit-dense grounds it: 6 edges, each a
+# slot over 32 node sets, ground 1,152 rules from 160 distinct premises.
+RING_WITH_CHORD = parse_graph("node a node b node c node d node e edge a c "
+                              "edge a b edge b c edge c d edge d e edge e a")
+
+
 def test_visit_makes_each_premise_once_per_slot_value(monkeypatch):
-    # A 5-node ring plus a chord: 6 edges, each a slot over 32 node
-    # sets, ground 1,152 rules from 160 distinct premises.
     made = []
 
     def counted(make):
@@ -95,12 +100,25 @@ def test_visit_makes_each_premise_once_per_slot_value(monkeypatch):
 
     real = graphs._ground
     monkeypatch.setattr(graphs, "_ground", ground)
-    nodes = ["a", "b", "c", "d", "e"]
-    g = parse_graph(" ".join(f"node {v}" for v in nodes) + " edge a c" + "".join(
-        f" edge {v} {w}" for v, w in zip(nodes, nodes[1:] + nodes[:1])))
-    sys_ = gen_visit(g)
+    sys_ = gen_visit(RING_WITH_CHORD)
     assert len(sys_.regular_rules) == 1152
     assert len(made) == len(set(made)) == 6 * 32
+
+
+def test_visit_makes_each_conclusion_once(monkeypatch):
+    # The 1,152 regular rules conclude 80 distinct judgments, and the 5
+    # coaxioms have the empty set: one set term made for each.
+    made = []
+    monkeypatch.setattr(graphs, "FinSet", lambda *e: made.append(e) or FinSet(*e))
+    sys_ = gen_visit(RING_WITH_CHORD)
+    monkeypatch.undo()
+    conclusions = {r.conclusion for r in sys_.regular_rules}
+    assert len(made) <= len(conclusions) + len(sys_.co_rules) == 85
+    # Each conclusion is still visit(v, N) with N the node v and the
+    # union of its premises' sets.
+    for r in sys_.regular_rules:
+        v, seen = r.conclusion.args
+        assert seen is FinSet((v, *[n for p in r.premises for n in p.args[1].elements]))
 
 
 def test_visit_rejects_weighted_graph():

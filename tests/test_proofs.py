@@ -13,6 +13,7 @@ import io
 import json
 import pickle
 import random
+import sys
 import time
 
 import pytest
@@ -367,6 +368,35 @@ def test_validate_checks_each_shared_node_once():
         report = validate(sys_, proof, mode, level=level)
         assert report.ok
         assert time.perf_counter() - start < 0.1, mode
+
+
+class _TooMuchWork(Exception):
+    pass
+
+
+def test_validate_enters_no_path_that_ends_at_the_level():
+    # The approx proof of p at level n, the co rule of p at depth n:
+    # 3n/2 + 1 distinct nodes on about 2^(n/2) paths that end at that
+    # co node.  Python calls and returns made by validate count its
+    # work; a walk that entered the paths whose co node is exactly at
+    # the level would make millions, and is stopped.
+    sys_, n = parse_system("p <- q, r. q <- p. r <- p. co p."), 40
+    proof = prove_approx(sys_, P, n)
+    events = 0
+
+    def count(frame, event, arg):
+        nonlocal events
+        events += 1
+        if events > 100_000:
+            raise _TooMuchWork
+
+    sys.setprofile(count)
+    try:
+        report = validate(sys_, proof, APPROX, level=n)
+    finally:
+        sys.setprofile(None)
+    assert report.ok
+    assert events < 100_000
 
 
 # ---------------------------------------------------------------------------
