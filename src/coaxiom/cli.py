@@ -27,7 +27,7 @@ truncated to zero and written again, and each rewrite of OUT waited
 for the flush of the one before it.  JSON and the text of a
 well-founded proof are written by the package's one pre-order writer,
 ``terms._write``, which copies a shared subtree instead of writing it
-again.  A well-founded or approximated proof is small as a DAG but can
+again, as one string when its text is short.  A well-founded or approximated proof is small as a DAG but can
 be exponential as a tree, so ``prove`` counts its tree first
 (``proofs.tree_size``) and refuses one of more than ``--max-nodes``
 nodes before writing anything.
@@ -196,6 +196,16 @@ def _json_node(value, depth: int):
                 "\n" + indent + brackets[1])
     if isinstance(value, str):
         return encode_basestring_ascii(value)
+    # Written as json.dumps would write them, without its ~1.4 µs a call;
+    # the bools before the ints, of which they are a subclass.
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return int.__repr__(value)
     return json.dumps(value)
 
 

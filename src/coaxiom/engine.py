@@ -115,14 +115,20 @@ class Rule(_Record):
     def __init__(self, conclusion: Term, premises: tuple[Term, ...] = (),
                  co: bool = False) -> None:
         premises = tuple(premises)
-        if len(premises) > 1:
-            try:  # a pair, as most premise tuples are, is one comparison
-                ordered = (premises[0]._key < premises[1]._key if len(premises) == 2
-                           else _canonical(premises))
-            except AttributeError:  # not a term: sorting raises the TypeError
-                ordered = False
-            if not ordered:
+        # Every term's key is read, which checks that it is a term; a
+        # pair, as most premise tuples are, is one comparison.
+        try:
+            conclusion._key
+            n = len(premises)
+            if n == 1:
+                premises[0]._key
+            elif n and not (premises[0]._key < premises[1]._key if n == 2
+                            else _canonical(premises)):
                 premises = tuple(sorted(set(premises), key=term_key))
+        except AttributeError:  # not a term: term_key raises the TypeError
+            for t in (conclusion, *premises):
+                term_key(t)
+            raise
         # Field by field, by each slot's own setter: every parsed or
         # grounded rule is built and hashed.
         _conclusion(self, conclusion)

@@ -110,6 +110,11 @@ def _paused(fn):
     return paused
 
 
+# The longest text, in characters, that :func:`_write` joins into one
+# string when it meets a value's pieces again (see there).
+_JOIN_CHARS = 256 * 1024
+
+
 def _write(value, expand, before: str = "", after: str = "") -> str:
     """The text of a tree written in pre-order, between ``before`` and
     ``after``.
@@ -118,20 +123,34 @@ def _write(value, expand, before: str = "", after: str = "") -> str:
     entries, tail)`` for a value with children, where ``entries``
     yields (text before the child, child).  The pieces a value fills
     are recorded under its identity and depth: a value met again at the
-    same depth, such as a subproof shared in memory, is copied as a
-    slice of the pieces instead of being written again.  The text
-    around the tree is two more pieces, so the one join that ends the
-    walk builds the whole text.
+    same depth, such as a subproof shared in memory, is copied instead
+    of being written again.  The first time it is met again, its pieces
+    are joined into one string if their text is at most
+    ``_JOIN_CHARS`` long, and every copy is then that one piece; a
+    longer text stays a slice of the pieces.  So a subtree repeated
+    inside a repeated subtree costs one piece, not all of its own.  The
+    bound counts characters (bytes, in the ASCII JSON), not pieces: once
+    the inner repeats are single strings, every span has few pieces,
+    and a bound on pieces would join spans as long as the whole text,
+    each a copy on top of the join that ends the walk.  The text around
+    the tree is two more pieces, so that one join builds the whole text.
     """
     out: list[str] = [before]
-    spans: dict[tuple[int, int], tuple[int, int]] = {}
+    # Span key -> (first piece, end) until the span is met again, then
+    # the list of pieces each copy adds.
+    spans: dict[tuple[int, int], Union[tuple[int, int], list[str]]] = {}
     # Open values: (span key, first piece, entries, tail).
     stack: list[tuple] = []
     while True:
         key = (id(value), len(stack))
         span = spans.get(key)
         if span is not None:
-            out += out[span[0]:span[1]]
+            if type(span) is tuple:
+                span = out[span[0]:span[1]]
+                if sum(map(len, span)) <= _JOIN_CHARS:
+                    span = ["".join(span)]
+                spans[key] = span
+            out += span
         elif isinstance(node := expand(value, len(stack)), str):
             out.append(node)
         else:

@@ -23,6 +23,7 @@ from coaxiom import (REGULAR_GENERATED, RegularProof, WfProof, coind, generated,
                      render_system, render_term, sort_judgments, term_key,
                      validate)
 import coaxiom.cli as cli
+import coaxiom.terms
 from coaxiom.cli import _dot_escape, _json_text, _rule_id, build_parser, main
 from coaxiom.dsl import MAX_DEPTH
 from coaxiom.gen import gen_visit, parse_graph
@@ -606,6 +607,42 @@ def test_json_writer_matches_json_dumps(doc, shared):
     assert _json_text(reused) == json.dumps(reused, indent=2)
 
 
+@pytest.mark.parametrize("bound", [0, 300, coaxiom.terms._JOIN_CHARS, 10 ** 12])
+def test_json_of_shared_subproofs_matches_json_dumps(monkeypatch, bound):
+    sys_ = parse_system(cli_golden.ladder(6))
+    proof = proof_to_dict(prove_wf(sys_, parse_judgment("x6")), sys_)
+    # The subproofs shared at one depth run from under 300 characters
+    # to over it; the document holds them at other depths as well.
+    shared, todo = [], [proof]
+    while todo:
+        node = todo.pop()
+        children = node["children"]
+        if len(children) == 1:
+            shared.append(len(json.dumps(children[0], indent=2)))
+        todo += children
+    assert min(shared) <= 300 < max(shared)
+    lower = proof["children"][0]["children"][0]
+    doc = {"proof": proof, "again": [proof, lower, {"k": [lower, proof]}],
+           "last": [[lower], proof]}
+    monkeypatch.setattr(coaxiom.terms, "_JOIN_CHARS", bound)
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+    assert _json_text(doc, "\n") == json.dumps(doc, indent=2) + "\n"
+
+
+class _Int(int):
+    def __repr__(self) -> str:
+        return "not JSON"
+
+
+@pytest.mark.parametrize("value", [
+    True, False, None, 0, -1, -(10 ** 20), 10 ** 299, -(10 ** 299), 1.5,
+    float("nan"), float("inf"), float("-inf"), _Int(7), _Int(-3)])
+def test_json_scalars_match_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+    doc = {"v": [value, {"w": value}]}
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
 # ---------------------------------------------------------------------------
 # bcp
 
@@ -1113,6 +1150,20 @@ def test_a_large_json_proof_is_not_copied_on_its_way_out(tmp_path):
         kept.getvalue()
 
     assert peak < 1.3 * len(text) + _peak(keep)
+
+
+def test_the_ladder_json_is_written_in_little_more_than_its_own_size():
+    # The 12-rung ladder's wf proof is 10.4 MiB of JSON.  Its repeated
+    # subproofs are copied as single strings up to the join bound, so
+    # the pieces joined at the end are few, and the bounded joins are
+    # all the writer holds besides the text.
+    sys_ = parse_system(cli_golden.ladder(12))
+    doc = {"judgment": "x12", "kind": "wf",
+           "proof": proof_to_dict(prove_wf(sys_, parse_judgment("x12")), sys_)}
+    texts = []
+    peak = _peak(lambda: texts.append(_json_text(doc, "\n")))
+    assert len(texts[0]) > 10 * 2 ** 20
+    assert peak <= 1.10 * len(texts[0])
 
 
 # ---------------------------------------------------------------------------

@@ -88,10 +88,19 @@ def test_rule_checks_a_canonical_pair_without_a_call():
     assert Rule(R, (P, P)).premises == (P,)
 
 
-@pytest.mark.parametrize("premises", [(1, 2), ("q", P), (P, None)])
+@pytest.mark.parametrize("premises", [(1, 2), ("q", P), (P, None), (1,), ("q",),
+                                      (P, Q, 3)])
 def test_rule_refuses_premises_that_are_not_terms(premises):
     with pytest.raises(TypeError, match="not a term"):
         Rule(R, premises)
+
+
+@pytest.mark.parametrize("conclusion", [1, "p", None])
+def test_rule_refuses_a_conclusion_that_is_not_a_term(conclusion):
+    with pytest.raises(TypeError, match="not a term"):
+        Rule(conclusion)
+    with pytest.raises(TypeError, match="not a term"):
+        Rule(conclusion, (P, Q), co=True)
 
 
 CYCLE_FILE = Path(__file__).parent / "data" / "cycle.coax"

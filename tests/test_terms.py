@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 import coaxiom.terms
@@ -156,3 +158,52 @@ def test_non_terms_are_rejected():
         term_key("a")
     with pytest.raises(TypeError):
         render_term(("a",))
+
+
+def _ladder_dag(k: int):
+    """Nodes ``(name, children)``: x_i has children y_i and z_i, which
+    both have the one x_(i-1), so x_(i-1) is shared at one depth; the
+    root holds x_k and x_(k-2) again at other depths as well."""
+    x = ("x0", ())
+    xs = [x]
+    for i in range(1, k + 1):
+        x = (f"x{i}", ((f"y{i}", (x,)), (f"z{i}", (x,))))
+        xs.append(x)
+    other = ("w", (xs[k], xs[k - 2]))
+    return ("r", (xs[k], other, xs[k - 2], other, xs[k]))
+
+
+def _node(value, depth):
+    name, children = value
+    text = "  " * depth + name
+    if not children:
+        return text
+    return text + "[", (("\n", c) for c in children), "]"
+
+
+def _naive(value, depth=0):
+    name, children = value
+    text = "  " * depth + name
+    if not children:
+        return text
+    return text + "[" + "".join("\n" + _naive(c, depth + 1) for c in children) + "]"
+
+
+@pytest.mark.parametrize("bound", [0, 300, coaxiom.terms._JOIN_CHARS, 10 ** 12])
+def test_the_writer_copies_repeats_whole_or_as_pieces(monkeypatch, bound):
+    root = _ladder_dag(8)
+    # The repeated subtrees run from under 300 characters to over it,
+    # so a bound of 300 joins some repeats and copies others as pieces.
+    occurrences, todo = [], [(root, 0)]
+    while todo:
+        value, depth = todo.pop()
+        occurrences.append((value, depth))
+        todo += [(c, depth + 1) for c in value[1]]
+    counts = Counter((id(value), depth) for value, depth in occurrences)
+    sizes = [len(_naive(value, depth)) for value, depth in occurrences
+             if value[1] and counts[id(value), depth] > 1]
+    assert min(sizes) <= 300 < max(sizes)
+    monkeypatch.setattr(coaxiom.terms, "_JOIN_CHARS", bound)
+    expected = _naive(root)
+    assert coaxiom.terms._write(root, _node, "<", ">") == "<" + expected + ">"
+    assert coaxiom.terms._write(root, _node) == expected
