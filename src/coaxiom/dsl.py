@@ -37,7 +37,7 @@ import re
 from contextlib import suppress
 from typing import Callable, NoReturn, Optional, TypeVar
 
-from .engine import Rule, System
+from .engine import Rule, System, _ordered, _system
 from .terms import INF, FinSet, Num, Sym, Term, _paused, render_term, term_key
 
 __all__ = [
@@ -317,11 +317,13 @@ class _Parser:
             return t, pos + 1
         return self.term(toks, pos)
 
-    def statements(self) -> list[Rule]:
+    def statements(self) -> list[tuple[Term, tuple[Term, ...], bool]]:
+        """The ``(conclusion, premises, co)`` key of each statement, its
+        premises in canonical order, for :func:`~coaxiom.engine._system`."""
         toks = self.toks
         get = self.flat.get
         unseen = self.unseen
-        out: list[Rule] = []
+        out: list[tuple[Term, tuple[Term, ...], bool]] = []
         pos = 0
         while toks[pos]:
             # "co" is the co marker only when a term follows.
@@ -349,7 +351,8 @@ class _Parser:
                 sep = ","
             if toks[pos] != ".":
                 self.fail(pos, ".")
-            out.append(Rule(conclusion, premises, co))
+            ps = tuple(premises)
+            out.append((conclusion, _ordered(ps) if len(ps) > 1 else ps, co))
             pos += 1
         return out
 
@@ -411,7 +414,7 @@ def _read(text: str, read: Callable[[_Parser], _R]) -> _R:
 @_paused
 def parse_system(text: str) -> System:
     """Parse a whole ``.coax`` document into a :class:`System`."""
-    return System(_read(text, _Parser.statements))
+    return _system(_read(text, _Parser.statements))
 
 
 def parse_judgment(text: str) -> Term:

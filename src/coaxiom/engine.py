@@ -34,8 +34,11 @@ rebuilt from them on each read, at O(n²) cost, and never kept; level
 witnesses and proofs read the layers directly.
 
 A :class:`System` runs each phase at most once, on first use, and keeps
-the pass; it builds its conclusion index, which only proofs read, the
-same way.  A budget refuses a finished pass of at least ``budget``
+the pass; phase 1 also keeps which rules fired.  A rule that did not
+fire has a premise outside the bound, so it is never live in phase 2
+and no proof can use it: the descent from the kept bound and the
+conclusion index, built on first use for proofs only, read only the
+fired rules.  A budget refuses a finished pass of at least ``budget``
 productive layers, as the naive iteration would.
 """
 
@@ -115,22 +118,16 @@ class Rule(_Record):
     def __init__(self, conclusion: Term, premises: tuple[Term, ...] = (),
                  co: bool = False) -> None:
         premises = tuple(premises)
-        # Every term's key is read, which checks that it is a term; a
-        # pair, as most premise tuples are, is one comparison.
+        # Every term's key is read, which checks that it is a term.
         try:
             conclusion._key
-            n = len(premises)
-            if n == 1:
+            if len(premises) == 1:
                 premises[0]._key
-            elif n and not (premises[0]._key < premises[1]._key if n == 2
-                            else _canonical(premises)):
-                premises = tuple(sorted(set(premises), key=term_key))
+            premises = _ordered(premises)
         except AttributeError:  # not a term: term_key raises the TypeError
             for t in (conclusion, *premises):
                 term_key(t)
             raise
-        # Field by field, by each slot's own setter: every parsed or
-        # grounded rule is built and hashed.
         _conclusion(self, conclusion)
         _premises(self, premises)
         _co(self, co)
@@ -140,6 +137,17 @@ class Rule(_Record):
 
 
 _conclusion, _premises, _co = (vars(Rule)[f].__set__ for f in Rule._fields)
+
+
+def _ordered(premises: tuple) -> tuple:
+    """``premises`` in canonical order without repeats.  A tuple already
+    strictly in that order is returned as given; a pair is checked with
+    one comparison."""
+    n = len(premises)
+    if n > 1 and not (premises[0]._key < premises[1]._key if n == 2
+                      else _canonical(premises)):
+        return tuple(sorted(set(premises), key=term_key))
+    return premises
 
 
 def _canonical(ts: tuple) -> bool:
@@ -160,29 +168,33 @@ class System:
     """An inference system: regular rules plus co rules.
 
     Duplicate rules are dropped on construction.  ``by_conclusion``
-    sends each conclusion to its ``(rule, position)`` pairs, the regular
-    rules first and then the co rules, a position being the rule's index
-    in its own tuple; it is built on first read and kept, and only
+    sends each conclusion to its ``(rule, position)`` pairs among the
+    rules that fired in phase 1, the only ones a proof can use: regular
+    rules first, then co rules, a position being the rule's index in its
+    own tuple.  It is built on first read, after phase 1, and kept; only
     proofs read it.  Rule order is preserved for reference purposes
     only; no operation's result depends on it.  A system is read-only,
     and so are the results of :func:`bound` and :func:`analyse` it keeps.
     """
 
-    __slots__ = ("regular_rules", "co_rules", "_by_conclusion", "_bound", "_analysis")
+    __slots__ = ("regular_rules", "co_rules", "_by_conclusion", "_bound", "_fired", "_analysis")
 
     def __init__(self, rules: Iterable[Rule] = ()):
         unique = dict.fromkeys(rules)
         self.regular_rules: tuple[Rule, ...] = tuple(r for r in unique if not r.co)
         self.co_rules: tuple[Rule, ...] = tuple(r for r in unique if r.co)
-        self._by_conclusion = self._bound = self._analysis = None
+        self._by_conclusion = self._bound = self._fired = self._analysis = None
 
     @property
     def by_conclusion(self) -> dict[Term, list[tuple[Rule, int]]]:
         if self._by_conclusion is None:
+            if self._fired is None:
+                bound(self, None)
+            rules, n = self.regular_rules + self.co_rules, len(self.regular_rules)
             index: dict[Term, list[tuple[Rule, int]]] = {}
-            for rs in (self.regular_rules, self.co_rules):
-                for i, r in enumerate(rs):
-                    index.setdefault(r.conclusion, []).append((r, i))
+            for i in self._fired:
+                r = rules[i]
+                index.setdefault(r.conclusion, []).append((r, i if i < n else i - n))
             self._by_conclusion = index
         return self._by_conclusion
 
@@ -198,6 +210,23 @@ class System:
     def __repr__(self) -> str:
         return (f"System({len(self.regular_rules)} regular, "
                 f"{len(self.co_rules)} co)")
+
+
+def _system(keys: Iterable[tuple[Term, tuple[Term, ...], bool]]) -> System:
+    """The system of the distinct ``(conclusion, premises, co)`` keys of
+    terms, premises as :func:`_ordered` gives them.  The keys are
+    deduplicated in C, and each rule is made once by its slots' setters,
+    without the checks and the Python-level hash of :class:`Rule`."""
+    families: tuple[list[Rule], list[Rule]] = ([], [])
+    for c, ps, co in dict.fromkeys(keys):
+        r = object.__new__(Rule)
+        _conclusion(r, c)
+        _premises(r, ps)
+        _co(r, co)
+        families[co].append(r)
+    sys = System()
+    sys.regular_rules, sys.co_rules = map(tuple, families)
+    return sys
 
 
 class Interpretation(_Record):
@@ -321,9 +350,10 @@ def _propagate(rules: Sequence[Rule], watchers: Mapping[Term, list[int]],
 
 
 @_paused
-def _ascend(rules: Sequence[Rule]) -> tuple[dict[Term, int], int]:
-    """Entry layer of every judgment derivable from ``rules``, and the
-    number of productive layers.
+def _ascend(rules: Sequence[Rule]) -> tuple[dict[Term, int], int, list[int]]:
+    """Entry layer of every judgment derivable from ``rules``, the
+    number of productive layers, and the positions of the rules that
+    fired, in order.
 
     A rule counts its premises not derived yet and fires once the count
     reaches 0; a judgment enters in the layer after the first rule
@@ -336,22 +366,22 @@ def _ascend(rules: Sequence[Rule]) -> tuple[dict[Term, int], int]:
     count = dict.fromkeys([r.conclusion for r in rules], 1)
     facts = dict.fromkeys([r.conclusion for r in rules if not r.premises], 0)
     count.update(facts)
-    return _propagate(rules, watchers, [len(r.premises) for r in rules],
-                      count, list(facts))
+    missing = [len(r.premises) for r in rules]
+    entry, layers = _propagate(rules, watchers, missing, count, list(facts))
+    return entry, layers, [i for i, n in enumerate(missing) if not n]
 
 
 @_paused
-def _descend(sys: System, start: frozenset[Term]) -> tuple[dict[Term, int], int]:
+def _descend(rules: Sequence[Rule], start: frozenset[Term]) -> tuple[dict[Term, int], int]:
     """Drop layer of every judgment the descent from ``start`` removes,
-    and the number of productive rounds.
+    and the number of productive rounds, under the regular ``rules``.
 
-    Each judgment counts its live regular rules, those whose premises
-    all still hold.  A rule dies in the round its first premise drops;
-    a judgment drops in the round after its last live rule died.
-    Raises :class:`NotPreFixed` if a live rule concludes outside
-    ``start``.
+    Each judgment counts its live rules, those whose premises all still
+    hold, so a rule with a premise outside ``start`` may be left out.  A
+    rule dies in the round its first premise drops; a judgment drops in
+    the round after its last live rule died.  Raises :class:`NotPreFixed`
+    if a live rule concludes outside ``start``.
     """
-    rules = sys.regular_rules
     live = dict.fromkeys(start, 0)
     watchers: dict[Term, list[int]] = {}
     escaped: list[Term] = []
@@ -371,7 +401,7 @@ def _descend(sys: System, start: frozenset[Term]) -> tuple[dict[Term, int], int]
 
 def ind(sys: System, budget: int = DEFAULT_BUDGET) -> Interpretation:
     """Inductive interpretation of the regular rules (least fixed point)."""
-    entry, layers = _ascend(sys.regular_rules)
+    entry, layers, _ = _ascend(sys.regular_rules)
     return _within(Interpretation(frozenset(entry), INDUCTIVE, entry, layers), budget)
 
 
@@ -382,14 +412,14 @@ def coind(sys: System, budget: int = DEFAULT_BUDGET) -> Interpretation:
     contains every candidate judgment.
     """
     start = frozenset(r.conclusion for r in sys.regular_rules)
-    drop, layers = _descend(sys, start)
+    drop, layers = _descend(sys.regular_rules, start)
     return _within(Interpretation(start.difference(drop), COINDUCTIVE, drop, layers), budget)
 
 
 def bound(sys: System, budget: int = DEFAULT_BUDGET) -> Interpretation:
     """Phase 1, kept in ``sys``: inductive interpretation with co rules."""
     if sys._bound is None:
-        entry, layers = _ascend(sys.regular_rules + sys.co_rules)
+        entry, layers, sys._fired = _ascend(sys.regular_rules + sys.co_rules)
         sys._bound = Interpretation(frozenset(entry), BOUND, entry, layers)
     return _within(sys._bound, budget)
 
@@ -401,10 +431,14 @@ def kernel(sys: System, beta: Iterable[Term],
     Raises :class:`NotPreFixed` if ``beta`` is not closed under the
     regular rules (the defining descent is only meaningful below a
     pre-fixed point).  ``budget=None`` accepts a descent of any length;
-    it ends within ``len(beta)`` rounds.
+    it ends within ``len(beta)`` rounds.  From the bound that ``sys``
+    keeps, it reads only the regular rules that fired in phase 1.
     """
     b = beta if isinstance(beta, frozenset) else frozenset(beta)
-    drop, layers = _descend(sys, b)
+    rules = sys.regular_rules
+    if sys._bound is not None and b is sys._bound.judgments:
+        rules = [rules[i] for i in sys._fired if i < len(rules)]
+    drop, layers = _descend(rules, b)
     return _within(Interpretation(b.difference(drop), GENERATED, drop, layers), budget)
 
 

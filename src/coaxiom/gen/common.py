@@ -27,7 +27,7 @@ import itertools
 import math
 from typing import Callable, Sequence
 
-from ..engine import Rule, System
+from ..engine import System, _ordered, _system
 from ..terms import FinSet, Term, _paused, sym
 
 __all__ = [
@@ -122,14 +122,15 @@ def _ground(sites: Sequence[tuple], coaxioms: Sequence[Term], cap: int) -> Syste
         fan * math.prod(u.size if isinstance(u, _Universe) else len(u)
                         for _, u in slots)
         for slots, _, fan in sites), cap)
-    rules: list[Rule] = []
+    keys: list[tuple[Term, tuple[Term, ...], bool]] = []
     for slots, conclude, _ in sites:
         # Each premise is made once per slot value, on first use.
         makers = [functools.cache(make) for make, _ in slots]
         for values in itertools.product(*(u for _, u in slots)):
             heads = conclude(*values)
             if heads:
-                premises = tuple(p for make, v in zip(makers, values) for p in make(v))
-                rules += [Rule(h, premises) for h in heads]
-    rules += [Rule(c, co=True) for c in coaxioms]
-    return System(rules)
+                premises = _ordered(tuple(
+                    p for make, v in zip(makers, values) for p in make(v)))
+                keys += [(h, premises, False) for h in heads]
+    keys += [(c, (), True) for c in coaxioms]
+    return _system(keys)

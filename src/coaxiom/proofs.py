@@ -135,7 +135,8 @@ def _least(sys: System, j: Term, admissible: Callable[[Term], bool],
     """The canonically least rule concluding ``j`` whose premises all
     pass ``admissible``, with its index in its list.  Regular rules come
     before co rules at a tie, and co rules compete only when ``co`` is
-    set."""
+    set.  Only the rules that fired in phase 1 are read: every test
+    passed here admits only premises in the bound."""
     ok = [(r, i) for r, i in sys.by_conclusion.get(j, ())
           if (co or not r.co) and all(map(admissible, r.premises))]
     if len(ok) == 1:

@@ -14,6 +14,7 @@ from coaxiom import (INF, ParseError, Rule, System, dsl, finset, num,
                      parse_judgment, parse_judgments, parse_system,
                      render_rule, render_system, render_term, rule_key, sym)
 from coaxiom.dsl import COAX, MAX_DEPTH, _Parser, _Reread, _split_texts, tokenize
+from coaxiom.engine import _system
 from coaxiom.gen import gen_visit, parse_graph
 from corpus import as_system, corpus
 from oracles import read_coax_rules
@@ -389,7 +390,7 @@ def read_token_by_token(text: str) -> System:
     """``text`` read through the tokens of :func:`tokenize`, as
     ``parse_system`` reads a text it cannot take faster."""
     tokens = tokenize(text, COAX)
-    return System(_Parser([tok[1] for tok in tokens], tokens).statements())
+    return _system(_Parser([tok[1] for tok in tokens], tokens).statements())
 
 
 def read_judgments_token_by_token(text: str) -> tuple:

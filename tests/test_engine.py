@@ -59,6 +59,17 @@ def test_by_conclusion_lists_regular_rules_then_co_rules():
         R: [(rules[1], 0), (rules[3], 2), (rules[0], 0)], P: [(rules[2], 1)]}
 
 
+def test_by_conclusion_holds_only_the_rules_that_fired():
+    # q <- s, s <- s and the co rule r <- s rest on s, which is outside
+    # the bound; q's coaxiom fires, and so does the co rule p <- q.
+    rules = (Rule(P), Rule(Q, (S,)), Rule(S, (S,)), Rule(R, (P, Q)),
+             Rule(Q, co=True), Rule(P, (Q,), co=True), Rule(R, (S,), co=True))
+    sys_ = mk(*rules)
+    assert sys_.by_conclusion == {P: [(rules[0], 0), (rules[5], 1)],
+                                  R: [(rules[3], 3)], Q: [(rules[4], 0)]}
+    assert bound(sys_).judgments == {P, Q, R}
+
+
 def test_rule_keeps_canonical_premises_without_sorting(monkeypatch):
     keyed = []
     monkeypatch.setattr(engine, "term_key", lambda t: keyed.append(t) or term_key(t))
@@ -70,7 +81,7 @@ def test_rule_keeps_canonical_premises_without_sorting(monkeypatch):
 
 def test_rule_checks_a_canonical_pair_without_a_call():
     # Python functions entered while rules are built: the pair is one
-    # key comparison inside Rule.__init__, a longer tuple is walked.
+    # key comparison inside _ordered, a longer tuple is walked.
     entered = []
 
     def record(frame, event, arg):
@@ -83,7 +94,7 @@ def test_rule_checks_a_canonical_pair_without_a_call():
         triple = Rule(R, (P, Q, S))
     finally:
         sys.setprofile(None)
-    assert entered == ["__init__", "__init__", "_canonical"]
+    assert entered == ["__init__", "_ordered", "__init__", "_ordered", "_canonical"]
     assert (pair.premises, triple.premises) == ((P, Q), (P, Q, S))
     assert Rule(R, (P, P)).premises == (P,)
 
@@ -122,7 +133,12 @@ def test_a_proof_builds_the_conclusion_index_once(prove):
     sys_ = parse_system(CYCLE_FILE.read_text())
     assert prove(sys_, MEMBER) is not None
     index = sys_._by_conclusion
-    assert index == System(sys_.regular_rules + sys_.co_rules).by_conclusion
+    inside = bound(sys_).judgments
+    fired = [(r, i) for rs in (sys_.regular_rules, sys_.co_rules)
+             for i, r in enumerate(rs) if inside.issuperset(r.premises)]
+    assert index == {j: [(r, i) for r, i in fired if r.conclusion is j]
+                     for j in dict.fromkeys(r.conclusion for r, _ in fired)}
+    assert len(fired) < len(sys_.regular_rules) + len(sys_.co_rules)
     for again in (prove_wf, prove_regular):
         again(sys_, MEMBER)
     assert sys_._by_conclusion is index

@@ -250,13 +250,25 @@ def test_paused_calls_leave_the_collector_as_it_was(name, enabled, tmp_path,
 
 
 def test_lambda_tokenizing_is_linear():
-    # About 400 KB and 200k tokens: a tokenizer that copies the rest of
-    # the text for every token needs tens of seconds here.
-    text = "\\x. " + "x " * 200_000
-    t0 = time.perf_counter()
-    e = parse_lambda(text)
-    assert time.perf_counter() - t0 < 2.0
+    # The growth from 20k to 80k tokens of 10 characters, not a time
+    # limit: warm calls, the best of three at each size.  Linear work
+    # grows about 4x; a tokenizer that copies the rest of the text for
+    # every token grows about 14x here.  The first call fills the
+    # tables of interned terms, which the smaller text's terms are in.
+    def text(n: int) -> str:
+        return "\\xxxxxxxxxx. " + "xxxxxxxxxx " * n
+
+    def best(n: int) -> float:
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            parse_lambda(text(n))
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    e = parse_lambda(text(80_000))
     assert isinstance(e, Lam) and isinstance(e.body, App)
+    assert best(80_000) < 8 * best(20_000)
 
 
 # ---------------------------------------------------------------------------
